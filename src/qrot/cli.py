@@ -57,6 +57,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# Reported as exit 1 with an error line; ZeroDivisionError is Sinkhorn underflow.
+_RUN_ERRORS = (ProblemFileError, DivergenceError, ValueError, OSError, ZeroDivisionError, MemoryError)
+
+
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 1
@@ -103,8 +107,8 @@ def cmd_solve(args) -> int:
         write_vector(out / f"alpha_{tag}.txt", report.final_potentials.alpha)
         write_vector(out / f"beta_{tag}.txt", report.final_potentials.beta)
         write_history_csv(out / f"history_{tag}.csv", report, problem.gamma, args.tol)
-    except (ProblemFileError, DivergenceError, ValueError, OSError) as exc:
-        return _fail(str(exc))
+    except _RUN_ERRORS as exc:
+        return _fail(str(exc) or type(exc).__name__)
     status = "converged" if report.converged else "hit the iteration cap"
     viol = max_violation(report.final_plan, mu, nu)
     print(f"{tag}: {status} after {report.iterations} iterations (max violation {viol:.3e})")
@@ -126,8 +130,8 @@ def cmd_compare(args) -> int:
         render_convergence_svg(
             [(r.algorithm.value, r.history) for r in reports], out / "compare.svg"
         )
-    except (ProblemFileError, DivergenceError, ValueError, OSError) as exc:
-        return _fail(str(exc))
+    except _RUN_ERRORS as exc:
+        return _fail(str(exc) or type(exc).__name__)
     for report in reports:
         status = "converged" if report.converged else "capped"
         print(f"{report.algorithm.value}: {status} in {report.iterations} iterations")
@@ -155,8 +159,8 @@ def cmd_oracle_check(args) -> int:
             diff = float(np.abs(report.final_plan - plan_star).max())
             worst = max(worst, diff)
             print(f"{algorithm.value}: plan discrepancy {diff:.3e}, duality gap {gap:.3e}")
-    except (ProblemFileError, DivergenceError, RuntimeError, ValueError, OSError) as exc:
-        return _fail(str(exc))
+    except (*_RUN_ERRORS, RuntimeError) as exc:  # RuntimeError: degenerate oracle instance
+        return _fail(str(exc) or type(exc).__name__)
     if worst <= 1e-6:
         print("all plans within 1e-06 of the exact solution")
         return 0

@@ -231,4 +231,4 @@ def primal_objective(pi, c, gamma: float) -> float:
         raise ValueError(f"plan shape {pi.shape} does not match cost shape {c.shape}")
     if not (gamma > 0):
         raise ValueError("gamma must be positive")
-    return float((c * pi).sum() + 0.5 * gamma * (pi * pi).sum())
+    return float(np.vdot(c, pi) + 0.5 * gamma * np.vdot(pi, pi))

@@ -46,13 +46,17 @@ def recover_plan(pot, c, gamma: float) -> np.ndarray:
     return np.maximum(_outer_sum_minus_cost(pot, c), 0.0) / gamma
 
 
-def dual_objective(pot, c, gamma: float, mu, nu) -> float:
-    """Value of F at the given potentials (the function the solvers descend)."""
-    c = np.asarray(c, dtype=float)
+def dual_objective(pot, c, gamma: float, mu, nu, plan=None) -> float:
+    """Value of F at the given potentials (the function the solvers descend).
+
+    ``F = (gamma^2 / 2) ||pi||^2 - gamma <alpha, mu> - gamma <beta, nu>`` with
+    ``pi = recover_plan(pot, c, gamma)``; ``plan`` may pass in that recovery.
+    """
     mu, nu = as_weights(mu), as_weights(nu)
+    if plan is None:
+        plan = recover_plan(pot, c, gamma)
     alpha, beta = pot
-    pos = np.maximum(_outer_sum_minus_cost(pot, c), 0.0)
-    return float(0.5 * (pos * pos).sum() - gamma * (alpha @ mu) - gamma * (beta @ nu))
+    return float(0.5 * gamma * gamma * np.vdot(plan, plan) - gamma * (alpha @ mu) - gamma * (beta @ nu))
 
 
 def dual_gradients(pot, c, gamma: float, mu, nu, plan=None):
@@ -66,13 +70,9 @@ def dual_gradients(pot, c, gamma: float, mu, nu, plan=None):
     return gamma * (plan.sum(axis=1) - mu), gamma * (plan.sum(axis=0) - nu)
 
 
-def dual_value(pot, c, gamma: float, mu, nu) -> float:
-    """Dual lower bound ``<alpha, mu> + <beta, nu> - ||(alpha (+) beta - c)_+||^2 / (2 gamma)``."""
-    c = np.asarray(c, dtype=float)
-    mu, nu = as_weights(mu), as_weights(nu)
-    alpha, beta = pot
-    pos = np.maximum(_outer_sum_minus_cost(pot, c), 0.0)
-    return float(alpha @ mu + beta @ nu - 0.5 * (pos * pos).sum() / gamma)
+def dual_value(pot, c, gamma: float, mu, nu, plan=None) -> float:
+    """Dual lower bound ``-F / gamma = <alpha, mu> + <beta, nu> - (gamma / 2) ||pi||^2``."""
+    return -dual_objective(pot, c, gamma, mu, nu, plan) / gamma
 
 
 def duality_gap(pot, pi, c, gamma: float, mu, nu) -> float:

@@ -9,29 +9,19 @@ the enumeration is capped at 16 cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .core import DualPotentials, as_weights, check_mass_balance
 
-__all__ = ["ActiveSetCandidate", "exact_solve"]
+__all__ = ["exact_solve"]
 
 ENUMERATION_LIMIT = 16
 
 # Acceptance tolerances, one order below the test tolerances built on top.
 _SIGN_TOL = 1e-12
 _RESIDUAL_RTOL = 1e-10
-
-
-@dataclass(frozen=True)
-class ActiveSetCandidate:
-    """A support pattern with the plan and multipliers solved on it."""
-
-    support: np.ndarray
-    plan: np.ndarray
-    potentials: DualPotentials
 
 
 @lru_cache(maxsize=32)
@@ -125,6 +115,5 @@ def exact_solve(mu, nu, c, gamma: float):
         plan = np.where(sigma, slack / gamma, 0.0)
         if (plan[sigma] < -_SIGN_TOL).any():
             continue
-        candidate = ActiveSetCandidate(sigma, np.maximum(plan, 0.0), pot)
-        return candidate.plan, candidate.potentials
+        return np.maximum(plan, 0.0), pot
     raise RuntimeError("no support pattern satisfies the optimality system (degenerate instance)")

@@ -1,15 +1,17 @@
 """Iterative solvers for quadratically regularized discrete optimal
 transport, plus an entropic Sinkhorn baseline.
 
-Four dual iterations are provided, all with a few dense N x M kernels per
-step and no linear solves:
+The four dual iterations are first-order steps on the smooth dual F of
+:mod:`qrot.dual`: each is ``pot - P grad F(pot)``, with the gradient from
+:func:`~qrot.dual.dual_gradients`, and only the linear map P differs:
 
-* cyclic projection: closed-form block updates of the slack/alpha/beta
-  optimality system, sweeping the three blocks in order;
-* dual gradient descent on F with a fixed stepsize (default 1/(M+N));
-* a preconditioned fixed-point iteration whose fixed points are exactly
-  the optimal potentials;
-* Nesterov-accelerated gradient descent with momentum n/(n+3).
+* dual gradient descent: ``P = tau I``, default ``tau = 1/(M+N)``;
+* fixed point: P = :func:`~qrot.dual.preconditioner_apply`, the inverse of
+  ``blockdiag(M (I + J/N), N (I + J/M))`` with ``J`` all ones;
+* cyclic projection: ``P (ga, gb) = (ga / M, gb / N - sum(ga) / (N M))``,
+  i.e. the fixed-point update followed by the gauge shift
+  ``(alpha - t, beta + t)``, ``t = sum(ga) / (2 N M)``, which keeps the plan;
+* Nesterov: ``P = tau I`` at ``current + n/(n+3) (current - previous)``.
 
 :func:`solve` wraps any of them (or Sinkhorn) with the common stopping rule
 "maximal marginal violation <= tol" and optional per-iteration history.
@@ -31,8 +33,9 @@ from .core import (
     as_weights,
     check_mass_balance,
     max_violation,
+    primal_objective,
 )
-from .dual import preconditioner_apply, recover_plan
+from .dual import dual_gradients, dual_value, preconditioner_apply, recover_plan
 from .regularizers import Entropy
 
 __all__ = [
@@ -76,85 +79,78 @@ class NesterovState(NamedTuple):
     n: int
 
 
-def cyclic_projection_step(state: CyclicProjectionState, c, gamma, mu, nu) -> CyclicProjectionState:
-    """One sweep of the cyclic block updates.
+def _descend(pot, c, gamma, mu, nu, plan, precondition) -> DualPotentials:
+    """``pot - P grad F(pot)`` with ``P`` applied by ``precondition(ga, gb)``."""
+    if plan is None:
+        plan = recover_plan(pot, c, gamma)
+    da, db = precondition(*dual_gradients(pot, c, gamma, mu, nu, plan=plan))
+    alpha, beta = pot
+    return DualPotentials(alpha - da, beta - db)
 
-    In order: ``rho = max(c - alpha (+) beta, 0)``, then alpha from the
-    row equations ``sum_j (rho + alpha (+) beta - c) = gamma mu``, then beta
-    from the column equations using the already-updated alpha.
+
+def cyclic_projection_step(
+    state: CyclicProjectionState, c, gamma, mu, nu, plan=None
+) -> CyclicProjectionState:
+    """One sweep of the cyclic block updates: ``pot - P grad F`` with
+    ``P (ga, gb) = (ga / M, gb / N - sum(ga) / (N M))``.
+
+    The sweep sets ``rho = max(c - alpha (+) beta, 0)``, then alpha from the
+    row equations, then beta from the column equations with the new alpha.
+    As ``rho + alpha (+) beta - c = gamma pi``, that is ``alpha += f / M``,
+    ``beta += g / N - sum(f) / (N M)`` with residuals ``(f, g) = -grad F``.
+    When ``sum(f) = sum(g)`` (equal masses) this is :func:`fixed_point_step`
+    followed by the plan-preserving gauge shift ``(alpha + s, beta - s)``,
+    ``s = sum(f) / (2 N M)``.  Returns ``rho`` at the old potentials
+    (``state.rho`` is not read) and the new potentials.
     """
-    mu, nu = as_weights(mu), as_weights(nu)
-    c = np.asarray(c, dtype=float)
-    n, m = c.shape
+    n, m = np.shape(c)
     alpha, beta = state.potentials
     rho = np.maximum(c - alpha[:, None] - beta[None, :], 0.0)
-    rho_minus_c = rho - c
-    alpha = (gamma / m) * (mu - (rho_minus_c.sum(axis=1) + beta.sum()) / gamma)
-    beta = (gamma / n) * (nu - (rho_minus_c.sum(axis=0) + alpha.sum()) / gamma)
-    return CyclicProjectionState(rho, DualPotentials(alpha, beta))
+    pot = _descend(
+        state.potentials, c, gamma, mu, nu, plan, lambda ga, gb: (ga / m, gb / n - ga.sum() / (n * m))
+    )
+    return CyclicProjectionState(rho, pot)
 
 
 def gradient_step(pot: DualPotentials, c, gamma, mu, nu, tau=None, plan=None) -> DualPotentials:
-    """One step of gradient descent on F.
+    """One step of gradient descent on F: ``pot - P grad F`` with ``P = tau I``.
 
-    ``alpha' = alpha - tau gamma (pi 1 - mu)`` and likewise for beta, with
-    the plan recovered once from the old potentials (pass ``plan`` to reuse
-    a cached recovery).  Default stepsize is ``1 / (M + N)``.
+    That is ``alpha' = alpha - tau gamma (pi 1 - mu)`` and likewise for
+    beta, with the plan recovered once from the old potentials (pass
+    ``plan`` to reuse a cached recovery).  Default stepsize is ``1 / (M + N)``.
     """
-    mu, nu = as_weights(mu), as_weights(nu)
-    c = np.asarray(c, dtype=float)
     if tau is None:
-        tau = 1.0 / (c.shape[0] + c.shape[1])
-    if plan is None:
-        plan = recover_plan(pot, c, gamma)
-    alpha, beta = pot
-    return DualPotentials(
-        alpha - tau * gamma * (plan.sum(axis=1) - mu),
-        beta - tau * gamma * (plan.sum(axis=0) - nu),
-    )
+        tau = 1.0 / sum(np.shape(c))
+    return _descend(pot, c, gamma, mu, nu, plan, lambda ga, gb: (tau * ga, tau * gb))
 
 
 def fixed_point_step(pot: DualPotentials, c, gamma, mu, nu, plan=None) -> DualPotentials:
-    """One preconditioned fixed-point update.
+    """One preconditioned fixed-point update: ``pot - P grad F`` with
+    ``P = preconditioner_apply``.
 
-    With residuals ``f = -gamma (pi 1 - mu)`` and ``g = -gamma (pi.T 1 - nu)``
-    both taken at the old potentials, the update adds the preconditioned
-    residuals: ``alpha += (f - sum(f)/(2N)) / M``, ``beta += (g - sum(g)/(2M)) / N``.
+    With the residuals ``(f, g) = -grad F`` at the old potentials this is
+    ``alpha += (f - sum(f)/(2N)) / M``, ``beta += (g - sum(g)/(2M)) / N``.
     Fixed points have zero residuals, i.e. the recovered plan is feasible
     and hence optimal.
     """
-    mu, nu = as_weights(mu), as_weights(nu)
-    c = np.asarray(c, dtype=float)
-    if plan is None:
-        plan = recover_plan(pot, c, gamma)
-    f = -gamma * (plan.sum(axis=1) - mu)
-    g = -gamma * (plan.sum(axis=0) - nu)
-    da, db = preconditioner_apply(f, g)
-    alpha, beta = pot
-    return DualPotentials(alpha + da, beta + db)
+    return _descend(pot, c, gamma, mu, nu, plan, preconditioner_apply)
 
 
 def nesterov_step(state: NesterovState, c, gamma, mu, nu, tau=None) -> NesterovState:
     """One accelerated gradient step with momentum ``sigma_n = n / (n + 3)``.
 
-    Extrapolates ``bar = current + sigma_n (current - previous)``, recovers
-    the plan at the extrapolated potentials, and takes a gradient step from
-    there.  At ``n = 0`` this reduces to plain gradient descent.
+    Extrapolates ``bar = current + sigma_n (current - previous)`` and takes
+    :func:`gradient_step` from there, ``bar - tau grad F(bar)``, with the
+    plan recovered at the extrapolated potentials.  At ``n = 0`` this
+    reduces to plain gradient descent.
     """
-    mu, nu = as_weights(mu), as_weights(nu)
-    c = np.asarray(c, dtype=float)
-    if tau is None:
-        tau = 1.0 / (c.shape[0] + c.shape[1])
     cur, prev, n = state
     sigma = n / (n + 3.0)
-    a_bar = cur.alpha + sigma * (cur.alpha - prev.alpha)
-    b_bar = cur.beta + sigma * (cur.beta - prev.beta)
-    plan = recover_plan(DualPotentials(a_bar, b_bar), c, gamma)
-    new = DualPotentials(
-        a_bar - tau * gamma * (plan.sum(axis=1) - mu),
-        b_bar - tau * gamma * (plan.sum(axis=0) - nu),
+    bar = DualPotentials(
+        cur.alpha + sigma * (cur.alpha - prev.alpha),
+        cur.beta + sigma * (cur.beta - prev.beta),
     )
-    return NesterovState(new, cur, n + 1)
+    return NesterovState(gradient_step(bar, c, gamma, mu, nu, tau), cur, n + 1)
 
 
 def sinkhorn_step(u, v, K, mu, nu):
@@ -190,16 +186,37 @@ _ENTROPY = Entropy()
 
 
 def _diagnostics(algorithm, plan, pot, c, gamma, mu, nu):
-    """(dual bound, primal objective, gap) for one history row."""
-    alpha, beta = pot
+    """(dual bound, primal objective, gap) of the loop's plan, for one history row."""
     if algorithm is Algorithm.SINKHORN:
+        alpha, beta = pot
         primal = float((c * plan).sum() + gamma * _ENTROPY.value(plan).sum())
         dual = float(alpha @ mu + beta @ nu - gamma * plan.sum())
     else:
-        sq = float((plan * plan).sum())
-        primal = float((c * plan).sum() + 0.5 * gamma * sq)
-        dual = float(alpha @ mu + beta @ nu - 0.5 * gamma * sq)
+        primal = primal_objective(plan, c, gamma)
+        dual = dual_value(pot, c, gamma, mu, nu, plan=plan)
     return dual, primal, primal - dual
+
+
+def _dual_update(alg, start, c, gamma, mu, nu, tau):
+    """The update ``(pot, plan at pot) -> next pot`` of a quadratic method
+    started at ``start``.  Steps are looked up at call time, so wrappers
+    installed on this module see every call."""
+    if alg is Algorithm.NESTEROV:  # carries its previous iterate and counter
+        state = NesterovState(start, start, 0)
+
+        def nesterov(pot, plan):
+            nonlocal state
+            state = nesterov_step(state, c, gamma, mu, nu, tau)
+            return state.current
+
+        return nesterov
+    if alg is Algorithm.CYCLIC_PROJECTION:
+        return lambda pot, plan: cyclic_projection_step(
+            CyclicProjectionState(None, pot), c, gamma, mu, nu, plan=plan
+        ).potentials
+    if alg is Algorithm.DUAL_GRADIENT:
+        return lambda pot, plan: gradient_step(pot, c, gamma, mu, nu, tau, plan=plan)
+    return lambda pot, plan: fixed_point_step(pot, c, gamma, mu, nu, plan=plan)
 
 
 def solve(mu, nu, c, config: SolverConfig) -> ConvergenceReport:
@@ -240,7 +257,6 @@ def solve(mu, nu, c, config: SolverConfig) -> ConvergenceReport:
     n, m = c.shape
     gamma = config.gamma
     alg = config.algorithm
-    tau = config.tau if config.tau is not None else 1.0 / (n + m)
 
     sinkhorn = alg is Algorithm.SINKHORN
     if sinkhorn:
@@ -253,10 +269,7 @@ def solve(mu, nu, c, config: SolverConfig) -> ConvergenceReport:
     else:
         pot = DualPotentials(np.zeros(n), np.zeros(m))
         plan = recover_plan(pot, c, gamma)
-        if alg is Algorithm.CYCLIC_PROJECTION:
-            rho = np.zeros((n, m))
-        elif alg is Algorithm.NESTEROV:
-            nesterov = NesterovState(pot, pot, 0)
+        update = _dual_update(alg, pot, c, gamma, mu, nu, config.tau)
 
     history: list[HistoryEntry] = []
     t0 = time.perf_counter()
@@ -266,20 +279,13 @@ def solve(mu, nu, c, config: SolverConfig) -> ConvergenceReport:
     # overflow on a diverging run is reported via DivergenceError, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, config.max_iters + 1):
-            if alg is Algorithm.CYCLIC_PROJECTION:
-                rho, pot = cyclic_projection_step(CyclicProjectionState(rho, pot), c, gamma, mu, nu)
-            elif alg is Algorithm.DUAL_GRADIENT:
-                pot = gradient_step(pot, c, gamma, mu, nu, tau, plan=plan)
-            elif alg is Algorithm.FIXED_POINT:
-                pot = fixed_point_step(pot, c, gamma, mu, nu, plan=plan)
-            elif alg is Algorithm.NESTEROV:
-                nesterov = nesterov_step(nesterov, c, gamma, mu, nu, tau)
-                pot = nesterov.current
-            else:
+            if sinkhorn:
                 u, v = sinkhorn_step(u, v, K, mu, nu)
                 pot = _sinkhorn_potentials(u, v, gamma)
-
-            plan = sinkhorn_plan(u, v, K) if sinkhorn else recover_plan(pot, c, gamma)
+                plan = sinkhorn_plan(u, v, K)
+            else:
+                pot = update(pot, plan)
+                plan = recover_plan(pot, c, gamma)
             viol = max_violation(plan, mu, nu)
             if not (np.isfinite(viol) and np.isfinite(pot.alpha).all() and np.isfinite(pot.beta).all()):
                 raise DivergenceError(alg, it)

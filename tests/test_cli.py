@@ -110,7 +110,7 @@ def test_generate_default_gamma_per_cost(tmp_path):
     assert load_problem(path).gamma == 50.0
 
 
-def test_solve_exit_codes(tmp_path):
+def test_solve_exit_codes(tmp_path, monkeypatch, capsys):
     problem_path = tmp_path / "problem.json"
     save_problem(small_problem(), problem_path)
 
@@ -135,6 +135,29 @@ def test_solve_exit_codes(tmp_path):
 
     # bad usage (unknown algorithm) is an input error, not an iteration cap
     assert main(["solve", str(problem_path), "--algorithm", "bogus"]) == 1
+    capsys.readouterr()
+
+    # Sinkhorn underflow: costs near 900 make exp(-c / gamma) vanish
+    shifted = ProblemFile(
+        grid1=Grid1D(4, 0.0, 1.0),
+        grid2=Grid1D(5, 30.0, 31.0),
+        marginal1=MixtureSpec(((0.5, 0.3, 0.12), (0.5, 0.7, 0.12))),
+        marginal2=MixtureSpec(((1.0, 30.5, 0.2),)),
+        cost="squared",
+        gamma=1.0,
+    )
+    save_problem(shifted, tmp_path / "shifted.json")
+    code = main(["solve", str(tmp_path / "shifted.json"), "--algorithm", "sinkhorn", "--out", str(tmp_path / "o4")])
+    assert code == 1
+    assert "error: Sinkhorn denominator underflowed" in capsys.readouterr().err
+
+    # an allocation the machine cannot serve (simulated; nothing is allocated)
+    def out_of_memory(problem):
+        raise MemoryError()
+
+    monkeypatch.setattr("qrot.cli.realize_problem", out_of_memory)
+    assert main(["solve", str(problem_path), "--algorithm", "gradient", "--out", str(tmp_path / "o5")]) == 1
+    assert "error: MemoryError" in capsys.readouterr().err
 
 
 def test_compare_writes_artifacts_and_is_deterministic(tmp_path):

@@ -71,6 +71,35 @@ def test_cyclic_projection_slack_stays_nonnegative(rng):
         assert (st.rho >= 0).all()
 
 
+def textbook_sweep(alpha, beta, c, gamma, mu, nu):
+    """The three-block cyclic projection sweep, written out block by block."""
+    n, m = c.shape
+    rho = np.maximum(c - alpha[:, None] - beta[None, :], 0.0)
+    rho_minus_c = rho - c
+    alpha = (gamma / m) * (mu - (rho_minus_c.sum(axis=1) + beta.sum()) / gamma)
+    beta = (gamma / n) * (nu - (rho_minus_c.sum(axis=0) + alpha.sum()) / gamma)
+    return rho, alpha, beta
+
+
+def test_cyclic_projection_matches_textbook_sweep(rng):
+    for k in range(6):
+        mu, nu, c = random_instance(rng)
+        gamma = [0.5, 1.0, 5.0][k % 3]
+        n, m = c.shape
+        alpha, beta = np.zeros(n), np.zeros(m)
+        st = zeros_state(n, m)
+        fp = st.potentials
+        for _ in range(2000):
+            rho, alpha, beta = textbook_sweep(alpha, beta, c, gamma, mu, nu)
+            st = cyclic_projection_step(st, c, gamma, mu, nu)
+            fp = fixed_point_step(fp, c, gamma, mu, nu)
+            assert np.abs(st.rho - rho).max() <= 1e-12
+            plan = recover_plan(DualPotentials(alpha, beta), c, gamma)
+            assert np.abs(recover_plan(st.potentials, c, gamma) - plan).max() <= 1e-12
+            # the fixed-point iterates differ only by a gauge shift
+            assert np.abs(recover_plan(fp, c, gamma) - plan).max() <= 1e-12
+
+
 def test_gradient_step_examples():
     p = gradient_step(DualPotentials(np.zeros(2), np.zeros(2)), C2, 1.0, HALF, HALF, tau=0.25)
     assert np.allclose(p.alpha, [0.125, 0.125]) and np.allclose(p.beta, [0.125, 0.125])
