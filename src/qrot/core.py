@@ -26,9 +26,11 @@ __all__ = [
     "SolverConfig",
     "as_weights",
     "check_mass_balance",
+    "marginal_residuals",
     "marginals",
     "max_violation",
     "primal_objective",
+    "residual_violation",
 ]
 
 # Relative tolerance for the equal-mass requirement on the two marginals.
@@ -219,8 +221,18 @@ def max_violation(pi, mu, nu) -> float:
     nu = as_weights(nu)
     if pi.shape != (mu.size, nu.size):
         raise ValueError(f"plan shape {pi.shape} does not match marginals ({mu.size}, {nu.size})")
+    return residual_violation(*marginal_residuals(pi, mu, nu))
+
+
+def marginal_residuals(pi, mu, nu) -> tuple[np.ndarray, np.ndarray]:
+    """Marginal residuals of a plan: ``(pi 1 - mu, pi.T 1 - nu)``."""
     row, col = marginals(pi)
-    return float(max(np.abs(row - mu).max(), np.abs(col - nu).max()))
+    return row - as_weights(mu), col - as_weights(nu)
+
+
+def residual_violation(f, g) -> float:
+    """``max(||f||_inf, ||g||_inf)``: :func:`max_violation` from the residuals."""
+    return float(max(np.abs(f).max(), np.abs(g).max()))
 
 
 def primal_objective(pi, c, gamma: float) -> float:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DualPotentials, as_weights, primal_objective
+from .core import DualPotentials, as_weights, marginal_residuals, primal_objective
 
 __all__ = [
     "build_hessian",
@@ -38,12 +38,26 @@ def _outer_sum_minus_cost(pot, c):
     return np.asarray(alpha, float)[:, None] + np.asarray(beta, float)[None, :] - c
 
 
-def recover_plan(pot, c, gamma: float) -> np.ndarray:
-    """Plan induced by potentials: ``max(alpha[i] + beta[j] - c[i, j], 0) / gamma``."""
+def recover_plan(pot, c, gamma: float, out=None) -> np.ndarray:
+    """Plan induced by potentials: ``max(alpha[i] + beta[j] - c[i, j], 0) / gamma``.
+
+    ``out`` may pass a float ``(N, M)`` array to hold the plan; it is
+    overwritten and returned, and no other ``N x M`` array is allocated.
+    The result is bit for bit the same with or without ``out``.
+    """
     if not (gamma > 0):
         raise ValueError("gamma must be positive")
     c = np.asarray(c, dtype=float)
-    return np.maximum(_outer_sum_minus_cost(pot, c), 0.0) / gamma
+    alpha, beta = (np.asarray(x, dtype=float) for x in pot)
+    if out is None:
+        out = np.empty((alpha.size, beta.size))
+    # beta[j] + alpha[i] is alpha[i] + beta[j] bit for bit, and this order
+    # runs faster than np.add.outer
+    np.copyto(out, beta)
+    np.add(out, alpha[:, None], out=out)
+    np.subtract(out, c, out=out)
+    np.maximum(out, 0.0, out=out)
+    return np.divide(out, gamma, out=out)
 
 
 def dual_objective(pot, c, gamma: float, mu, nu, plan=None) -> float:
@@ -64,10 +78,10 @@ def dual_gradients(pot, c, gamma: float, mu, nu, plan=None):
 
     ``plan`` may pass in a precomputed ``recover_plan(pot, c, gamma)``.
     """
-    mu, nu = as_weights(mu), as_weights(nu)
     if plan is None:
         plan = recover_plan(pot, c, gamma)
-    return gamma * (plan.sum(axis=1) - mu), gamma * (plan.sum(axis=0) - nu)
+    f, g = marginal_residuals(plan, mu, nu)
+    return gamma * f, gamma * g
 
 
 def dual_value(pot, c, gamma: float, mu, nu, plan=None) -> float:

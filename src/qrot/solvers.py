@@ -32,11 +32,13 @@ from .core import (
     SolverConfig,
     as_weights,
     check_mass_balance,
+    marginal_residuals,
+    marginals,
     max_violation,
     primal_objective,
+    residual_violation,
 )
-from .dual import dual_gradients, dual_value, preconditioner_apply, recover_plan
-from .regularizers import Entropy
+from .dual import dual_value, preconditioner_apply, recover_plan
 
 __all__ = [
     "CyclicProjectionState",
@@ -64,11 +66,35 @@ class DivergenceError(RuntimeError):
         )
 
 
-class CyclicProjectionState(NamedTuple):
-    """Slack matrix rho >= 0 and the current potentials."""
+class CyclicProjectionState:
+    """Slack matrix rho >= 0 and the current potentials.
 
-    rho: np.ndarray
-    potentials: DualPotentials
+    A state returned by :func:`cyclic_projection_step` forms its ``rho`` on
+    first read, from the step's old potentials and cost, so a loop that
+    follows only the potentials never builds the ``N x M`` slack.
+    """
+
+    __slots__ = ("_rho", "_slack_of", "potentials")
+
+    def __init__(self, rho, potentials: DualPotentials):
+        self._rho = rho
+        self._slack_of = None
+        self.potentials = potentials
+
+    @classmethod
+    def _deferred(cls, old: DualPotentials, c, potentials: DualPotentials):
+        """State whose ``rho`` is ``max(c - old.alpha (+) old.beta, 0)``, formed on first read."""
+        state = cls(None, potentials)
+        state._slack_of = (old, c)
+        return state
+
+    @property
+    def rho(self) -> np.ndarray:
+        if self._slack_of is not None:
+            (alpha, beta), c = self._slack_of
+            self._rho = np.maximum(c - alpha[:, None] - beta[None, :], 0.0)
+            self._slack_of = None
+        return self._rho
 
 
 class NesterovState(NamedTuple):
@@ -79,17 +105,23 @@ class NesterovState(NamedTuple):
     n: int
 
 
-def _descend(pot, c, gamma, mu, nu, plan, precondition) -> DualPotentials:
-    """``pot - P grad F(pot)`` with ``P`` applied by ``precondition(ga, gb)``."""
-    if plan is None:
-        plan = recover_plan(pot, c, gamma)
-    da, db = precondition(*dual_gradients(pot, c, gamma, mu, nu, plan=plan))
+def _descend(pot, c, gamma, mu, nu, residuals, precondition) -> DualPotentials:
+    """``pot - P grad F(pot)`` with ``P`` applied by ``precondition(ga, gb)``.
+
+    ``grad F = gamma (f, g)`` with the marginal residuals ``(f, g)`` of the
+    plan at ``pot``, as in :func:`~qrot.dual.dual_gradients`; they are
+    computed here unless ``residuals`` passes them in.
+    """
+    if residuals is None:
+        residuals = marginal_residuals(recover_plan(pot, c, gamma), mu, nu)
+    f, g = residuals
+    da, db = precondition(gamma * f, gamma * g)
     alpha, beta = pot
     return DualPotentials(alpha - da, beta - db)
 
 
 def cyclic_projection_step(
-    state: CyclicProjectionState, c, gamma, mu, nu, plan=None
+    state: CyclicProjectionState, c, gamma, mu, nu, residuals=None
 ) -> CyclicProjectionState:
     """One sweep of the cyclic block updates: ``pot - P grad F`` with
     ``P (ga, gb) = (ga / M, gb / N - sum(ga) / (N M))``.
@@ -101,48 +133,54 @@ def cyclic_projection_step(
     When ``sum(f) = sum(g)`` (equal masses) this is :func:`fixed_point_step`
     followed by the plan-preserving gauge shift ``(alpha + s, beta - s)``,
     ``s = sum(f) / (2 N M)``.  Returns ``rho`` at the old potentials
-    (``state.rho`` is not read) and the new potentials.
+    (``state.rho`` is not read; the returned one is formed when first read)
+    and the new potentials.  ``residuals`` may pass in ``(f, g)``.
     """
     n, m = np.shape(c)
-    alpha, beta = state.potentials
-    rho = np.maximum(c - alpha[:, None] - beta[None, :], 0.0)
     pot = _descend(
-        state.potentials, c, gamma, mu, nu, plan, lambda ga, gb: (ga / m, gb / n - ga.sum() / (n * m))
+        state.potentials, c, gamma, mu, nu, residuals,
+        lambda ga, gb: (ga / m, gb / n - ga.sum() / (n * m)),
     )
-    return CyclicProjectionState(rho, pot)
+    return CyclicProjectionState._deferred(state.potentials, c, pot)
 
 
-def gradient_step(pot: DualPotentials, c, gamma, mu, nu, tau=None, plan=None) -> DualPotentials:
+def gradient_step(
+    pot: DualPotentials, c, gamma, mu, nu, tau=None, residuals=None
+) -> DualPotentials:
     """One step of gradient descent on F: ``pot - P grad F`` with ``P = tau I``.
 
     That is ``alpha' = alpha - tau gamma (pi 1 - mu)`` and likewise for
-    beta, with the plan recovered once from the old potentials (pass
-    ``plan`` to reuse a cached recovery).  Default stepsize is ``1 / (M + N)``.
+    beta, with the plan recovered once from the old potentials (or pass its
+    marginal residuals ``(pi 1 - mu, pi.T 1 - nu)`` as ``residuals``).
+    Default stepsize is ``1 / (M + N)``.
     """
     if tau is None:
         tau = 1.0 / sum(np.shape(c))
-    return _descend(pot, c, gamma, mu, nu, plan, lambda ga, gb: (tau * ga, tau * gb))
+    return _descend(pot, c, gamma, mu, nu, residuals, lambda ga, gb: (tau * ga, tau * gb))
 
 
-def fixed_point_step(pot: DualPotentials, c, gamma, mu, nu, plan=None) -> DualPotentials:
+def fixed_point_step(
+    pot: DualPotentials, c, gamma, mu, nu, residuals=None
+) -> DualPotentials:
     """One preconditioned fixed-point update: ``pot - P grad F`` with
     ``P = preconditioner_apply``.
 
     With the residuals ``(f, g) = -grad F`` at the old potentials this is
     ``alpha += (f - sum(f)/(2N)) / M``, ``beta += (g - sum(g)/(2M)) / N``.
     Fixed points have zero residuals, i.e. the recovered plan is feasible
-    and hence optimal.
+    and hence optimal.  ``residuals`` is as in :func:`gradient_step`.
     """
-    return _descend(pot, c, gamma, mu, nu, plan, preconditioner_apply)
+    return _descend(pot, c, gamma, mu, nu, residuals, preconditioner_apply)
 
 
-def nesterov_step(state: NesterovState, c, gamma, mu, nu, tau=None) -> NesterovState:
+def nesterov_step(state: NesterovState, c, gamma, mu, nu, tau=None, work=None) -> NesterovState:
     """One accelerated gradient step with momentum ``sigma_n = n / (n + 3)``.
 
     Extrapolates ``bar = current + sigma_n (current - previous)`` and takes
     :func:`gradient_step` from there, ``bar - tau grad F(bar)``, with the
-    plan recovered at the extrapolated potentials.  At ``n = 0`` this
-    reduces to plain gradient descent.
+    plan recovered at the extrapolated potentials (into ``work``, an
+    ``(N, M)`` float array, when given).  At ``n = 0`` this reduces to plain
+    gradient descent.
     """
     cur, prev, n = state
     sigma = n / (n + 3.0)
@@ -150,7 +188,8 @@ def nesterov_step(state: NesterovState, c, gamma, mu, nu, tau=None) -> NesterovS
         cur.alpha + sigma * (cur.alpha - prev.alpha),
         cur.beta + sigma * (cur.beta - prev.beta),
     )
-    return NesterovState(gradient_step(bar, c, gamma, mu, nu, tau), cur, n + 1)
+    residuals = marginal_residuals(recover_plan(bar, c, gamma, out=work), mu, nu)
+    return NesterovState(gradient_step(bar, c, gamma, mu, nu, tau, residuals=residuals), cur, n + 1)
 
 
 def sinkhorn_step(u, v, K, mu, nu):
@@ -182,15 +221,40 @@ def _sinkhorn_potentials(u, v, gamma) -> DualPotentials:
     return DualPotentials(gamma * (np.log(u) + 0.5), gamma * (np.log(v) + 0.5))
 
 
-_ENTROPY = Entropy()
+def _sinkhorn_violation(u, v, K, mu, nu, tol, materialize):
+    """``(violation, plan)`` after a Sinkhorn sweep, with ``plan`` None when
+    the plan was not needed.
+
+    Unless ``materialize`` is set, the marginals ``u * (K v)`` and
+    ``v * (K.T u)`` are taken from two matrix-vector products.  They differ
+    from the sums of :func:`sinkhorn_plan` by rounding alone: each carries a
+    relative error of at most ``(k + 1) eps`` for ``k = max(N, M)`` terms, so
+    the two violations differ by less than ``margin = 4 (k + 2) eps`` times
+    the largest marginal, with room to spare.  An estimate above
+    ``tol + margin`` thus proves the plan's violation above ``tol``;
+    otherwise the plan is built and :func:`max_violation` decides.
+    """
+    if not materialize:
+        row, col = u * (K @ v), v * (K.T @ u)
+        estimate = residual_violation(row - mu, col - nu)
+        scale = max(row.max(), col.max(), mu.max(), nu.max())
+        margin = 4.0 * (max(K.shape) + 2) * np.finfo(float).eps * scale
+        if not (estimate <= tol + margin):
+            return estimate, None
+    plan = sinkhorn_plan(u, v, K)
+    return max_violation(plan, mu, nu), plan
 
 
 def _diagnostics(algorithm, plan, pot, c, gamma, mu, nu):
     """(dual bound, primal objective, gap) of the loop's plan, for one history row."""
     if algorithm is Algorithm.SINKHORN:
+        # pi = exp((alpha (+) beta - c) / gamma - 1), so the primal value
+        # <c, pi> + gamma sum pi log pi equals <alpha, pi 1> + <beta, pi.T 1> - gamma sum pi
         alpha, beta = pot
-        primal = float((c * plan).sum() + gamma * _ENTROPY.value(plan).sum())
-        dual = float(alpha @ mu + beta @ nu - gamma * plan.sum())
+        row, col = marginals(plan)
+        mass = gamma * plan.sum()
+        primal = float(alpha @ row + beta @ col - mass)
+        dual = float(alpha @ mu + beta @ nu - mass)
     else:
         primal = primal_objective(plan, c, gamma)
         dual = dual_value(pot, c, gamma, mu, nu, plan=plan)
@@ -198,25 +262,26 @@ def _diagnostics(algorithm, plan, pot, c, gamma, mu, nu):
 
 
 def _dual_update(alg, start, c, gamma, mu, nu, tau):
-    """The update ``(pot, plan at pot) -> next pot`` of a quadratic method
-    started at ``start``.  Steps are looked up at call time, so wrappers
-    installed on this module see every call."""
+    """The update ``(pot, marginal residuals of the plan at pot) -> next pot``
+    of a quadratic method started at ``start``.  Steps are looked up at call
+    time, so wrappers installed on this module see every call."""
     if alg is Algorithm.NESTEROV:  # carries its previous iterate and counter
         state = NesterovState(start, start, 0)
+        work = np.empty(c.shape)  # the extrapolated plan, recovered in place
 
-        def nesterov(pot, plan):
+        def nesterov(pot, residuals):
             nonlocal state
-            state = nesterov_step(state, c, gamma, mu, nu, tau)
+            state = nesterov_step(state, c, gamma, mu, nu, tau, work=work)
             return state.current
 
         return nesterov
     if alg is Algorithm.CYCLIC_PROJECTION:
-        return lambda pot, plan: cyclic_projection_step(
-            CyclicProjectionState(None, pot), c, gamma, mu, nu, plan=plan
+        return lambda pot, res: cyclic_projection_step(
+            CyclicProjectionState(None, pot), c, gamma, mu, nu, residuals=res
         ).potentials
     if alg is Algorithm.DUAL_GRADIENT:
-        return lambda pot, plan: gradient_step(pot, c, gamma, mu, nu, tau, plan=plan)
-    return lambda pot, plan: fixed_point_step(pot, c, gamma, mu, nu, plan=plan)
+        return lambda pot, res: gradient_step(pot, c, gamma, mu, nu, tau, residuals=res)
+    return lambda pot, res: fixed_point_step(pot, c, gamma, mu, nu, residuals=res)
 
 
 def solve(mu, nu, c, config: SolverConfig) -> ConvergenceReport:
@@ -240,6 +305,17 @@ def solve(mu, nu, c, config: SolverConfig) -> ConvergenceReport:
         Final plan (the clipped recovery ``max(alpha (+) beta - c, 0)/gamma``
         for the dual methods, the scaled kernel for Sinkhorn), final
         potentials, iteration count, convergence flag and recorded history.
+        The final plan is the array the run recovered its plans into; no
+        other ``N x M`` array of the run outlives the call.
+
+    Notes
+    -----
+    A dual iteration recovers the plan in place (``recover_plan(..., out=)``)
+    and takes its marginal residuals once; the stopping test and the next
+    step both read them.  Sinkhorn tests its scaling vectors instead of the
+    plan and builds the plan only for a history row, at the last iteration
+    and to confirm convergence, so iteration counts are those of testing the
+    plan every iteration.
 
     Raises
     ------
@@ -262,13 +338,13 @@ def solve(mu, nu, c, config: SolverConfig) -> ConvergenceReport:
     if sinkhorn:
         if (mu <= 0).any() or (nu <= 0).any():
             raise ValueError("Sinkhorn requires strictly positive marginals")
-        K = np.exp(-c / gamma)
+        K = np.divide(c, -gamma)  # exp(-c / gamma), formed in one array
+        np.exp(K, out=K)
         u, v = np.ones(n), np.ones(m)
-        pot = _sinkhorn_potentials(u, v, gamma)
-        plan = sinkhorn_plan(u, v, K)
     else:
         pot = DualPotentials(np.zeros(n), np.zeros(m))
-        plan = recover_plan(pot, c, gamma)
+        plan = recover_plan(pot, c, gamma)  # the run's plan buffer from here on
+        residuals = marginal_residuals(plan, mu, nu)
         update = _dual_update(alg, pot, c, gamma, mu, nu, config.tau)
 
     history: list[HistoryEntry] = []
@@ -279,22 +355,27 @@ def solve(mu, nu, c, config: SolverConfig) -> ConvergenceReport:
     # overflow on a diverging run is reported via DivergenceError, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, config.max_iters + 1):
+            # the plan of the last iteration and of each history row is reported
+            plan_due = it == config.max_iters or (
+                config.record_history and it % config.history_stride == 0
+            )
             if sinkhorn:
                 u, v = sinkhorn_step(u, v, K, mu, nu)
                 pot = _sinkhorn_potentials(u, v, gamma)
-                plan = sinkhorn_plan(u, v, K)
+                viol, built = _sinkhorn_violation(u, v, K, mu, nu, config.tol, plan_due)
+                if built is not None:
+                    plan = built
             else:
-                pot = update(pot, plan)
-                plan = recover_plan(pot, c, gamma)
-            viol = max_violation(plan, mu, nu)
+                pot = update(pot, residuals)
+                plan = recover_plan(pot, c, gamma, out=plan)
+                residuals = marginal_residuals(plan, mu, nu)
+                viol = residual_violation(*residuals)
             if not (np.isfinite(viol) and np.isfinite(pot.alpha).all() and np.isfinite(pot.beta).all()):
                 raise DivergenceError(alg, it)
 
             iterations = it
             converged = viol <= config.tol
-            if config.record_history and (
-                converged or it == config.max_iters or it % config.history_stride == 0
-            ):
+            if config.record_history and (converged or plan_due):
                 dual, primal, gap = _diagnostics(alg, plan, pot, c, gamma, mu, nu)
                 history.append(
                     HistoryEntry(it, viol, dual, primal, gap, time.perf_counter() - t0)

@@ -29,6 +29,15 @@ def test_recover_plan_examples():
     assert np.all(recover_plan(pot([-1.0, -1.0], [-1.0, -1.0]), C2, 1.0) == 0.0)
 
 
+def test_recover_plan_into_buffer(rng):
+    _, _, c = random_instance(rng, 6, 7)
+    p = pot(rng.normal(size=6), rng.normal(size=7))
+    buf = np.full((6, 7), np.nan)
+    assert recover_plan(p, c, 0.7, out=buf) is buf
+    assert np.array_equal(buf, recover_plan(p, c, 0.7))
+    assert np.array_equal(buf, np.maximum(p.alpha[:, None] + p.beta[None, :] - c, 0.0) / 0.7)
+
+
 def test_recover_plan_scales_with_gamma(rng):
     mu, nu, c = random_instance(rng)
     a = rng.normal(size=mu.size)

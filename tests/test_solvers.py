@@ -7,6 +7,7 @@ from qrot import (
     CyclicProjectionState,
     DivergenceError,
     DualPotentials,
+    Entropy,
     NesterovState,
     SolverConfig,
     cyclic_projection_step,
@@ -15,11 +16,13 @@ from qrot import (
     gradient_step,
     max_violation,
     nesterov_step,
+    primal_objective,
     recover_plan,
     sinkhorn_plan,
     sinkhorn_step,
     solve,
 )
+from qrot.dual import dual_value
 from qrot.fileio import default_problem, realize_problem
 
 C2 = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -304,3 +307,131 @@ def test_violation_trend_on_benchmark():
             viol = {row.iteration: row.max_violation for row in rep.history}
             assert viol[100] < viol[10]
             assert viol[1000] < viol[100]
+
+
+def reference_dual_solve(mu, nu, c, config):
+    """The dual solve loop written out plainly: a fresh plan recovery, the
+    public step and ``max_violation`` every iteration, and history rows from
+    ``primal_objective`` and ``dual_value``.  Returns (iterations,
+    converged, plan, potentials, rows) with rows (iteration, violation,
+    dual, primal)."""
+    n, m = c.shape
+    gamma, alg, tau = config.gamma, config.algorithm, config.tau
+    pot = DualPotentials(np.zeros(n), np.zeros(m))
+    state = NesterovState(pot, pot, 0)
+    rows = []
+    for it in range(1, config.max_iters + 1):
+        if alg is Algorithm.CYCLIC_PROJECTION:
+            pot = cyclic_projection_step(CyclicProjectionState(np.zeros((n, m)), pot), c, gamma, mu, nu).potentials
+        elif alg is Algorithm.DUAL_GRADIENT:
+            pot = gradient_step(pot, c, gamma, mu, nu, tau)
+        elif alg is Algorithm.FIXED_POINT:
+            pot = fixed_point_step(pot, c, gamma, mu, nu)
+        else:
+            state = nesterov_step(state, c, gamma, mu, nu, tau)
+            pot = state.current
+        plan = recover_plan(pot, c, gamma)
+        viol = max_violation(plan, mu, nu)
+        converged = viol <= config.tol
+        if config.record_history and (converged or it == config.max_iters or it % config.history_stride == 0):
+            rows.append((it, viol, dual_value(pot, c, gamma, mu, nu), primal_objective(plan, c, gamma)))
+        if converged:
+            return it, True, plan, pot, rows
+    return config.max_iters, False, plan, pot, rows
+
+
+def test_solve_is_bit_identical_to_reference_dual_loop(rng):
+    instances = [random_instance(rng) for _ in range(3)] + [random_instance(rng, 7, 9)]
+    for k, (mu, nu, c) in enumerate(instances):
+        gamma = [0.5, 1.0, 5.0][k % 3]
+        for alg in DUAL_ALGORITHMS:
+            for tol, max_iters in ((1e-9, 200_000), (1e-300, 37)):  # to tolerance, and at the cap
+                for history in (None, 1, 5):
+                    config = SolverConfig(gamma=gamma, algorithm=alg, tol=tol, max_iters=max_iters,
+                                          record_history=history is not None, history_stride=history or 1)
+                    rep = solve(mu, nu, c, config)
+                    iters, converged, plan, pot, rows = reference_dual_solve(mu, nu, c, config)
+                    assert (rep.iterations, rep.converged) == (iters, converged), (alg, tol, history)
+                    assert converged or iters == max_iters
+                    assert np.array_equal(rep.final_plan, plan)
+                    assert np.array_equal(rep.final_potentials.alpha, pot.alpha)
+                    assert np.array_equal(rep.final_potentials.beta, pot.beta)
+                    assert [tuple(r)[:2] + (r.dual_objective, r.primal_objective) for r in rep.history] == rows
+
+
+def reference_sinkhorn(mu, nu, c, gamma, tol, max_iters):
+    """Sinkhorn with the plan built and tested every iteration.  Returns
+    (iterations, converged, plan, violation per iteration)."""
+    K = np.exp(-c / gamma)
+    u, v = np.ones(mu.size), np.ones(nu.size)
+    viols = []
+    for it in range(1, max_iters + 1):
+        u, v = sinkhorn_step(u, v, K, mu, nu)
+        plan = sinkhorn_plan(u, v, K)
+        viols.append(max_violation(plan, mu, nu))
+        if viols[-1] <= tol:
+            return it, True, plan, viols
+    return max_iters, False, plan, viols
+
+
+def test_sinkhorn_stopping_matches_plan_every_iteration(rng, monkeypatch):
+    built = []
+
+    def counted(u, v, K):
+        built.append(1)
+        return sinkhorn_plan(u, v, K)
+
+    monkeypatch.setattr("qrot.solvers.sinkhorn_plan", counted)
+    cases = (  # (tol, max_iters, history stride or None)
+        (1e-9, 20_000, None),
+        (1e-9, 20_000, 7),
+        (1e-9, 60, None),  # cap reached before tol
+        (1e-300, 300, None),  # tol out of reach
+    )
+    for k in range(3):
+        mu, nu, c = random_instance(rng, 30, 40)
+        c = 5.0 * c
+        # just below the violation of iteration 50: the estimate lands within
+        # its rounding margin of tol there, and the plan must overrule it
+        edge = np.nextafter(reference_sinkhorn(mu, nu, c, 0.05, 0.0, 50)[3][-1], 0.0)
+        for tol, max_iters, stride in cases + ((edge, 20_000, None),):
+            built.clear()
+            config = SolverConfig(gamma=0.05, algorithm=Algorithm.SINKHORN, tol=tol, max_iters=max_iters,
+                                  record_history=stride is not None, history_stride=stride or 1)
+            rep = solve(mu, nu, c, config)
+            iters, converged, plan, _ = reference_sinkhorn(mu, nu, c, 0.05, tol, max_iters)
+            assert (rep.iterations, rep.converged) == (iters, converged), (k, tol, max_iters, stride)
+            assert np.array_equal(rep.final_plan, plan)
+            if rep.converged:
+                assert max_violation(rep.final_plan, mu, nu) <= tol
+            if stride is None:  # the plan is built near the end only, not every iteration
+                assert 1 <= len(built) <= 3
+            if tol == edge:
+                assert iters > 50 and len(built) >= 2
+
+
+def test_sinkhorn_history_primal_matches_direct_formula(rng):
+    # pi log pi summed directly, with underflowed (zero) plan entries present
+    for k in range(4):
+        n, m = 8 + k, 10 - k
+        x = np.r_[0.0, np.sort(rng.uniform(0, 1, n - 2)), 1.0]
+        y = np.r_[0.0, np.sort(rng.uniform(0, 1, m - 2)), 1.0]
+        c = (x[:, None] - y[None, :]) ** 2  # exp(-1 / gamma) underflows for gamma < 1/745
+        mu, nu, _ = random_instance(rng, n, m)
+        gamma = [1e-3, 1.2e-3, 0.05, 0.5][k]
+        for max_iters in (1, 5, 50):
+            rep = solve(mu, nu, c, SolverConfig(gamma=gamma, algorithm=Algorithm.SINKHORN, tol=1e-300,
+                                                max_iters=max_iters))
+            plan = rep.final_plan
+            direct = float((c * plan).sum() + gamma * Entropy().value(plan).sum())
+            assert abs(rep.history[-1].primal_objective - direct) <= 1e-12 * abs(direct)
+        if gamma < 0.01:
+            assert (plan == 0).any()
+
+
+def test_cyclic_projection_rho_formed_when_read(rng):
+    mu, nu, c = random_instance(rng, 5, 6)
+    old = DualPotentials(rng.normal(size=5), rng.normal(size=6))
+    st = cyclic_projection_step(CyclicProjectionState(None, old), c, 1.0, mu, nu)
+    expected = np.maximum(c - old.alpha[:, None] - old.beta[None, :], 0.0)
+    assert np.array_equal(st.rho, expected)
