@@ -71,8 +71,8 @@ class ProblemFile:
     def __post_init__(self):
         if self.cost not in COST_KINDS:
             raise ProblemFileError(f"field 'cost' must be one of {COST_KINDS}, got {self.cost!r}")
-        if not (isinstance(self.gamma, (int, float)) and self.gamma > 0):
-            raise ProblemFileError(f"field 'gamma' must be a positive number, got {self.gamma!r}")
+        if not (isinstance(self.gamma, (int, float)) and self.gamma > 0 and math.isfinite(self.gamma)):
+            raise ProblemFileError(f"field 'gamma' must be positive and finite, got {self.gamma!r}")
 
 
 def default_problem(cost: str = "squared", gamma: float = 10.0, n: int = 100) -> ProblemFile:
@@ -135,21 +135,16 @@ def load_problem(path) -> ProblemFile:
     for field in ("grid1", "grid2", "marginal1", "marginal2", "cost", "gamma"):
         if field not in doc:
             raise ProblemFileError(f"missing field '{field}'")
-    cost = doc["cost"]
-    if cost not in COST_KINDS:
-        raise ProblemFileError(f"field 'cost' must be one of {COST_KINDS}, got {cost!r}")
     try:
         gamma = float(doc["gamma"])
     except (TypeError, ValueError) as exc:
         raise ProblemFileError(f"field 'gamma' must be a number, got {doc['gamma']!r}") from exc
-    if not (gamma > 0 and math.isfinite(gamma)):
-        raise ProblemFileError(f"field 'gamma' must be positive and finite, got {gamma!r}")
     return ProblemFile(
         grid1=_parse_grid(doc, "grid1"),
         grid2=_parse_grid(doc, "grid2"),
         marginal1=_parse_mixture(doc, "marginal1"),
         marginal2=_parse_mixture(doc, "marginal2"),
-        cost=cost,
+        cost=doc["cost"],
         gamma=gamma,
     )
 
@@ -171,8 +166,8 @@ def write_matrix(path, arr) -> None:
     arr = np.asarray(arr, dtype=float)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# {arr.shape[0]} {arr.shape[1]}\n")
-        for row in arr:
-            fh.write(" ".join(_fmt(x) for x in row) + "\n")
+        for row in arr.tolist():
+            fh.write(" ".join(map(repr, row)) + "\n")
 
 
 def write_vector(path, vec) -> None:
@@ -180,8 +175,8 @@ def write_vector(path, vec) -> None:
     vec = np.asarray(vec, dtype=float)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# {vec.size}\n")
-        for x in vec:
-            fh.write(_fmt(x) + "\n")
+        for x in vec.tolist():
+            fh.write(repr(x) + "\n")
 
 
 def read_matrix(path) -> np.ndarray:

@@ -14,6 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import DualPotentials, as_weights, check_mass_balance
+from .dual import build_hessian
 
 __all__ = ["exact_solve"]
 
@@ -44,18 +45,14 @@ def _solve_on_support(sigma, mu, nu, c, gamma):
     """Solve the marginal equations restricted to a support pattern.
 
     Unknowns are (alpha, beta); the plan is eliminated via stationarity
-    ``gamma pi = alpha (+) beta - c`` on the support.  One extra row pins
-    ``mean(beta) = 0`` since the system is rank-deficient along the
-    constant-shift direction.  Returns None when the pattern's system is
-    inconsistent.
+    ``gamma pi = alpha (+) beta - c`` on the support, which leaves the
+    Hessian of F on that support (:func:`~qrot.dual.build_hessian`) as the
+    system matrix.  One extra row pins ``mean(beta) = 0`` since the system
+    is rank-deficient along the constant-shift direction.  Returns None
+    when the pattern's system is inconsistent.
     """
     n, m = c.shape
-    a = np.zeros((n + m + 1, n + m))
-    a[:n, :n] = np.diag(sigma.sum(axis=1))
-    a[:n, n:] = sigma
-    a[n : n + m, :n] = sigma.T
-    a[n : n + m, n:] = np.diag(sigma.sum(axis=0))
-    a[n + m, n:] = 1.0
+    a = np.vstack([build_hessian(sigma), np.r_[np.zeros(n), np.ones(m)]])
     sc = sigma * c
     b = np.concatenate([gamma * mu + sc.sum(axis=1), gamma * nu + sc.sum(axis=0), [0.0]])
     x = np.linalg.lstsq(a, b, rcond=None)[0]

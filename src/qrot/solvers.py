@@ -15,6 +15,11 @@ The four dual iterations are first-order steps on the smooth dual F of
 
 :func:`solve` wraps any of them (or Sinkhorn) with the common stopping rule
 "maximal marginal violation <= tol" and optional per-iteration history.
+Each method builds its own run, ``(advance, bounds)``: ``advance(plan_due)``
+takes one iteration and returns ``(potentials, plan, violation)``, and
+``bounds(pot, plan)`` gives the ``(dual, primal)`` pair of a history row.
+The run's state and buffers live in the builder, so the loop of
+:func:`solve` never asks which method it drives.
 """
 
 from __future__ import annotations
@@ -215,73 +220,108 @@ def sinkhorn_plan(u, v, K) -> np.ndarray:
     return u[:, None] * K * v[None, :]
 
 
-def _sinkhorn_potentials(u, v, gamma) -> DualPotentials:
-    # Shift log u, log v so the plan is exp((alpha (+) beta - c)/gamma - 1),
-    # the maximizer form of the entropic conjugate.
-    return DualPotentials(gamma * (np.log(u) + 0.5), gamma * (np.log(v) + 0.5))
+def _quadratic_run(alg, c, gamma, mu, nu, tau):
+    """``(advance, bounds)`` of a quadratic dual method started from zero
+    potentials.
 
-
-def _sinkhorn_violation(u, v, K, mu, nu, tol, materialize):
-    """``(violation, plan)`` after a Sinkhorn sweep, with ``plan`` None when
-    the plan was not needed.
-
-    Unless ``materialize`` is set, the marginals ``u * (K v)`` and
-    ``v * (K.T u)`` are taken from two matrix-vector products.  They differ
-    from the sums of :func:`sinkhorn_plan` by rounding alone: each carries a
-    relative error of at most ``(k + 1) eps`` for ``k = max(N, M)`` terms, so
-    the two violations differ by less than ``margin = 4 (k + 2) eps`` times
-    the largest marginal, with room to spare.  An estimate above
-    ``tol + margin`` thus proves the plan's violation above ``tol``;
-    otherwise the plan is built and :func:`max_violation` decides.
+    ``advance(plan_due)`` takes one step on the dual, recovers the plan in
+    place into the run's one plan buffer and takes its marginal residuals
+    once; the violation it returns and the next step both read them.  It
+    returns ``(potentials, plan, violation)`` and ignores ``plan_due``, as
+    the plan is recovered every iteration anyway.  ``bounds(pot, plan)`` is
+    ``(dual_value, primal_objective)`` for a history row.  Steps and kernels
+    are looked up in this module at call time, so wrappers installed on the
+    module see every call.
     """
-    if not materialize:
-        row, col = u * (K @ v), v * (K.T @ u)
-        estimate = residual_violation(row - mu, col - nu)
-        scale = max(row.max(), col.max(), mu.max(), nu.max())
-        margin = 4.0 * (max(K.shape) + 2) * np.finfo(float).eps * scale
-        if not (estimate <= tol + margin):
-            return estimate, None
-    plan = sinkhorn_plan(u, v, K)
-    return max_violation(plan, mu, nu), plan
+    pot = DualPotentials(np.zeros(c.shape[0]), np.zeros(c.shape[1]))
+    plan = recover_plan(pot, c, gamma)  # the run's plan buffer from here on
+    residuals = marginal_residuals(plan, mu, nu)
+
+    if alg is Algorithm.NESTEROV:  # carries its previous iterate and counter
+        state = NesterovState(pot, pot, 0)
+        work = np.empty(c.shape)  # the extrapolated plan, recovered in place
+
+        def step():
+            nonlocal state
+            state = nesterov_step(state, c, gamma, mu, nu, tau, work=work)
+            return state.current
+    elif alg is Algorithm.CYCLIC_PROJECTION:
+        def step():
+            state = CyclicProjectionState(None, pot)
+            return cyclic_projection_step(state, c, gamma, mu, nu, residuals=residuals).potentials
+    elif alg is Algorithm.DUAL_GRADIENT:
+        def step():
+            return gradient_step(pot, c, gamma, mu, nu, tau, residuals=residuals)
+    else:
+        def step():
+            return fixed_point_step(pot, c, gamma, mu, nu, residuals=residuals)
+
+    def advance(plan_due):
+        nonlocal pot, plan, residuals
+        pot = step()
+        plan = recover_plan(pot, c, gamma, out=plan)
+        residuals = marginal_residuals(plan, mu, nu)
+        return pot, plan, residual_violation(*residuals)
+
+    def bounds(pot, plan):
+        return dual_value(pot, c, gamma, mu, nu, plan=plan), primal_objective(plan, c, gamma)
+
+    return advance, bounds
 
 
-def _diagnostics(algorithm, plan, pot, c, gamma, mu, nu):
-    """(dual bound, primal objective, gap) of the loop's plan, for one history row."""
-    if algorithm is Algorithm.SINKHORN:
+def _sinkhorn_run(c, gamma, mu, nu, tol):
+    """``(advance, bounds)`` of Sinkhorn started from unit scalings.
+
+    ``advance(plan_due)`` takes one scaling sweep and returns
+    ``(potentials, plan, violation)``.  It tests the scaling vectors rather
+    than the plan: the marginals ``u * (K v)`` and ``v * (K.T u)`` come from
+    two matrix-vector products.  They differ from the sums of
+    :func:`sinkhorn_plan` by rounding alone: each carries a relative error
+    of at most ``(k + 1) eps`` for ``k = max(N, M)`` terms, so the two
+    violations differ by less than ``margin = 4 (k + 2) eps`` times the
+    largest marginal, with room to spare.  An estimate above
+    ``tol + margin`` thus proves the plan's violation above ``tol``;
+    otherwise, and whenever ``plan_due`` is set, the plan is built and
+    :func:`max_violation` decides.  So iteration counts are those of testing
+    the plan every iteration.  Between builds the returned plan is the last
+    one built (None before the first); a converged or final iteration
+    always builds it.
+
+    ``bounds(pot, plan)`` is the entropic ``(dual, primal)`` pair of a
+    history row.
+    """
+    if (mu <= 0).any() or (nu <= 0).any():
+        raise ValueError("Sinkhorn requires strictly positive marginals")
+    K = np.divide(c, -gamma)  # exp(-c / gamma), formed in one array
+    np.exp(K, out=K)
+    u, v = np.ones(c.shape[0]), np.ones(c.shape[1])
+    plan = None
+
+    def advance(plan_due):
+        nonlocal u, v, plan
+        u, v = sinkhorn_step(u, v, K, mu, nu)
+        # Shift log u, log v so the plan is exp((alpha (+) beta - c)/gamma - 1),
+        # the maximizer form of the entropic conjugate.
+        pot = DualPotentials(gamma * (np.log(u) + 0.5), gamma * (np.log(v) + 0.5))
+        if not plan_due:
+            row, col = u * (K @ v), v * (K.T @ u)
+            estimate = residual_violation(row - mu, col - nu)
+            scale = max(row.max(), col.max(), mu.max(), nu.max())
+            margin = 4.0 * (max(K.shape) + 2) * np.finfo(float).eps * scale
+            if not (estimate <= tol + margin):
+                return pot, plan, estimate
+        plan = sinkhorn_plan(u, v, K)
+        return pot, plan, max_violation(plan, mu, nu)
+
+    def bounds(pot, plan):
         # pi = exp((alpha (+) beta - c) / gamma - 1), so the primal value
         # <c, pi> + gamma sum pi log pi equals <alpha, pi 1> + <beta, pi.T 1> - gamma sum pi
         alpha, beta = pot
         row, col = marginals(plan)
         mass = gamma * plan.sum()
-        primal = float(alpha @ row + beta @ col - mass)
-        dual = float(alpha @ mu + beta @ nu - mass)
-    else:
-        primal = primal_objective(plan, c, gamma)
-        dual = dual_value(pot, c, gamma, mu, nu, plan=plan)
-    return dual, primal, primal - dual
+        return float(alpha @ mu + beta @ nu - mass), float(alpha @ row + beta @ col - mass)
 
-
-def _dual_update(alg, start, c, gamma, mu, nu, tau):
-    """The update ``(pot, marginal residuals of the plan at pot) -> next pot``
-    of a quadratic method started at ``start``.  Steps are looked up at call
-    time, so wrappers installed on this module see every call."""
-    if alg is Algorithm.NESTEROV:  # carries its previous iterate and counter
-        state = NesterovState(start, start, 0)
-        work = np.empty(c.shape)  # the extrapolated plan, recovered in place
-
-        def nesterov(pot, residuals):
-            nonlocal state
-            state = nesterov_step(state, c, gamma, mu, nu, tau, work=work)
-            return state.current
-
-        return nesterov
-    if alg is Algorithm.CYCLIC_PROJECTION:
-        return lambda pot, res: cyclic_projection_step(
-            CyclicProjectionState(None, pot), c, gamma, mu, nu, residuals=res
-        ).potentials
-    if alg is Algorithm.DUAL_GRADIENT:
-        return lambda pot, res: gradient_step(pot, c, gamma, mu, nu, tau, residuals=res)
-    return lambda pot, res: fixed_point_step(pot, c, gamma, mu, nu, residuals=res)
+    return advance, bounds
 
 
 def solve(mu, nu, c, config: SolverConfig) -> ConvergenceReport:
@@ -310,12 +350,16 @@ def solve(mu, nu, c, config: SolverConfig) -> ConvergenceReport:
 
     Notes
     -----
-    A dual iteration recovers the plan in place (``recover_plan(..., out=)``)
-    and takes its marginal residuals once; the stopping test and the next
-    step both read them.  Sinkhorn tests its scaling vectors instead of the
-    plan and builds the plan only for a history row, at the last iteration
-    and to confirm convergence, so iteration counts are those of testing the
-    plan every iteration.
+    The algorithm is looked at once, to pick the builder of the run
+    (``_quadratic_run`` or ``_sinkhorn_run``); the loop then calls its
+    ``advance(plan_due)`` every iteration and its ``bounds`` for each
+    history row.  ``plan_due`` is set at the last iteration and at each
+    history stride, where the returned plan must be the current one.  A dual
+    iteration recovers the plan in place (``recover_plan(..., out=)``) and
+    takes its marginal residuals once; the stopping test and the next step
+    both read them.  Sinkhorn tests its scaling vectors instead of the plan
+    and builds the plan only when due and to confirm convergence, so
+    iteration counts are those of testing the plan every iteration.
 
     Raises
     ------
@@ -330,22 +374,12 @@ def solve(mu, nu, c, config: SolverConfig) -> ConvergenceReport:
         raise ValueError("cost matrix must be finite")
     check_mass_balance(mu, nu)
 
-    n, m = c.shape
     gamma = config.gamma
     alg = config.algorithm
-
-    sinkhorn = alg is Algorithm.SINKHORN
-    if sinkhorn:
-        if (mu <= 0).any() or (nu <= 0).any():
-            raise ValueError("Sinkhorn requires strictly positive marginals")
-        K = np.divide(c, -gamma)  # exp(-c / gamma), formed in one array
-        np.exp(K, out=K)
-        u, v = np.ones(n), np.ones(m)
+    if alg is Algorithm.SINKHORN:
+        advance, bounds = _sinkhorn_run(c, gamma, mu, nu, config.tol)
     else:
-        pot = DualPotentials(np.zeros(n), np.zeros(m))
-        plan = recover_plan(pot, c, gamma)  # the run's plan buffer from here on
-        residuals = marginal_residuals(plan, mu, nu)
-        update = _dual_update(alg, pot, c, gamma, mu, nu, config.tau)
+        advance, bounds = _quadratic_run(alg, c, gamma, mu, nu, config.tau)
 
     history: list[HistoryEntry] = []
     t0 = time.perf_counter()
@@ -359,26 +393,16 @@ def solve(mu, nu, c, config: SolverConfig) -> ConvergenceReport:
             plan_due = it == config.max_iters or (
                 config.record_history and it % config.history_stride == 0
             )
-            if sinkhorn:
-                u, v = sinkhorn_step(u, v, K, mu, nu)
-                pot = _sinkhorn_potentials(u, v, gamma)
-                viol, built = _sinkhorn_violation(u, v, K, mu, nu, config.tol, plan_due)
-                if built is not None:
-                    plan = built
-            else:
-                pot = update(pot, residuals)
-                plan = recover_plan(pot, c, gamma, out=plan)
-                residuals = marginal_residuals(plan, mu, nu)
-                viol = residual_violation(*residuals)
+            pot, plan, viol = advance(plan_due)
             if not (np.isfinite(viol) and np.isfinite(pot.alpha).all() and np.isfinite(pot.beta).all()):
                 raise DivergenceError(alg, it)
 
             iterations = it
             converged = viol <= config.tol
             if config.record_history and (converged or plan_due):
-                dual, primal, gap = _diagnostics(alg, plan, pot, c, gamma, mu, nu)
+                dual, primal = bounds(pot, plan)
                 history.append(
-                    HistoryEntry(it, viol, dual, primal, gap, time.perf_counter() - t0)
+                    HistoryEntry(it, viol, dual, primal, primal - dual, time.perf_counter() - t0)
                 )
             if converged:
                 break

@@ -16,6 +16,7 @@ from qrot.fileio import (
     realize_problem,
     save_problem,
     write_matrix,
+    write_vector,
 )
 
 
@@ -78,11 +79,15 @@ def test_realize_problem_shapes():
 
 
 def test_matrix_roundtrip(tmp_path):
-    arr = np.array([[1.25, -3.5e-9], [0.0, 7.0]])
+    arr = np.array([[1.25, -3.5e-9, 0.1], [0.0, 7.0, 1e300], [-0.0, 5e-324, 2.0 / 3.0]])
     write_matrix(tmp_path / "m.txt", arr)
     assert np.array_equal(read_matrix(tmp_path / "m.txt"), arr)
-    first = (tmp_path / "m.txt").read_text().splitlines()[0]
-    assert first == "# 2 2"
+    lines = (tmp_path / "m.txt").read_text().splitlines()
+    assert lines[0] == "# 3 3"
+    # shortest round-trip reprs, with the sign of zero kept
+    assert lines[1:] == ["1.25 -3.5e-09 0.1", "0.0 7.0 1e+300", "-0.0 5e-324 0.6666666666666666"]
+    write_vector(tmp_path / "v.txt", arr[2])
+    assert (tmp_path / "v.txt").read_text() == "# 3\n-0.0\n5e-324\n0.6666666666666666\n"
 
 
 def test_generate_then_solve_converges(tmp_path):
@@ -132,6 +137,13 @@ def test_solve_exit_codes(tmp_path, monkeypatch, capsys):
 
     # missing file
     assert main(["solve", str(tmp_path / "nope.json"), "--algorithm", "gradient"]) == 1
+
+    # a non-finite gamma is refused before any file is written
+    capsys.readouterr()
+    inf = tmp_path / "inf.json"
+    assert main(["generate", "--out", str(inf), "--gamma", "inf"]) == 1
+    assert "error: field 'gamma' must be positive and finite" in capsys.readouterr().err
+    assert not inf.exists()
 
     # bad usage (unknown algorithm) is an input error, not an iteration cap
     assert main(["solve", str(problem_path), "--algorithm", "bogus"]) == 1

@@ -255,6 +255,10 @@ def test_solve_rejects_unbalanced_or_mismatched_inputs():
         solve([0.5, 0.5, 0.1], HALF, C2, SolverConfig(gamma=1.0, algorithm=Algorithm.FIXED_POINT))
     with pytest.raises(ValueError):
         solve(HALF, HALF, [[np.inf, 0.0], [0.0, 0.0]], SolverConfig(gamma=1.0, algorithm=Algorithm.FIXED_POINT))
+    # a zero weight is fine for the dual methods but not for Sinkhorn's scalings
+    solve([1.0, 0.0], HALF, C2, SolverConfig(gamma=1.0, algorithm=Algorithm.FIXED_POINT, max_iters=5))
+    with pytest.raises(ValueError, match="strictly positive"):
+        solve([1.0, 0.0], HALF, C2, SolverConfig(gamma=1.0, algorithm=Algorithm.SINKHORN))
 
 
 def test_solve_divergence_detection():
@@ -359,19 +363,30 @@ def test_solve_is_bit_identical_to_reference_dual_loop(rng):
                     assert [tuple(r)[:2] + (r.dual_objective, r.primal_objective) for r in rep.history] == rows
 
 
-def reference_sinkhorn(mu, nu, c, gamma, tol, max_iters):
+def reference_sinkhorn(mu, nu, c, gamma, tol, max_iters, history_stride=None):
     """Sinkhorn with the plan built and tested every iteration.  Returns
-    (iterations, converged, plan, violation per iteration)."""
+    (iterations, converged, plan, violation per iteration, potentials, rows)
+    with potentials ``gamma (log u + 1/2)`` and, when ``history_stride`` is
+    given, rows (iteration, violation, dual, primal) from the entropic
+    identity: with ``mass = gamma sum pi``, the dual is
+    ``<alpha, mu> + <beta, nu> - mass`` and the primal
+    ``<alpha, pi 1> + <beta, pi.T 1> - mass``."""
     K = np.exp(-c / gamma)
     u, v = np.ones(mu.size), np.ones(nu.size)
-    viols = []
+    viols, rows = [], []
     for it in range(1, max_iters + 1):
         u, v = sinkhorn_step(u, v, K, mu, nu)
+        alpha, beta = gamma * (np.log(u) + 0.5), gamma * (np.log(v) + 0.5)
         plan = sinkhorn_plan(u, v, K)
         viols.append(max_violation(plan, mu, nu))
-        if viols[-1] <= tol:
-            return it, True, plan, viols
-    return max_iters, False, plan, viols
+        converged = viols[-1] <= tol
+        if history_stride and (converged or it == max_iters or it % history_stride == 0):
+            mass = gamma * plan.sum()
+            rows.append((it, viols[-1], float(alpha @ mu + beta @ nu - mass),
+                         float(alpha @ plan.sum(axis=1) + beta @ plan.sum(axis=0) - mass)))
+        if converged:
+            return it, True, plan, viols, DualPotentials(alpha, beta), rows
+    return max_iters, False, plan, viols, DualPotentials(alpha, beta), rows
 
 
 def test_sinkhorn_stopping_matches_plan_every_iteration(rng, monkeypatch):
@@ -399,9 +414,12 @@ def test_sinkhorn_stopping_matches_plan_every_iteration(rng, monkeypatch):
             config = SolverConfig(gamma=0.05, algorithm=Algorithm.SINKHORN, tol=tol, max_iters=max_iters,
                                   record_history=stride is not None, history_stride=stride or 1)
             rep = solve(mu, nu, c, config)
-            iters, converged, plan, _ = reference_sinkhorn(mu, nu, c, 0.05, tol, max_iters)
+            iters, converged, plan, _, pot, rows = reference_sinkhorn(mu, nu, c, 0.05, tol, max_iters, stride)
             assert (rep.iterations, rep.converged) == (iters, converged), (k, tol, max_iters, stride)
             assert np.array_equal(rep.final_plan, plan)
+            assert np.array_equal(rep.final_potentials.alpha, pot.alpha)
+            assert np.array_equal(rep.final_potentials.beta, pot.beta)
+            assert [tuple(r)[:2] + (r.dual_objective, r.primal_objective) for r in rep.history] == rows
             if rep.converged:
                 assert max_violation(rep.final_plan, mu, nu) <= tol
             if stride is None:  # the plan is built near the end only, not every iteration
