@@ -103,10 +103,28 @@ def save_problem(problem: ProblemFile, path) -> None:
         fh.write("\n")
 
 
+def _number(value, field) -> float:
+    """A JSON number as a float; booleans, strings and the like are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ProblemFileError(f"field '{field}' must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, field) -> int:
+    """A JSON integer; booleans and numbers with a fraction part are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ProblemFileError(f"field '{field}' must be an integer, got {value!r}")
+    return value
+
+
 def _parse_grid(doc, field) -> Grid1D:
     try:
         node = doc[field]
-        return Grid1D(int(node["n"]), float(node["a"]), float(node["b"]))
+        return Grid1D(
+            _integer(node["n"], f"{field}.n"), _number(node["a"], f"{field}.a"), _number(node["b"], f"{field}.b")
+        )
+    except ProblemFileError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ProblemFileError(f"field '{field}' is not a valid grid: {exc}") from exc
 
@@ -115,16 +133,20 @@ def _parse_mixture(doc, field) -> MixtureSpec:
     try:
         node = doc[field]
         comps = tuple(
-            MixtureComponent(float(c["weight"]), float(c["mean"]), float(c["std"])) for c in node
+            MixtureComponent(*(_number(c[key], f"{field}.{key}") for key in ("weight", "mean", "std")))
+            for c in node
         )
         return MixtureSpec(comps)
+    except ProblemFileError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ProblemFileError(f"field '{field}' is not a valid mixture: {exc}") from exc
 
 
 def load_problem(path) -> ProblemFile:
     """Parse a problem file, raising ProblemFileError with a field or line
-    diagnostic on malformed input."""
+    diagnostic on malformed input.  Numeric fields must be JSON numbers (not
+    booleans or strings) and a grid's ``n`` a JSON integer."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -135,17 +157,13 @@ def load_problem(path) -> ProblemFile:
     for field in ("grid1", "grid2", "marginal1", "marginal2", "cost", "gamma"):
         if field not in doc:
             raise ProblemFileError(f"missing field '{field}'")
-    try:
-        gamma = float(doc["gamma"])
-    except (TypeError, ValueError) as exc:
-        raise ProblemFileError(f"field 'gamma' must be a number, got {doc['gamma']!r}") from exc
     return ProblemFile(
         grid1=_parse_grid(doc, "grid1"),
         grid2=_parse_grid(doc, "grid2"),
         marginal1=_parse_mixture(doc, "marginal1"),
         marginal2=_parse_mixture(doc, "marginal2"),
         cost=doc["cost"],
-        gamma=gamma,
+        gamma=_number(doc["gamma"], "gamma"),
     )
 
 
@@ -196,17 +214,13 @@ def write_history_csv(path, report: ConvergenceReport, gamma: float, tol: float)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(HISTORY_COLUMNS)
-        for row in report.history:
-            writer.writerow(
-                [
-                    row.iteration,
-                    _fmt(row.max_violation),
-                    _fmt(row.dual_objective),
-                    _fmt(row.primal_objective),
-                    _fmt(row.duality_gap),
-                    _fmt(row.elapsed_s * 1000.0),
-                ]
-            )
+        # one f-string per row: float reprs never need CSV quoting, and
+        # float() keeps a numpy scalar's repr plain
+        fh.writelines(
+            f"{row.iteration},{float(row.max_violation)!r},{float(row.dual_objective)!r},"
+            f"{float(row.primal_objective)!r},{float(row.duality_gap)!r},{float(row.elapsed_s * 1000.0)!r}\n"
+            for row in report.history
+        )
         for key, value in footer:
             writer.writerow([f"# {key}", value, "", "", "", ""])
 

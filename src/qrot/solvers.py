@@ -197,14 +197,17 @@ def nesterov_step(state: NesterovState, c, gamma, mu, nu, tau=None, work=None) -
     return NesterovState(gradient_step(bar, c, gamma, mu, nu, tau, residuals=residuals), cur, n + 1)
 
 
-def sinkhorn_step(u, v, K, mu, nu):
+def sinkhorn_step(u, v, K, mu, nu, Kv=None):
     """One Sinkhorn scaling sweep: ``u' = mu / (K v)``, ``v' = nu / (K.T u')``.
 
     ``K`` must be the positive kernel ``exp(-c / gamma)``.  The plan after a
-    sweep is ``diag(u') K diag(v')`` and has exact column sums.
+    sweep is ``diag(u') K diag(v')`` and has exact column sums.  ``Kv`` may
+    pass in ``K @ v`` (say, from a stopping test at ``v``); it is computed
+    here otherwise, and either way it must be positive.
     """
     mu, nu = as_weights(mu), as_weights(nu)
-    Kv = K @ v
+    if Kv is None:
+        Kv = K @ v
     if not np.all(Kv > 0):
         raise ZeroDivisionError("Sinkhorn denominator underflowed to zero; use a larger gamma")
     u = mu / Kv
@@ -215,9 +218,14 @@ def sinkhorn_step(u, v, K, mu, nu):
     return u, v
 
 
-def sinkhorn_plan(u, v, K) -> np.ndarray:
-    """Plan induced by scaling vectors: ``diag(u) K diag(v)``."""
-    return u[:, None] * K * v[None, :]
+def sinkhorn_plan(u, v, K, out=None) -> np.ndarray:
+    """Plan induced by scaling vectors: ``diag(u) K diag(v)``.
+
+    Written into ``out`` (an ``(N, M)`` float array) when given, else into a
+    new array, and returned; either way it is bitwise ``u[:, None] * K * v``.
+    """
+    out = np.multiply(K, u[:, None], out=out)
+    return np.multiply(out, v[None, :], out=out)
 
 
 def _quadratic_run(alg, c, gamma, mu, nu, tau):
@@ -274,18 +282,22 @@ def _sinkhorn_run(c, gamma, mu, nu, tol):
 
     ``advance(plan_due)`` takes one scaling sweep and returns
     ``(potentials, plan, violation)``.  It tests the scaling vectors rather
-    than the plan: the marginals ``u * (K v)`` and ``v * (K.T u)`` come from
-    two matrix-vector products.  They differ from the sums of
-    :func:`sinkhorn_plan` by rounding alone: each carries a relative error
-    of at most ``(k + 1) eps`` for ``k = max(N, M)`` terms, so the two
-    violations differ by less than ``margin = 4 (k + 2) eps`` times the
-    largest marginal, with room to spare.  An estimate above
-    ``tol + margin`` thus proves the plan's violation above ``tol``;
-    otherwise, and whenever ``plan_due`` is set, the plan is built and
-    :func:`max_violation` decides.  So iteration counts are those of testing
-    the plan every iteration.  Between builds the returned plan is the last
-    one built (None before the first); a converged or final iteration
-    always builds it.
+    than the plan: the row marginal ``u * (K v)`` comes from one
+    matrix-vector product, whose ``K v`` the next sweep then reuses, so a
+    sweep costs two products.  The column marginal is left out: the sweep
+    has just divided ``nu`` by ``K.T u``, so it is ``nu`` up to rounding,
+    and a row violation above ``tol`` is all the test needs to prove.  The
+    estimate differs from the row violation of :func:`sinkhorn_plan` by
+    rounding alone: each row sum carries a relative error of at most
+    ``(k + 1) eps`` for ``k = max(N, M)`` terms, so the two differ by less
+    than ``margin = 4 (k + 2) eps`` times the largest row, with room to
+    spare.  An estimate above ``tol + margin`` thus proves the plan's
+    violation above ``tol``; otherwise, and whenever ``plan_due`` is set,
+    the plan is built and :func:`max_violation` decides.  So iteration
+    counts are those of testing the plan every iteration.  Plans are built
+    in place into the run's one plan buffer; between builds the returned
+    plan is the last one built (None before the first), and a converged or
+    final iteration always builds it.
 
     ``bounds(pot, plan)`` is the entropic ``(dual, primal)`` pair of a
     history row.
@@ -295,22 +307,24 @@ def _sinkhorn_run(c, gamma, mu, nu, tol):
     K = np.divide(c, -gamma)  # exp(-c / gamma), formed in one array
     np.exp(K, out=K)
     u, v = np.ones(c.shape[0]), np.ones(c.shape[1])
-    plan = None
+    Kv = None  # K @ v at the current v, when the stopping test formed it
+    plan = None  # the run's plan buffer once the first plan is built
 
     def advance(plan_due):
-        nonlocal u, v, plan
-        u, v = sinkhorn_step(u, v, K, mu, nu)
+        nonlocal u, v, Kv, plan
+        u, v = sinkhorn_step(u, v, K, mu, nu, Kv=Kv)
+        Kv = None
         # Shift log u, log v so the plan is exp((alpha (+) beta - c)/gamma - 1),
         # the maximizer form of the entropic conjugate.
         pot = DualPotentials(gamma * (np.log(u) + 0.5), gamma * (np.log(v) + 0.5))
         if not plan_due:
-            row, col = u * (K @ v), v * (K.T @ u)
-            estimate = residual_violation(row - mu, col - nu)
-            scale = max(row.max(), col.max(), mu.max(), nu.max())
-            margin = 4.0 * (max(K.shape) + 2) * np.finfo(float).eps * scale
+            Kv = K @ v
+            row = u * Kv
+            estimate = float(np.abs(row - mu).max())
+            margin = 4.0 * (max(K.shape) + 2) * np.finfo(float).eps * row.max()
             if not (estimate <= tol + margin):
                 return pot, plan, estimate
-        plan = sinkhorn_plan(u, v, K)
+        plan = sinkhorn_plan(u, v, K, out=plan)
         return pot, plan, max_violation(plan, mu, nu)
 
     def bounds(pot, plan):
@@ -357,9 +371,11 @@ def solve(mu, nu, c, config: SolverConfig) -> ConvergenceReport:
     history stride, where the returned plan must be the current one.  A dual
     iteration recovers the plan in place (``recover_plan(..., out=)``) and
     takes its marginal residuals once; the stopping test and the next step
-    both read them.  Sinkhorn tests its scaling vectors instead of the plan
-    and builds the plan only when due and to confirm convergence, so
-    iteration counts are those of testing the plan every iteration.
+    both read them.  Sinkhorn tests its scaling vectors instead of the plan,
+    and the ``K v`` of that test feeds the next sweep, so a sweep costs two
+    matrix-vector products.  It builds the plan, in place into one buffer,
+    only when due and to confirm convergence, so iteration counts are those
+    of testing the plan every iteration.
 
     Raises
     ------

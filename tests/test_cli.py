@@ -5,7 +5,7 @@ from xml.etree import ElementTree as ET
 import numpy as np
 import pytest
 
-from qrot import Grid1D, MixtureSpec
+from qrot import Algorithm, ConvergenceReport, DualPotentials, Grid1D, HistoryEntry, MixtureSpec
 from qrot.cli import main
 from qrot.fileio import (
     ProblemFile,
@@ -15,6 +15,7 @@ from qrot.fileio import (
     read_matrix,
     realize_problem,
     save_problem,
+    write_history_csv,
     write_matrix,
     write_vector,
 )
@@ -70,6 +71,42 @@ def test_load_problem_diagnostics(tmp_path):
     (tmp_path / "mc.json").write_text(json.dumps(doc))
     with pytest.raises(ProblemFileError, match="cost"):
         load_problem(tmp_path / "mc.json")
+
+    # numbers are taken as the file writes them: no bool as a number, no
+    # fraction or bool as a grid size
+    for field, key, value, match in (
+        ("gamma", None, True, "'gamma'"),
+        ("grid1", "n", 3.7, "'grid1.n'"),
+        ("grid2", "n", True, "'grid2.n'"),
+    ):
+        bad = json.loads((tmp_path / "ok.json").read_text())
+        if key is None:
+            bad[field] = value
+        else:
+            bad[field][key] = value
+        (tmp_path / "coerced.json").write_text(json.dumps(bad))
+        with pytest.raises(ProblemFileError, match=match):
+            load_problem(tmp_path / "coerced.json")
+
+
+def test_history_csv_bytes(tmp_path):
+    history = (
+        HistoryEntry(1, -0.0, np.float64(2.0 / 3.0), 1e300, 5e-324, 0.25),
+        HistoryEntry(7, 1e-06, -3.5e-09, 0.1, np.float64(-0.0), 1.5),
+    )
+    report = ConvergenceReport(Algorithm.SINKHORN, 7, True, np.zeros((1, 1)),
+                               DualPotentials(np.zeros(1), np.zeros(1)), history)
+    write_history_csv(tmp_path / "h.csv", report, 0.5, 1e-6)
+    assert (tmp_path / "h.csv").read_bytes() == (
+        b"iteration,max_violation,dual_objective,primal_objective,duality_gap,elapsed_ms\n"
+        b"1,-0.0,0.6666666666666666,1e+300,5e-324,250.0\n"
+        b"7,1e-06,-3.5e-09,0.1,-0.0,1500.0\n"
+        b"# algorithm,sinkhorn,,,,\n"
+        b"# converged,true,,,,\n"
+        b"# iterations,7,,,,\n"
+        b"# gamma,0.5,,,,\n"
+        b"# tol,1e-06,,,,\n"
+    )
 
 
 def test_realize_problem_shapes():

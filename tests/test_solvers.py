@@ -222,11 +222,35 @@ def test_sinkhorn_column_sums_exact_after_sweep(rng):
         assert np.abs(col - nu).max() < 1e-12
 
 
+def test_sinkhorn_step_with_given_Kv_is_bitwise_the_same(rng):
+    mu, nu, c = random_instance(rng, 30, 40)
+    K = np.exp(-c / 0.05)
+    u, v = np.ones(mu.size), np.ones(nu.size)
+    for _ in range(5):
+        fresh = sinkhorn_step(u, v, K, mu, nu)
+        given = sinkhorn_step(u, v, K, mu, nu, Kv=K @ v)
+        assert np.array_equal(fresh[0], given[0]) and np.array_equal(fresh[1], given[1])
+        u, v = fresh
+
+
 def test_sinkhorn_underflow_raises():
     c = np.array([[1e4, 1e4], [0.0, 0.0]])
     K = np.exp(-c / 1.0)
     with pytest.raises(ZeroDivisionError):
         sinkhorn_step(np.ones(2), np.ones(2), K, HALF, HALF)
+    # a passed-in K v is checked as well
+    with pytest.raises(ZeroDivisionError):
+        sinkhorn_step(np.ones(2), np.ones(2), np.ones((2, 2)), HALF, HALF, Kv=K @ np.ones(2))
+
+
+def test_sinkhorn_plan_in_place(rng):
+    mu, nu, c = random_instance(rng, 5, 7)
+    K = np.exp(-c / 0.1)
+    u, v = sinkhorn_step(np.ones(5), np.ones(7), K, mu, nu)
+    buf = np.full((5, 7), np.nan)
+    assert sinkhorn_plan(u, v, K, out=buf) is buf
+    assert np.array_equal(buf, sinkhorn_plan(u, v, K))
+    assert np.array_equal(buf, u[:, None] * K * v[None, :])
 
 
 def test_solve_one_cell_all_algorithms():
@@ -392,9 +416,9 @@ def reference_sinkhorn(mu, nu, c, gamma, tol, max_iters, history_stride=None):
 def test_sinkhorn_stopping_matches_plan_every_iteration(rng, monkeypatch):
     built = []
 
-    def counted(u, v, K):
+    def counted(u, v, K, out=None):
         built.append(1)
-        return sinkhorn_plan(u, v, K)
+        return sinkhorn_plan(u, v, K, out=out)
 
     monkeypatch.setattr("qrot.solvers.sinkhorn_plan", counted)
     cases = (  # (tol, max_iters, history stride or None)
@@ -426,6 +450,28 @@ def test_sinkhorn_stopping_matches_plan_every_iteration(rng, monkeypatch):
                 assert 1 <= len(built) <= 3
             if tol == edge:
                 assert iters > 50 and len(built) >= 2
+
+
+def test_sinkhorn_stopping_test_feeds_next_sweep(rng, monkeypatch):
+    # each sweep is handed the K v of the previous iteration's stopping test,
+    # except the first and those after a due plan, where there is no test
+    fed = []  # per sweep: None if no K v was given, else whether it is K @ v
+
+    def step(u, v, K, mu, nu, Kv=None):
+        fed.append(None if Kv is None else np.array_equal(Kv, K @ v))
+        return sinkhorn_step(u, v, K, mu, nu, Kv=Kv)
+
+    monkeypatch.setattr("qrot.solvers.sinkhorn_step", step)
+    mu, nu, c = random_instance(rng, 30, 40)
+    for stride in (None, 7):
+        fed.clear()
+        config = SolverConfig(gamma=0.05, algorithm=Algorithm.SINKHORN, tol=1e-9, max_iters=20_000,
+                              record_history=stride is not None, history_stride=stride or 1)
+        rep = solve(mu, nu, 5.0 * c, config)
+        assert rep.converged and len(fed) == rep.iterations > 50
+        after_due = [it + 1 for it in range(stride, rep.iterations, stride)] if stride else []
+        assert [k for k, f in enumerate(fed, 1) if f is None] == [1] + after_due
+        assert False not in fed
 
 
 def test_sinkhorn_history_primal_matches_direct_formula(rng):
