@@ -46,7 +46,6 @@ from .regularizers import (
     marginal_contraction_check,
 )
 from .solvers import (
-    CyclicProjectionState,
     DivergenceError,
     NesterovState,
     cyclic_projection_step,
@@ -64,7 +63,6 @@ __all__ = [
     "Algorithm",
     "BENCHMARK_GAMMAS",
     "ConvergenceReport",
-    "CyclicProjectionState",
     "DiscreteMeasure",
     "DivergenceError",
     "DualPotentials",

@@ -66,11 +66,7 @@ def _fail(message: str) -> int:
     return 1
 
 
-def _load(args):
-    return load_problem(args.problem)
-
-
-def _make_config(args, algorithm, **overrides) -> SolverConfig:
+def _make_config(args, gamma, algorithm, **overrides) -> SolverConfig:
     options = {
         "tol": args.tol,
         "max_iters": args.max_iters,
@@ -78,14 +74,13 @@ def _make_config(args, algorithm, **overrides) -> SolverConfig:
         "history_stride": getattr(args, "history_stride", 1),
     }
     options.update(overrides)
-    return SolverConfig(gamma=args.gamma, algorithm=algorithm, **options)
+    return SolverConfig(gamma=gamma, algorithm=algorithm, **options)
 
 
 def cmd_generate(args) -> int:
-    if args.gamma is None:
-        args.gamma = BENCHMARK_GAMMAS[args.cost][1]
+    gamma = BENCHMARK_GAMMAS[args.cost][1] if args.gamma is None else args.gamma
     try:
-        problem = default_problem(cost=args.cost, gamma=args.gamma, n=args.n)
+        problem = default_problem(cost=args.cost, gamma=gamma, n=args.n)
         save_problem(problem, args.out)
     except (ProblemFileError, OSError, ValueError) as exc:
         return _fail(str(exc))
@@ -95,10 +90,9 @@ def cmd_generate(args) -> int:
 
 def cmd_solve(args) -> int:
     try:
-        problem = _load(args)
+        problem = load_problem(args.problem)
         mu, nu, c = realize_problem(problem)
-        args.gamma = problem.gamma
-        config = _make_config(args, _CLI_ALGORITHMS[args.algorithm])
+        config = _make_config(args, problem.gamma, _CLI_ALGORITHMS[args.algorithm])
         report = solve(mu, nu, c, config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -117,14 +111,13 @@ def cmd_solve(args) -> int:
 
 def cmd_compare(args) -> int:
     try:
-        problem = _load(args)
+        problem = load_problem(args.problem)
         mu, nu, c = realize_problem(problem)
-        args.gamma = problem.gamma
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         reports = []
         for algorithm in _COMPARED:
-            report = solve(mu, nu, c, _make_config(args, algorithm))
+            report = solve(mu, nu, c, _make_config(args, problem.gamma, algorithm))
             write_history_csv(out / f"history_{algorithm.value}.csv", report, problem.gamma, args.tol)
             reports.append(report)
         render_convergence_svg(
@@ -141,7 +134,7 @@ def cmd_compare(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     try:
-        problem = _load(args)
+        problem = load_problem(args.problem)
         mu, nu, c = realize_problem(problem)
         cells = problem.grid1.n * problem.grid2.n
         if cells > ENUMERATION_LIMIT:
@@ -149,11 +142,10 @@ def cmd_oracle_check(args) -> int:
                 f"instance has {cells} cells; oracle-check is limited to {ENUMERATION_LIMIT}"
             )
         plan_star, pot_star = exact_solve(mu, nu, c, problem.gamma)
-        args.gamma = problem.gamma
         print(f"oracle duality gap: {duality_gap(pot_star, plan_star, c, problem.gamma, mu, nu):.3e}")
         worst = 0.0
         for algorithm in _COMPARED:
-            config = _make_config(args, algorithm, record_history=False)
+            config = _make_config(args, problem.gamma, algorithm, record_history=False)
             report = solve(mu, nu, c, config)
             gap = duality_gap(report.final_potentials, report.final_plan, c, problem.gamma, mu, nu)
             diff = float(np.abs(report.final_plan - plan_star).max())

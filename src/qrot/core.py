@@ -10,6 +10,7 @@ is a pure function.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -37,6 +38,13 @@ __all__ = [
 MASS_BALANCE_RTOL = 1e-12
 
 
+def _finite_real(value, what: str) -> float:
+    """``value`` as a float; booleans, non-real and non-finite values are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{what} must be a finite real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform, cell-centered grid with ``n`` cells on ``[a, b]``."""
@@ -46,10 +54,15 @@ class Grid1D:
     b: float = 1.0
 
     def __post_init__(self):
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
+        if isinstance(self.n, bool) or not (isinstance(self.n, numbers.Integral) and self.n >= 1):
             raise ValueError("grid size n must be a positive integer")
-        if not (math.isfinite(self.a) and math.isfinite(self.b) and self.a < self.b):
-            raise ValueError("grid endpoints must be finite with a < b")
+        a, b = _finite_real(self.a, "grid endpoint a"), _finite_real(self.b, "grid endpoint b")
+        if not a < b:
+            raise ValueError(f"grid endpoints must have a < b, got a={a!r}, b={b!r}")
+        # held as the int and floats that a problem file stores
+        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @property
     def h(self) -> float:

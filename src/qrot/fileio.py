@@ -9,9 +9,9 @@ byte-identical artifacts (apart from wall-clock columns).
 
 from __future__ import annotations
 
-import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from xml.etree import ElementTree as ET
 
@@ -71,8 +71,10 @@ class ProblemFile:
     def __post_init__(self):
         if self.cost not in COST_KINDS:
             raise ProblemFileError(f"field 'cost' must be one of {COST_KINDS}, got {self.cost!r}")
-        if not (isinstance(self.gamma, (int, float)) and self.gamma > 0 and math.isfinite(self.gamma)):
-            raise ProblemFileError(f"field 'gamma' must be positive and finite, got {self.gamma!r}")
+        gamma = self.gamma
+        if isinstance(gamma, bool) or not (isinstance(gamma, numbers.Real) and 0 < gamma < math.inf):
+            raise ProblemFileError(f"field 'gamma' must be positive and finite, got {gamma!r}")
+        object.__setattr__(self, "gamma", float(gamma))  # as the file stores it
 
 
 def default_problem(cost: str = "squared", gamma: float = 10.0, n: int = 100) -> ProblemFile:
@@ -175,10 +177,6 @@ def realize_problem(problem: ProblemFile):
     return mu, nu, c
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 def write_matrix(path, arr) -> None:
     """Plain-text matrix: '# N M' header, one whitespace-joined row per line."""
     arr = np.asarray(arr, dtype=float)
@@ -208,12 +206,11 @@ def write_history_csv(path, report: ConvergenceReport, gamma: float, tol: float)
         ("algorithm", report.algorithm.value),
         ("converged", str(report.converged).lower()),
         ("iterations", str(report.iterations)),
-        ("gamma", _fmt(gamma)),
-        ("tol", _fmt(tol)),
+        ("gamma", repr(float(gamma))),
+        ("tol", repr(float(tol))),
     )
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(HISTORY_COLUMNS)
+        fh.write(",".join(HISTORY_COLUMNS) + "\n")
         # one f-string per row: float reprs never need CSV quoting, and
         # float() keeps a numpy scalar's repr plain
         fh.writelines(
@@ -221,8 +218,7 @@ def write_history_csv(path, report: ConvergenceReport, gamma: float, tol: float)
             f"{float(row.primal_objective)!r},{float(row.duality_gap)!r},{float(row.elapsed_s * 1000.0)!r}\n"
             for row in report.history
         )
-        for key, value in footer:
-            writer.writerow([f"# {key}", value, "", "", "", ""])
+        fh.writelines(f"# {key},{value},,,,\n" for key, value in footer)
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")

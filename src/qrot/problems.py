@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiscreteMeasure, Grid1D
+from .core import DiscreteMeasure, Grid1D, _finite_real
 
 __all__ = [
     "BENCHMARK_GAMMAS",
@@ -39,6 +39,8 @@ class MixtureComponent:
     std: float
 
     def __post_init__(self):
+        for field in ("weight", "mean", "std"):
+            object.__setattr__(self, field, _finite_real(getattr(self, field), f"component {field}"))
         if not (self.weight > 0):
             raise ValueError("component weight must be positive")
         if not (self.std > 0):

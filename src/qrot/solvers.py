@@ -13,6 +13,10 @@ The four dual iterations are first-order steps on the smooth dual F of
   ``(alpha - t, beta + t)``, ``t = sum(ga) / (2 N M)``, which keeps the plan;
 * Nesterov: ``P = tau I`` at ``current + n/(n+3) (current - previous)``.
 
+The three plain steps map potentials to potentials,
+``step(pot, c, gamma, mu, nu, residuals=None) -> DualPotentials`` (gradient
+descent also takes ``tau``); only Nesterov carries a state.
+
 :func:`solve` wraps any of them (or Sinkhorn) with the common stopping rule
 "maximal marginal violation <= tol" and optional per-iteration history.
 Each method builds its own run, ``(advance, bounds)``: ``advance(plan_due)``
@@ -24,6 +28,7 @@ The run's state and buffers live in the builder, so the loop of
 
 from __future__ import annotations
 
+import functools
 import time
 from typing import NamedTuple
 
@@ -46,7 +51,6 @@ from .core import (
 from .dual import dual_value, preconditioner_apply, recover_plan
 
 __all__ = [
-    "CyclicProjectionState",
     "DivergenceError",
     "NesterovState",
     "cyclic_projection_step",
@@ -69,37 +73,6 @@ class DivergenceError(RuntimeError):
             f"{algorithm.value} produced a non-finite iterate at iteration {iteration}; "
             "try a smaller stepsize or larger gamma"
         )
-
-
-class CyclicProjectionState:
-    """Slack matrix rho >= 0 and the current potentials.
-
-    A state returned by :func:`cyclic_projection_step` forms its ``rho`` on
-    first read, from the step's old potentials and cost, so a loop that
-    follows only the potentials never builds the ``N x M`` slack.
-    """
-
-    __slots__ = ("_rho", "_slack_of", "potentials")
-
-    def __init__(self, rho, potentials: DualPotentials):
-        self._rho = rho
-        self._slack_of = None
-        self.potentials = potentials
-
-    @classmethod
-    def _deferred(cls, old: DualPotentials, c, potentials: DualPotentials):
-        """State whose ``rho`` is ``max(c - old.alpha (+) old.beta, 0)``, formed on first read."""
-        state = cls(None, potentials)
-        state._slack_of = (old, c)
-        return state
-
-    @property
-    def rho(self) -> np.ndarray:
-        if self._slack_of is not None:
-            (alpha, beta), c = self._slack_of
-            self._rho = np.maximum(c - alpha[:, None] - beta[None, :], 0.0)
-            self._slack_of = None
-        return self._rho
 
 
 class NesterovState(NamedTuple):
@@ -126,27 +99,23 @@ def _descend(pot, c, gamma, mu, nu, residuals, precondition) -> DualPotentials:
 
 
 def cyclic_projection_step(
-    state: CyclicProjectionState, c, gamma, mu, nu, residuals=None
-) -> CyclicProjectionState:
+    pot: DualPotentials, c, gamma, mu, nu, residuals=None
+) -> DualPotentials:
     """One sweep of the cyclic block updates: ``pot - P grad F`` with
     ``P (ga, gb) = (ga / M, gb / N - sum(ga) / (N M))``.
 
-    The sweep sets ``rho = max(c - alpha (+) beta, 0)``, then alpha from the
-    row equations, then beta from the column equations with the new alpha.
-    As ``rho + alpha (+) beta - c = gamma pi``, that is ``alpha += f / M``,
-    ``beta += g / N - sum(f) / (N M)`` with residuals ``(f, g) = -grad F``.
-    When ``sum(f) = sum(g)`` (equal masses) this is :func:`fixed_point_step`
-    followed by the plan-preserving gauge shift ``(alpha + s, beta - s)``,
-    ``s = sum(f) / (2 N M)``.  Returns ``rho`` at the old potentials
-    (``state.rho`` is not read; the returned one is formed when first read)
-    and the new potentials.  ``residuals`` may pass in ``(f, g)``.
+    The textbook sweep sets the slack ``rho = max(c - alpha (+) beta, 0)``
+    of the input potentials, then alpha from the row equations, then beta
+    from the column equations with the new alpha.  As
+    ``rho + alpha (+) beta - c = gamma pi``, that is ``alpha += f / M``,
+    ``beta += g / N - sum(f) / (N M)`` with residuals ``(f, g) = -grad F``,
+    so the step never forms ``rho``.  When ``sum(f) = sum(g)`` (equal
+    masses) this is :func:`fixed_point_step` followed by the plan-preserving
+    gauge shift ``(alpha + s, beta - s)``, ``s = sum(f) / (2 N M)``.
+    ``residuals`` is as in :func:`gradient_step`.
     """
     n, m = np.shape(c)
-    pot = _descend(
-        state.potentials, c, gamma, mu, nu, residuals,
-        lambda ga, gb: (ga / m, gb / n - ga.sum() / (n * m)),
-    )
-    return CyclicProjectionState._deferred(state.potentials, c, pot)
+    return _descend(pot, c, gamma, mu, nu, residuals, lambda ga, gb: (ga / m, gb / n - ga.sum() / (n * m)))
 
 
 def gradient_step(
@@ -237,9 +206,11 @@ def _quadratic_run(alg, c, gamma, mu, nu, tau):
     once; the violation it returns and the next step both read them.  It
     returns ``(potentials, plan, violation)`` and ignores ``plan_due``, as
     the plan is recovered every iteration anyway.  ``bounds(pot, plan)`` is
-    ``(dual_value, primal_objective)`` for a history row.  Steps and kernels
-    are looked up in this module at call time, so wrappers installed on the
-    module see every call.
+    ``(dual_value, primal_objective)`` for a history row.  The three plain
+    methods share one ``step``, calling their step function bound once
+    (gradient descent's with its ``tau``).  Steps are looked up in this
+    module when the run is built and kernels at call time, so wrappers
+    installed on the module before :func:`solve` see every call.
     """
     pot = DualPotentials(np.zeros(c.shape[0]), np.zeros(c.shape[1]))
     plan = recover_plan(pot, c, gamma)  # the run's plan buffer from here on
@@ -253,16 +224,15 @@ def _quadratic_run(alg, c, gamma, mu, nu, tau):
             nonlocal state
             state = nesterov_step(state, c, gamma, mu, nu, tau, work=work)
             return state.current
-    elif alg is Algorithm.CYCLIC_PROJECTION:
-        def step():
-            state = CyclicProjectionState(None, pot)
-            return cyclic_projection_step(state, c, gamma, mu, nu, residuals=residuals).potentials
-    elif alg is Algorithm.DUAL_GRADIENT:
-        def step():
-            return gradient_step(pot, c, gamma, mu, nu, tau, residuals=residuals)
     else:
+        plain = {
+            Algorithm.CYCLIC_PROJECTION: cyclic_projection_step,
+            Algorithm.DUAL_GRADIENT: functools.partial(gradient_step, tau=tau),
+            Algorithm.FIXED_POINT: fixed_point_step,
+        }[alg]
+
         def step():
-            return fixed_point_step(pot, c, gamma, mu, nu, residuals=residuals)
+            return plain(pot, c, gamma, mu, nu, residuals=residuals)
 
     def advance(plan_due):
         nonlocal pot, plan, residuals

@@ -10,7 +10,6 @@ import pytest
 from conftest import random_instance
 from qrot import (
     Algorithm,
-    CyclicProjectionState,
     Entropy,
     Grid1D,
     GridFunction,
@@ -96,11 +95,8 @@ def test_criterion_2_duality_gap_at_solutions(batch):
 def test_criterion_3_fixed_point_lemma(batch):
     worst = 0.0
     for mu, nu, c, gamma, _, pot_star, _ in batch:
-        n, m = mu.size, nu.size
         stepped = [
-            cyclic_projection_step(
-                CyclicProjectionState(np.zeros((n, m)), pot_star), c, gamma, mu, nu
-            ).potentials,
+            cyclic_projection_step(pot_star, c, gamma, mu, nu),
             gradient_step(pot_star, c, gamma, mu, nu),
             fixed_point_step(pot_star, c, gamma, mu, nu),
             nesterov_step(NesterovState(pot_star, pot_star, 4), c, gamma, mu, nu).current,

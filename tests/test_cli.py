@@ -1,11 +1,13 @@
 import csv
+import itertools
 import json
+from fractions import Fraction
 from xml.etree import ElementTree as ET
 
 import numpy as np
 import pytest
 
-from qrot import Algorithm, ConvergenceReport, DualPotentials, Grid1D, HistoryEntry, MixtureSpec
+from qrot import Algorithm, ConvergenceReport, DualPotentials, Grid1D, HistoryEntry, MixtureComponent, MixtureSpec
 from qrot.cli import main
 from qrot.fileio import (
     ProblemFile,
@@ -19,6 +21,7 @@ from qrot.fileio import (
     write_matrix,
     write_vector,
 )
+from qrot.problems import COST_KINDS
 
 
 def small_problem(n1=6, n2=6, gamma=2.0, cost="squared"):
@@ -52,6 +55,42 @@ def test_problem_roundtrip(tmp_path):
     path = tmp_path / "p.json"
     save_problem(problem, path)
     assert load_problem(path) == problem
+
+
+def test_problem_constructors_refuse_booleans():
+    for build in (
+        lambda: Grid1D(True),
+        lambda: Grid1D(3, False, True),
+        lambda: Grid1D(np.bool_(True)),
+        lambda: MixtureComponent(True, 0.5, 0.1),
+        lambda: MixtureComponent(1.0, np.bool_(False), 0.1),
+        lambda: MixtureComponent(1.0, 0.5, True),
+        lambda: small_problem(gamma=True),
+        lambda: small_problem(gamma=np.bool_(True)),
+    ):
+        with pytest.raises(ValueError):
+            build()
+
+
+def test_every_built_problem_roundtrips(tmp_path):
+    # whatever number types the constructors accept, the file holds plain
+    # ints and floats that load back equal
+    path = tmp_path / "p.json"
+    sizes = (1, 7, np.int64(5), np.uint8(3))
+    ends = ((0, 1), (-0.0, 1.0), (np.float32(-0.5), Fraction(1, 3)), (-1e300, np.float64(1e300)))
+    gammas = (1, 5e-324, np.float32(2.5), Fraction(1, 3), np.float64(1e300))
+    mixtures = (
+        MixtureSpec(((1, 0, 1),)),
+        MixtureSpec(((np.float32(0.25), -1e10, 1e-300), (0.75, np.int64(2), Fraction(1, 7)))),
+        MixtureSpec(tuple(MixtureComponent(Fraction(1, 3), k, 0.1) for k in range(3))),
+    )
+    for k, (n, (a, b), gamma, mix) in enumerate(itertools.product(sizes, ends, gammas, mixtures)):
+        problem = ProblemFile(Grid1D(n, a, b), Grid1D(4, a, b), mix, mixtures[k % 3], COST_KINDS[k % 2], gamma)
+        save_problem(problem, path)
+        loaded = load_problem(path)
+        assert loaded == problem
+        assert type(loaded.grid1.n) is type(problem.grid1.n) is int
+        assert type(loaded.gamma) is type(problem.gamma) is float
 
 
 def test_load_problem_diagnostics(tmp_path):

@@ -4,7 +4,6 @@ import pytest
 from conftest import random_instance
 from qrot import (
     Algorithm,
-    CyclicProjectionState,
     DivergenceError,
     DualPotentials,
     Entropy,
@@ -36,42 +35,33 @@ DUAL_ALGORITHMS = (
 )
 
 
-def zeros_state(n, m):
-    return CyclicProjectionState(np.zeros((n, m)), DualPotentials(np.zeros(n), np.zeros(m)))
+def zeros(n, m):
+    return DualPotentials(np.zeros(n), np.zeros(m))
 
 
 def test_cyclic_projection_hand_iteration():
-    st = cyclic_projection_step(zeros_state(2, 2), C2, 1.0, HALF, HALF)
-    assert np.allclose(st.rho, C2)
-    assert np.allclose(st.potentials.alpha, [0.25, 0.25])
-    assert np.allclose(st.potentials.beta, [0.0, 0.0])
+    p = cyclic_projection_step(zeros(2, 2), C2, 1.0, HALF, HALF)
+    assert np.allclose(p.alpha, [0.25, 0.25])
+    assert np.allclose(p.beta, [0.0, 0.0])
 
-    st = cyclic_projection_step(st, C2, 1.0, HALF, HALF)
-    assert np.allclose(st.potentials.alpha, [0.375, 0.375])
-    assert np.allclose(st.potentials.beta, [0.0, 0.0])
+    p = cyclic_projection_step(p, C2, 1.0, HALF, HALF)
+    assert np.allclose(p.alpha, [0.375, 0.375])
+    assert np.allclose(p.beta, [0.0, 0.0])
 
 
 def test_cyclic_projection_fixed_at_optimum_any_gauge():
     for shift in (0.0, 0.25):
         p = DualPotentials(np.array([0.25 + shift] * 2), np.array([0.25 - shift] * 2))
-        st = cyclic_projection_step(CyclicProjectionState(np.zeros((2, 2)), p), C2, 1.0, HALF, HALF)
-        assert np.abs(st.potentials.alpha - p.alpha).max() < 1e-12
-        assert np.abs(st.potentials.beta - p.beta).max() < 1e-12
+        q = cyclic_projection_step(p, C2, 1.0, HALF, HALF)
+        assert np.abs(q.alpha - p.alpha).max() < 1e-12
+        assert np.abs(q.beta - p.beta).max() < 1e-12
 
 
 def test_cyclic_projection_one_cell():
-    st = cyclic_projection_step(zeros_state(1, 1), np.zeros((1, 1)), 1.0, [1.0], [1.0])
-    assert np.allclose(st.potentials.alpha, [1.0])
-    assert np.allclose(st.potentials.beta, [0.0])
-    assert max_violation(recover_plan(st.potentials, np.zeros((1, 1)), 1.0), [1.0], [1.0]) == 0.0
-
-
-def test_cyclic_projection_slack_stays_nonnegative(rng):
-    mu, nu, c = random_instance(rng)
-    st = zeros_state(mu.size, nu.size)
-    for _ in range(30):
-        st = cyclic_projection_step(st, c, 1.0, mu, nu)
-        assert (st.rho >= 0).all()
+    p = cyclic_projection_step(zeros(1, 1), np.zeros((1, 1)), 1.0, [1.0], [1.0])
+    assert np.allclose(p.alpha, [1.0])
+    assert np.allclose(p.beta, [0.0])
+    assert max_violation(recover_plan(p, np.zeros((1, 1)), 1.0), [1.0], [1.0]) == 0.0
 
 
 def textbook_sweep(alpha, beta, c, gamma, mu, nu):
@@ -90,15 +80,13 @@ def test_cyclic_projection_matches_textbook_sweep(rng):
         gamma = [0.5, 1.0, 5.0][k % 3]
         n, m = c.shape
         alpha, beta = np.zeros(n), np.zeros(m)
-        st = zeros_state(n, m)
-        fp = st.potentials
+        cp = fp = zeros(n, m)
         for _ in range(2000):
-            rho, alpha, beta = textbook_sweep(alpha, beta, c, gamma, mu, nu)
-            st = cyclic_projection_step(st, c, gamma, mu, nu)
+            _, alpha, beta = textbook_sweep(alpha, beta, c, gamma, mu, nu)
+            cp = cyclic_projection_step(cp, c, gamma, mu, nu)
             fp = fixed_point_step(fp, c, gamma, mu, nu)
-            assert np.abs(st.rho - rho).max() <= 1e-12
             plan = recover_plan(DualPotentials(alpha, beta), c, gamma)
-            assert np.abs(recover_plan(st.potentials, c, gamma) - plan).max() <= 1e-12
+            assert np.abs(recover_plan(cp, c, gamma) - plan).max() <= 1e-12
             # the fixed-point iterates differ only by a gauge shift
             assert np.abs(recover_plan(fp, c, gamma) - plan).max() <= 1e-12
 
@@ -155,11 +143,9 @@ def test_one_step_fixes_oracle_potentials(rng):
         mu, nu, c = random_instance(rng)
         gamma = [0.5, 1.0, 5.0][k % 3]
         _, pot = exact_solve(mu, nu, c, gamma)
-        n, m = mu.size, nu.size
         moved = []
-        st = cyclic_projection_step(CyclicProjectionState(np.zeros((n, m)), pot), c, gamma, mu, nu)
-        moved.append((st.potentials.alpha - pot.alpha, st.potentials.beta - pot.beta))
         for p in (
+            cyclic_projection_step(pot, c, gamma, mu, nu),
             gradient_step(pot, c, gamma, mu, nu),
             fixed_point_step(pot, c, gamma, mu, nu),
             nesterov_step(NesterovState(pot, pot, 5), c, gamma, mu, nu).current,
@@ -177,9 +163,7 @@ def test_gauge_equivariance_of_plan_sequences(rng):
         plain = DualPotentials(np.zeros(n), np.zeros(m))
         shifted = DualPotentials(np.zeros(n) + shift, np.zeros(m) - shift)
         states = [plain, shifted]
-        if alg is Algorithm.CYCLIC_PROJECTION:
-            states = [CyclicProjectionState(np.zeros((n, m)), p) for p in states]
-        elif alg is Algorithm.NESTEROV:
+        if alg is Algorithm.NESTEROV:
             states = [NesterovState(p, p, 0) for p in states]
         for _ in range(25):
             for idx in range(2):
@@ -191,10 +175,7 @@ def test_gauge_equivariance_of_plan_sequences(rng):
                     states[idx] = fixed_point_step(states[idx], c, 1.0, mu, nu)
                 else:
                     states[idx] = nesterov_step(states[idx], c, 1.0, mu, nu)
-            pots = [
-                s.potentials if alg is Algorithm.CYCLIC_PROJECTION else (s.current if alg is Algorithm.NESTEROV else s)
-                for s in states
-            ]
+            pots = [s.current if alg is Algorithm.NESTEROV else s for s in states]
             plans = [recover_plan(p, c, 1.0) for p in pots]
             assert np.abs(plans[0] - plans[1]).max() < 1e-10
 
@@ -350,7 +331,7 @@ def reference_dual_solve(mu, nu, c, config):
     rows = []
     for it in range(1, config.max_iters + 1):
         if alg is Algorithm.CYCLIC_PROJECTION:
-            pot = cyclic_projection_step(CyclicProjectionState(np.zeros((n, m)), pot), c, gamma, mu, nu).potentials
+            pot = cyclic_projection_step(pot, c, gamma, mu, nu)
         elif alg is Algorithm.DUAL_GRADIENT:
             pot = gradient_step(pot, c, gamma, mu, nu, tau)
         elif alg is Algorithm.FIXED_POINT:
@@ -491,11 +472,3 @@ def test_sinkhorn_history_primal_matches_direct_formula(rng):
             assert abs(rep.history[-1].primal_objective - direct) <= 1e-12 * abs(direct)
         if gamma < 0.01:
             assert (plan == 0).any()
-
-
-def test_cyclic_projection_rho_formed_when_read(rng):
-    mu, nu, c = random_instance(rng, 5, 6)
-    old = DualPotentials(rng.normal(size=5), rng.normal(size=6))
-    st = cyclic_projection_step(CyclicProjectionState(None, old), c, 1.0, mu, nu)
-    expected = np.maximum(c - old.alpha[:, None] - old.beta[None, :], 0.0)
-    assert np.array_equal(st.rho, expected)
