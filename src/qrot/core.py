@@ -39,8 +39,13 @@ MASS_BALANCE_RTOL = 1e-12
 
 
 def _finite_real(value, what: str) -> float:
-    """``value`` as a float; booleans, non-real and non-finite values are refused."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+    """``value`` as a float; booleans, non-real and non-finite values are refused,
+    and so are integers and fractions too large for a float."""
+    try:
+        ok = not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:  # too large to convert to a float
+        ok = False
+    if not ok:
         raise ValueError(f"{what} must be a finite real number, got {value!r}")
     return float(value)
 

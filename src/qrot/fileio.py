@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from xml.etree import ElementTree as ET
 
 import numpy as np
 
-from .core import ConvergenceReport, DiscreteMeasure, Grid1D
+from .core import ConvergenceReport, DiscreteMeasure, Grid1D, _finite_real
 from .problems import (
     BENCHMARK_GAMMAS,
     COST_KINDS,
@@ -71,10 +70,13 @@ class ProblemFile:
     def __post_init__(self):
         if self.cost not in COST_KINDS:
             raise ProblemFileError(f"field 'cost' must be one of {COST_KINDS}, got {self.cost!r}")
-        gamma = self.gamma
-        if isinstance(gamma, bool) or not (isinstance(gamma, numbers.Real) and 0 < gamma < math.inf):
-            raise ProblemFileError(f"field 'gamma' must be positive and finite, got {gamma!r}")
-        object.__setattr__(self, "gamma", float(gamma))  # as the file stores it
+        try:
+            gamma = _finite_real(self.gamma, "gamma")
+        except ValueError:
+            gamma = math.nan
+        if not gamma > 0:
+            raise ProblemFileError(f"field 'gamma' must be positive and finite, got {self.gamma!r}")
+        object.__setattr__(self, "gamma", gamma)  # as the file stores it
 
 
 def default_problem(cost: str = "squared", gamma: float = 10.0, n: int = 100) -> ProblemFile:
@@ -109,7 +111,10 @@ def _number(value, field) -> float:
     """A JSON number as a float; booleans, strings and the like are refused."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ProblemFileError(f"field '{field}' must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer too large for a float
+        raise ProblemFileError(f"field '{field}' is out of the floating-point range") from None
 
 
 def _integer(value, field) -> int:

@@ -24,6 +24,19 @@ takes one iteration and returns ``(potentials, plan, violation)``, and
 ``bounds(pot, plan)`` gives the ``(dual, primal)`` pair of a history row.
 The run's state and buffers live in the builder, so the loop of
 :func:`solve` never asks which method it drives.
+
+Quadratic regularization makes the plan sparse, and a dual run recovers it
+only on a support band: the cells with ``alpha (+) beta - c > -theta`` at
+the potentials where the band was built.  While the potentials drift from
+there by at most ``theta`` less a rounding slack (``max|d alpha| +
+max|d beta|``), no other cell can turn positive, so those cells stay zero
+in the run's dense plan buffer and are not touched; past that budget one
+dense recovery rebuilds the band.  Three rules make the result bit for bit
+that of dense recovery: band cells are computed in the dense op order
+(``beta + alpha``, ``- c``, ``max 0``, ``/ gamma``), row sums are taken on
+the dense buffer in numpy's pairwise order, and column sums are a
+``bincount`` over the band in row-major order, which is numpy's sequential
+axis-0 order, as adding ``+0.0`` changes no partial sum.
 """
 
 from __future__ import annotations
@@ -147,14 +160,18 @@ def fixed_point_step(
     return _descend(pot, c, gamma, mu, nu, residuals, preconditioner_apply)
 
 
-def nesterov_step(state: NesterovState, c, gamma, mu, nu, tau=None, work=None) -> NesterovState:
+def nesterov_step(state: NesterovState, c, gamma, mu, nu, tau=None, recover=None) -> NesterovState:
     """One accelerated gradient step with momentum ``sigma_n = n / (n + 3)``.
 
     Extrapolates ``bar = current + sigma_n (current - previous)`` and takes
     :func:`gradient_step` from there, ``bar - tau grad F(bar)``, with the
-    plan recovered at the extrapolated potentials (into ``work``, an
-    ``(N, M)`` float array, when given).  At ``n = 0`` this reduces to plain
-    gradient descent.
+    plan recovered at the extrapolated potentials.  At ``n = 0`` this
+    reduces to plain gradient descent.
+
+    ``recover(bar)`` may take over that recovery: it must return the
+    marginal residuals ``(pi 1 - mu, pi.T 1 - nu)`` of
+    ``pi = recover_plan(bar, c, gamma)``.  By default the plan is recovered
+    densely into a new array.
     """
     cur, prev, n = state
     sigma = n / (n + 3.0)
@@ -162,7 +179,10 @@ def nesterov_step(state: NesterovState, c, gamma, mu, nu, tau=None, work=None) -
         cur.alpha + sigma * (cur.alpha - prev.alpha),
         cur.beta + sigma * (cur.beta - prev.beta),
     )
-    residuals = marginal_residuals(recover_plan(bar, c, gamma, out=work), mu, nu)
+    if recover is None:
+        residuals = marginal_residuals(recover_plan(bar, c, gamma), mu, nu)
+    else:
+        residuals = recover(bar)
     return NesterovState(gradient_step(bar, c, gamma, mu, nu, tau, residuals=residuals), cur, n + 1)
 
 
@@ -197,6 +217,131 @@ def sinkhorn_plan(u, v, K, out=None) -> np.ndarray:
     return np.multiply(out, v[None, :], out=out)
 
 
+# The support band of _SupportBand: its reach is this many times the
+# potentials' last move, and a band over more than this share of the cells
+# is not kept.
+_BAND_REACH = 32.0
+_BAND_MAX_SHARE = 0.25
+_BAND_BLOCK_CELLS = 1 << 16  # cells per block of the pass that selects a band
+_BAND_MAX_WAIT = 8  # most dense recoveries that skip selection after a band too wide
+
+
+class _SupportBand:
+    """Plan recovery that touches only the cells that can be positive.
+
+    ``recover(pot, out)`` writes ``recover_plan(pot, c, gamma)`` into
+    ``out``, a C-contiguous ``(N, M)`` float buffer, and returns
+    ``marginal_residuals(out, mu, nu)``; plan and residuals are bit for bit
+    those of the dense calls, whichever path it takes.
+
+    The band is the cells with ``alpha (+) beta - c > -theta`` at its base
+    potentials, as the dense recovery rounds them, stored in row-major order
+    as flat indices, column indices and costs.  A cell off the band stays
+    at zero while the potentials' drift from the base,
+    ``max|d alpha| + max|d beta|``, is at most ``theta - slack`` with
+    ``slack = 8 eps (max|alpha0| + max|beta0| + max|c| + theta)``: the drift
+    lifts the exact value by at most the drift, and the slack covers the
+    rounding of the selection, of the drift and of the recovery, so the
+    rounded value stays negative and its clip is ``+0.0``.  Within that
+    budget the band recovery follows the dense op order, ``beta[cols] +
+    alpha[rows]``, then ``- c``, ``max 0`` and ``/ gamma``, and scatters its
+    values into ``out``, whose off-band cells are already zero.  Row sums
+    stay ``out.sum(axis=1)``, numpy's pairwise order.  Column sums are
+    ``np.bincount`` over the band in row-major order: numpy sums axis 0 of a
+    C-contiguous array one row after another, and the off-band terms it
+    adds are ``+0.0``, which leaves every partial sum unchanged.
+
+    Past the budget, or with non-finite potentials (a NaN drift fails the
+    test), one dense recovery through the module's ``recover_plan`` rebuilds
+    the band at the new potentials, with ``theta = _BAND_REACH`` times the
+    larger of the last two moves between calls.  No band is kept when that
+    move is zero or not finite, or when the band would hold more than
+    ``_BAND_MAX_SHARE`` of the cells: the selection pass stops as soon as
+    it counts that many, and the next 1, 3, 7, then at most
+    ``_BAND_MAX_WAIT`` dense recoveries do not try again.  A buffer that
+    was not recovered since the band was built is recovered densely once
+    before the band scatters into it.
+    """
+
+    def __init__(self, c, gamma, mu, nu):
+        self.c, self.gamma, self.mu, self.nu = c, gamma, mu, nu
+        self.cmax = float(max(c.max(), -c.min()))  # max|c|, without an N x M temporary
+        self.recent = (None, None)  # potentials of the last two calls
+        self.base = None  # (alpha0, beta0) of the live band, None when dense
+        self.budget = 0.0
+        self.idx = self.cols = self.counts = self.cost = None
+        self.synced = []  # buffers whose off-band cells are zero
+        self.wait = self.backoff = 0  # dense recoveries left to skip selection, and their count
+
+    def recover(self, pot, out):
+        alpha, beta = pot
+        last, before = self.recent
+        self.recent = (pot, last)
+        if self.base is not None:
+            a0, b0 = self.base
+            drift = np.abs(alpha - a0).max() + np.abs(beta - b0).max()
+            if drift <= self.budget:
+                if any(out is buf for buf in self.synced):
+                    return self._banded(alpha, beta, out)
+                self.synced.append(out)
+                return self._dense(pot, out)
+        residuals = self._dense(pot, out)
+        self.base = None
+        if self.wait:
+            self.wait -= 1
+        elif last is not None:
+            moves = [_move(pot, last)] + ([] if before is None else [_move(last, before)])
+            self._select(pot, _BAND_REACH * max(moves), out)
+        return residuals
+
+    def _dense(self, pot, out):
+        recover_plan(pot, self.c, self.gamma, out=out)
+        return marginal_residuals(out, self.mu, self.nu)
+
+    def _banded(self, alpha, beta, out):
+        vals = np.take(beta, self.cols)
+        np.add(vals, np.repeat(alpha, self.counts), out=vals)
+        np.subtract(vals, self.cost, out=vals)
+        np.maximum(vals, 0.0, out=vals)
+        np.divide(vals, self.gamma, out=vals)
+        out.reshape(-1)[self.idx] = vals
+        col = np.bincount(self.cols, weights=vals, minlength=out.shape[1])
+        return out.sum(axis=1) - self.mu, col - self.nu
+
+    def _select(self, pot, theta, out):
+        """Keep the band of reach ``theta`` at ``pot``, whose plan ``out`` holds."""
+        alpha, beta = pot
+        slack = 8.0 * np.finfo(float).eps * (np.abs(alpha).max() + np.abs(beta).max() + self.cmax + theta)
+        if not (theta - slack > 0.0):  # also refuses a zero or non-finite reach
+            return
+        c = self.c
+        n, m = c.shape
+        self.idx = self.cols = self.counts = self.cost = None  # the old band's storage goes first
+        rows = max(1, _BAND_BLOCK_CELLS // m)
+        idx, cols, counts, size = [], [], [], 0
+        for r0 in range(0, n, rows):
+            t = np.add(beta, alpha[r0 : r0 + rows, None])  # rounded as recover_plan rounds it
+            keep = np.subtract(t, c[r0 : r0 + rows], out=t) > -theta
+            flat = np.flatnonzero(keep)
+            idx.append(flat + r0 * m)
+            cols.append((flat % m).astype(np.int32))
+            counts.append(np.count_nonzero(keep, axis=1))
+            size += flat.size
+            if size > _BAND_MAX_SHARE * n * m:
+                self.backoff = min(2 * self.backoff + 1, _BAND_MAX_WAIT)
+                self.wait = self.backoff
+                return
+        self.backoff = 0
+        self.idx, self.cols, self.counts = np.concatenate(idx), np.concatenate(cols), np.concatenate(counts)
+        self.cost = np.take(c, self.idx)
+        self.base, self.budget, self.synced = pot, theta - slack, [out]
+
+
+def _move(p, q) -> float:
+    """``max|alpha_p - alpha_q| + max|beta_p - beta_q|``."""
+    return np.abs(p.alpha - q.alpha).max() + np.abs(p.beta - q.beta).max()
+
+
 def _quadratic_run(alg, c, gamma, mu, nu, tau):
     """``(advance, bounds)`` of a quadratic dual method started from zero
     potentials.
@@ -211,18 +356,30 @@ def _quadratic_run(alg, c, gamma, mu, nu, tau):
     (gradient descent's with its ``tau``).  Steps are looked up in this
     module when the run is built and kernels at call time, so wrappers
     installed on the module before :func:`solve` see every call.
+
+    Every recovery, Nesterov's at its extrapolated potentials included,
+    goes through one :class:`_SupportBand`: once the plan is sparse it
+    recomputes only the cells of a certified band around the support and
+    leaves the rest of the buffer at zero, and a dense recovery rebuilds
+    the band when the potentials have drifted past its reach.  Three rules
+    keep plans, residuals and so iterates bit for bit those of dense
+    recovery: band cells are computed in the dense op order, row sums are
+    the dense buffer's, and column sums are a ``bincount`` in row-major
+    order, which is numpy's axis-0 order.
     """
+    band = _SupportBand(c, gamma, mu, nu)
     pot = DualPotentials(np.zeros(c.shape[0]), np.zeros(c.shape[1]))
-    plan = recover_plan(pot, c, gamma)  # the run's plan buffer from here on
-    residuals = marginal_residuals(plan, mu, nu)
+    plan = np.empty(c.shape)  # the run's plan buffer
+    residuals = band.recover(pot, plan)
 
     if alg is Algorithm.NESTEROV:  # carries its previous iterate and counter
         state = NesterovState(pot, pot, 0)
         work = np.empty(c.shape)  # the extrapolated plan, recovered in place
+        recover = functools.partial(band.recover, out=work)
 
         def step():
             nonlocal state
-            state = nesterov_step(state, c, gamma, mu, nu, tau, work=work)
+            state = nesterov_step(state, c, gamma, mu, nu, tau, recover=recover)
             return state.current
     else:
         plain = {
@@ -235,10 +392,9 @@ def _quadratic_run(alg, c, gamma, mu, nu, tau):
             return plain(pot, c, gamma, mu, nu, residuals=residuals)
 
     def advance(plan_due):
-        nonlocal pot, plan, residuals
+        nonlocal pot, residuals
         pot = step()
-        plan = recover_plan(pot, c, gamma, out=plan)
-        residuals = marginal_residuals(plan, mu, nu)
+        residuals = band.recover(pot, plan)
         return pot, plan, residual_violation(*residuals)
 
     def bounds(pot, plan):
@@ -339,9 +495,15 @@ def solve(mu, nu, c, config: SolverConfig) -> ConvergenceReport:
     ``advance(plan_due)`` every iteration and its ``bounds`` for each
     history row.  ``plan_due`` is set at the last iteration and at each
     history stride, where the returned plan must be the current one.  A dual
-    iteration recovers the plan in place (``recover_plan(..., out=)``) and
-    takes its marginal residuals once; the stopping test and the next step
-    both read them.  Sinkhorn tests its scaling vectors instead of the plan,
+    iteration recovers the plan in place and takes its marginal residuals
+    once; the stopping test and the next step both read them.  Once the plan
+    is sparse, the recovery recomputes only a certified band of cells around
+    its support, and a dense recovery (``recover_plan(..., out=)``)
+    rebuilds the band when the potentials drift past its reach.  Band cells
+    follow the dense op order, row sums are the dense buffer's and column
+    sums a row-major ``bincount``, so plans, potentials, iteration counts
+    and history rows are bit for bit those of recovering every cell.
+    Sinkhorn tests its scaling vectors instead of the plan,
     and the ``K v`` of that test feeds the next sweep, so a sweep costs two
     matrix-vector products.  It builds the plan, in place into one buffer,
     only when due and to confirm convergence, so iteration counts are those

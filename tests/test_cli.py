@@ -72,6 +72,21 @@ def test_problem_constructors_refuse_booleans():
             build()
 
 
+def test_problem_constructors_refuse_numbers_beyond_float_range():
+    huge = 10**400
+    for build in (
+        lambda: Grid1D(3, 0, huge),
+        lambda: Grid1D(3, -huge, 0),
+        lambda: Grid1D(3, 0, Fraction(huge)),
+        lambda: MixtureComponent(1.0, huge, 0.1),
+        lambda: MixtureComponent(1.0, 0.5, Fraction(huge, 3)),
+    ):
+        with pytest.raises(ValueError, match="must be a finite real number"):
+            build()
+    with pytest.raises(ProblemFileError, match="'gamma'"):
+        small_problem(gamma=huge)
+
+
 def test_every_built_problem_roundtrips(tmp_path):
     # whatever number types the constructors accept, the file holds plain
     # ints and floats that load back equal
@@ -93,7 +108,7 @@ def test_every_built_problem_roundtrips(tmp_path):
         assert type(loaded.gamma) is type(problem.gamma) is float
 
 
-def test_load_problem_diagnostics(tmp_path):
+def test_load_problem_diagnostics(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     with pytest.raises(ProblemFileError, match="line"):
@@ -112,11 +127,13 @@ def test_load_problem_diagnostics(tmp_path):
         load_problem(tmp_path / "mc.json")
 
     # numbers are taken as the file writes them: no bool as a number, no
-    # fraction or bool as a grid size
+    # fraction or bool as a grid size, no integer beyond the float range
     for field, key, value, match in (
         ("gamma", None, True, "'gamma'"),
         ("grid1", "n", 3.7, "'grid1.n'"),
         ("grid2", "n", True, "'grid2.n'"),
+        ("gamma", None, 10**400, "'gamma'"),
+        ("grid1", "a", -(10**400), "'grid1.a'"),
     ):
         bad = json.loads((tmp_path / "ok.json").read_text())
         if key is None:
@@ -126,6 +143,11 @@ def test_load_problem_diagnostics(tmp_path):
         (tmp_path / "coerced.json").write_text(json.dumps(bad))
         with pytest.raises(ProblemFileError, match=match):
             load_problem(tmp_path / "coerced.json")
+        # and the CLI reports it as an error line, not a traceback
+        capsys.readouterr()
+        assert main(["solve", str(tmp_path / "coerced.json"), "--algorithm", "nesterov",
+                     "--out", str(tmp_path / "o")]) == 1
+        assert f"error: field {match}" in capsys.readouterr().err
 
 
 def test_history_csv_bytes(tmp_path):

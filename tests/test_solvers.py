@@ -21,8 +21,10 @@ from qrot import (
     sinkhorn_step,
     solve,
 )
+from qrot.core import marginal_residuals
 from qrot.dual import dual_value
 from qrot.fileio import default_problem, realize_problem
+from qrot.solvers import _SupportBand
 
 C2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 HALF = np.array([0.5, 0.5])
@@ -366,6 +368,121 @@ def test_solve_is_bit_identical_to_reference_dual_loop(rng):
                     assert np.array_equal(rep.final_potentials.alpha, pot.alpha)
                     assert np.array_equal(rep.final_potentials.beta, pot.beta)
                     assert [tuple(r)[:2] + (r.dual_objective, r.primal_objective) for r in rep.history] == rows
+
+
+def count_dense_recoveries(monkeypatch):
+    """Route ``qrot.solvers.recover_plan`` through a counter; returns the
+    one-element list that holds the count."""
+    count = [0]
+
+    def counted(pot, c, gamma, out=None):
+        count[0] += 1
+        return recover_plan(pot, c, gamma, out=out)
+
+    monkeypatch.setattr("qrot.solvers.recover_plan", counted)
+    return count
+
+
+def test_support_band_matches_dense_recovery_on_random_walks(rng, monkeypatch):
+    # small moves keep the band; jumps past its reach and a NaN force dense
+    # recoveries; two buffers in turn, as Nesterov uses them
+    dense = count_dense_recoveries(monkeypatch)
+    mu, nu, c = realize_problem(default_problem("squared", 10.0, n=60))
+    mu, nu = mu.w, nu.w
+    start = solve(mu, nu, c, SolverConfig(gamma=10.0, algorithm=Algorithm.NESTEROV, tol=1e-3,
+                                          record_history=False)).final_potentials
+    for walk in range(3):
+        band = _SupportBand(c, 10.0, mu, nu)
+        buffers = (np.empty(c.shape), np.empty(c.shape))
+        alpha, beta = start.alpha.copy(), start.beta.copy()
+        dense[0] = 0
+        calls = 0
+        for k in range(150):
+            scale = 1e-6 * (1 + walk)
+            if k % 50 == 49:
+                scale *= 300  # well past the reach of 32 moves
+            alpha = alpha + scale * rng.standard_normal(alpha.size)
+            beta = beta + scale * rng.standard_normal(beta.size)
+            pot = DualPotentials(alpha, beta)
+            if k == 120:
+                pot = DualPotentials(np.where(np.arange(alpha.size) == 7, np.nan, alpha), beta)
+            out = buffers[int(rng.integers(2))]
+            with np.errstate(invalid="ignore"):
+                f, g = band.recover(pot, out)
+                plan = recover_plan(pot, c, 10.0)
+                rf, rg = marginal_residuals(plan, mu, nu)
+            calls += 1
+            assert np.array_equal(out, plan, equal_nan=True), (walk, k)
+            assert np.array_equal(f, rf, equal_nan=True) and np.array_equal(g, rg, equal_nan=True), (walk, k)
+        # the band carried most recoveries; each jump and the NaN forced a dense one
+        assert 5 <= dense[0] < calls / 3, (walk, dense[0])
+
+
+def test_solve_with_support_band_is_bit_identical_to_reference(monkeypatch):
+    # at n=150 and gamma 1 the plan is sparse and the band engages: far
+    # fewer dense recoveries than iterations, and bit for bit the plain loop
+    mu, nu, c = realize_problem(default_problem("squared", 1.0, n=150))
+    dense = count_dense_recoveries(monkeypatch)
+    for alg in DUAL_ALGORITHMS:
+        for tol, max_iters, history in ((1e-300, 60, 1), (1e-3, 100_000, None)):
+            config = SolverConfig(gamma=1.0, algorithm=alg, tol=tol, max_iters=max_iters,
+                                  record_history=history is not None, history_stride=history or 1)
+            dense[0] = 0
+            rep = solve(mu, nu, c, config)
+            assert dense[0] < rep.iterations / 2, (alg, tol, dense[0], rep.iterations)
+            iters, converged, plan, pot, rows = reference_dual_solve(mu, nu, c, config)
+            assert (rep.iterations, rep.converged) == (iters, converged), (alg, tol)
+            assert converged == (tol > 1e-300)
+            assert np.array_equal(rep.final_plan, plan)
+            assert np.array_equal(rep.final_potentials.alpha, pot.alpha)
+            assert np.array_equal(rep.final_potentials.beta, pot.beta)
+            assert [tuple(r)[:2] + (r.dual_objective, r.primal_objective) for r in rep.history] == rows
+
+
+def test_bincount_column_sums_are_numpy_axis0_sums(rng):
+    # the band's column sums rest on this: bincount over the nonzero entries
+    # of a C-contiguous plan, in row-major order, is numpy's axis-0 sum bit
+    # for bit.  A numpy that sums axis 0 in another order fails here.
+    for _ in range(20):
+        n, m = (int(x) for x in rng.integers(50, 400, 2))
+        plan = np.where(rng.random((n, m)) < 0.1, rng.lognormal(0.0, 4.0, (n, m)), 0.0)
+        idx = np.flatnonzero(plan)
+        cols, vals = (idx % m).astype(np.int32), plan.reshape(-1)[idx]
+        assert np.array_equal(np.bincount(cols, weights=vals, minlength=m), plan.sum(axis=0))
+    # the check has power: the same terms added bottom-up round differently
+    assert not np.array_equal(np.bincount(cols[::-1], weights=vals[::-1], minlength=m), plan.sum(axis=0))
+
+
+def test_divergence_with_support_band_live_matches_reference(monkeypatch):
+    # all the mass sits on a 10 x 10 block of negative cost in a 40 x 40
+    # problem scaled near the float range.  A tau above the block's
+    # stability limit 2 / 20 makes the potentials oscillate with growing
+    # amplitude until they overflow, while the band carries most recoveries.
+    scale, n, b = 1e308, 40, 10
+    c = np.full((n, n), 1.5 * scale)
+    c[:b, :b] = -scale
+    mu, nu = np.zeros(n), np.zeros(n)
+    mu[:b] = 10.0 + 1e-3 * (np.arange(b) - 4.5)  # 100 in all, as the block's plan at zero
+    nu[:b] = mu[b - 1 :: -1]
+    dense = count_dense_recoveries(monkeypatch)
+    for alg, tau in ((Algorithm.DUAL_GRADIENT, 0.12), (Algorithm.NESTEROV, 0.1)):
+        config = SolverConfig(gamma=scale, algorithm=alg, tol=1e-300, max_iters=1000, tau=tau,
+                              record_history=False)
+        dense[0] = 0
+        with pytest.raises(DivergenceError) as err:
+            solve(mu, nu, c, config)
+        it = err.value.iteration
+        assert 10 < it < 1000 and dense[0] < it / 2, (alg, it, dense[0])
+
+        def finite(max_iters):
+            with np.errstate(all="ignore"):
+                *_, plan, pot, _ = reference_dual_solve(
+                    mu, nu, c, SolverConfig(gamma=scale, algorithm=alg, tol=1e-300, max_iters=max_iters, tau=tau,
+                                            record_history=False))
+                viol = max_violation(plan, mu, nu)
+            return bool(np.isfinite(viol) and np.isfinite(pot.alpha).all() and np.isfinite(pot.beta).all())
+
+        assert finite(it - 1) and not finite(it), alg
 
 
 def reference_sinkhorn(mu, nu, c, gamma, tol, max_iters, history_stride=None):
