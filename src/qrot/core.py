@@ -50,6 +50,11 @@ def _finite_real(value, what: str) -> float:
     return float(value)
 
 
+def _positive_int(value) -> bool:
+    """Whether ``value`` is an integer >= 1 and not a boolean."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= 1
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform, cell-centered grid with ``n`` cells on ``[a, b]``."""
@@ -59,7 +64,7 @@ class Grid1D:
     b: float = 1.0
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not (isinstance(self.n, numbers.Integral) and self.n >= 1):
+        if not _positive_int(self.n):
             raise ValueError("grid size n must be a positive integer")
         a, b = _finite_real(self.a, "grid endpoint a"), _finite_real(self.b, "grid endpoint b")
         if not a < b:
@@ -164,15 +169,15 @@ class SolverConfig:
     history_stride: int = 1
 
     def __post_init__(self):
-        if not (self.gamma > 0):
+        if not (_finite_real(self.gamma, "gamma") > 0):
             raise ValueError("gamma must be positive")
-        if not (self.tol > 0):
+        if not (_finite_real(self.tol, "tol") > 0):
             raise ValueError("tol must be positive")
-        if not (isinstance(self.max_iters, (int, np.integer)) and self.max_iters >= 1):
+        if not _positive_int(self.max_iters):
             raise ValueError("max_iters must be an integer >= 1")
-        if self.tau is not None and not (self.tau > 0):
+        if self.tau is not None and not (_finite_real(self.tau, "tau") > 0):
             raise ValueError("tau must be positive when given")
-        if not (isinstance(self.history_stride, (int, np.integer)) and self.history_stride >= 1):
+        if not _positive_int(self.history_stride):
             raise ValueError("history_stride must be an integer >= 1")
         if not isinstance(self.algorithm, Algorithm):
             raise ValueError("algorithm must be an Algorithm member")

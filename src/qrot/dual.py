@@ -33,11 +33,6 @@ __all__ = [
 HESSIAN_SIZE_LIMIT = 200
 
 
-def _outer_sum_minus_cost(pot, c):
-    alpha, beta = pot
-    return np.asarray(alpha, float)[:, None] + np.asarray(beta, float)[None, :] - c
-
-
 def recover_plan(pot, c, gamma: float, out=None) -> np.ndarray:
     """Plan induced by potentials: ``max(alpha[i] + beta[j] - c[i, j], 0) / gamma``.
 
@@ -116,8 +111,8 @@ def preconditioner_apply(f, g):
 
 def support_mask(pot, c) -> np.ndarray:
     """Boolean mask ``alpha[i] + beta[j] - c[i, j] >= 0`` (kink counted in)."""
-    c = np.asarray(c, dtype=float)
-    return _outer_sum_minus_cost(pot, c) >= 0.0
+    alpha, beta = (np.asarray(x, dtype=float) for x in pot)
+    return alpha[:, None] + beta[None, :] - np.asarray(c, dtype=float) >= 0.0
 
 
 def build_hessian(sigma) -> np.ndarray:

@@ -26,17 +26,8 @@ The run's state and buffers live in the builder, so the loop of
 :func:`solve` never asks which method it drives.
 
 Quadratic regularization makes the plan sparse, and a dual run recovers it
-only on a support band: the cells with ``alpha (+) beta - c > -theta`` at
-the potentials where the band was built.  While the potentials drift from
-there by at most ``theta`` less a rounding slack (``max|d alpha| +
-max|d beta|``), no other cell can turn positive, so those cells stay zero
-in the run's dense plan buffer and are not touched; past that budget one
-dense recovery rebuilds the band.  Three rules make the result bit for bit
-that of dense recovery: band cells are computed in the dense op order
-(``beta + alpha``, ``- c``, ``max 0``, ``/ gamma``), row sums are taken on
-the dense buffer in numpy's pairwise order, and column sums are a
-``bincount`` over the band in row-major order, which is numpy's sequential
-axis-0 order, as adding ``+0.0`` changes no partial sum.
+only on a certified band of cells that can be positive, bit for bit as a
+dense recovery would; :class:`_SupportBand` states the rules.
 """
 
 from __future__ import annotations
@@ -227,29 +218,35 @@ _BAND_MAX_WAIT = 8  # most dense recoveries that skip selection after a band too
 
 
 class _SupportBand:
-    """Plan recovery that touches only the cells that can be positive.
+    """Plan recovery into the run's one plan buffer, touching only the cells
+    that can be positive.
 
-    ``recover(pot, out)`` writes ``recover_plan(pot, c, gamma)`` into
-    ``out``, a C-contiguous ``(N, M)`` float buffer, and returns
-    ``marginal_residuals(out, mu, nu)``; plan and residuals are bit for bit
+    ``recover(pot)`` writes ``recover_plan(pot, c, gamma)`` into ``plan``,
+    the band's C-contiguous ``(N, M)`` buffer, and returns
+    ``marginal_residuals(plan, mu, nu)``; plan and residuals are bit for bit
     those of the dense calls, whichever path it takes.
 
     The band is the cells with ``alpha (+) beta - c > -theta`` at its base
     potentials, as the dense recovery rounds them, stored in row-major order
-    as flat indices, column indices and costs.  A cell off the band stays
-    at zero while the potentials' drift from the base,
-    ``max|d alpha| + max|d beta|``, is at most ``theta - slack`` with
+    as flat indices, column indices and costs.  While a band is live, the
+    off-band cells of ``plan`` are zero: the band is selected from the dense
+    recovery at its base, which ``plan`` holds, and every later call writes
+    the same buffer.  A cell off the band stays at zero while the
+    potentials' drift from the base, ``max|d alpha| + max|d beta|``, is at
+    most ``theta - slack`` with
     ``slack = 8 eps (max|alpha0| + max|beta0| + max|c| + theta)``: the drift
     lifts the exact value by at most the drift, and the slack covers the
     rounding of the selection, of the drift and of the recovery, so the
-    rounded value stays negative and its clip is ``+0.0``.  Within that
-    budget the band recovery follows the dense op order, ``beta[cols] +
-    alpha[rows]``, then ``- c``, ``max 0`` and ``/ gamma``, and scatters its
-    values into ``out``, whose off-band cells are already zero.  Row sums
-    stay ``out.sum(axis=1)``, numpy's pairwise order.  Column sums are
-    ``np.bincount`` over the band in row-major order: numpy sums axis 0 of a
-    C-contiguous array one row after another, and the off-band terms it
-    adds are ``+0.0``, which leaves every partial sum unchanged.
+    rounded value stays negative and its clip is ``+0.0``.
+
+    Within that budget three rules keep the result bit for bit that of dense
+    recovery.  Band cells follow the dense op order, ``beta[cols] +
+    alpha[rows]``, then ``- c``, ``max 0`` and ``/ gamma``, and are
+    scattered into ``plan``.  Row sums stay ``plan.sum(axis=1)`` on the
+    dense buffer, numpy's pairwise order.  Column sums are ``np.bincount``
+    over the band in row-major order: numpy sums axis 0 of a C-contiguous
+    array one row after another, and the off-band terms it adds are
+    ``+0.0``, which leaves every partial sum unchanged.
 
     Past the budget, or with non-finite potentials (a NaN drift fails the
     test), one dense recovery through the module's ``recover_plan`` rebuilds
@@ -258,58 +255,50 @@ class _SupportBand:
     move is zero or not finite, or when the band would hold more than
     ``_BAND_MAX_SHARE`` of the cells: the selection pass stops as soon as
     it counts that many, and the next 1, 3, 7, then at most
-    ``_BAND_MAX_WAIT`` dense recoveries do not try again.  A buffer that
-    was not recovered since the band was built is recovered densely once
-    before the band scatters into it.
+    ``_BAND_MAX_WAIT`` dense recoveries do not try again.
     """
 
     def __init__(self, c, gamma, mu, nu):
         self.c, self.gamma, self.mu, self.nu = c, gamma, mu, nu
         self.cmax = float(max(c.max(), -c.min()))  # max|c|, without an N x M temporary
+        self.plan = np.empty(c.shape)  # the run's one plan buffer
         self.recent = (None, None)  # potentials of the last two calls
-        self.base = None  # (alpha0, beta0) of the live band, None when dense
+        self.base = None  # potentials of the live band, None when dense
         self.budget = 0.0
         self.idx = self.cols = self.counts = self.cost = None
-        self.synced = []  # buffers whose off-band cells are zero
         self.wait = self.backoff = 0  # dense recoveries left to skip selection, and their count
 
-    def recover(self, pot, out):
-        alpha, beta = pot
+    def recover(self, pot):
         last, before = self.recent
         self.recent = (pot, last)
-        if self.base is not None:
-            a0, b0 = self.base
-            drift = np.abs(alpha - a0).max() + np.abs(beta - b0).max()
-            if drift <= self.budget:
-                if any(out is buf for buf in self.synced):
-                    return self._banded(alpha, beta, out)
-                self.synced.append(out)
-                return self._dense(pot, out)
-        residuals = self._dense(pot, out)
+        if self.base is not None and _move(pot, self.base) <= self.budget:
+            return self._banded(pot)
+        residuals = self._dense(pot)
         self.base = None
         if self.wait:
             self.wait -= 1
         elif last is not None:
             moves = [_move(pot, last)] + ([] if before is None else [_move(last, before)])
-            self._select(pot, _BAND_REACH * max(moves), out)
+            self._select(pot, _BAND_REACH * max(moves))
         return residuals
 
-    def _dense(self, pot, out):
-        recover_plan(pot, self.c, self.gamma, out=out)
-        return marginal_residuals(out, self.mu, self.nu)
+    def _dense(self, pot):
+        recover_plan(pot, self.c, self.gamma, out=self.plan)
+        return marginal_residuals(self.plan, self.mu, self.nu)
 
-    def _banded(self, alpha, beta, out):
+    def _banded(self, pot):
+        alpha, beta = pot
         vals = np.take(beta, self.cols)
         np.add(vals, np.repeat(alpha, self.counts), out=vals)
         np.subtract(vals, self.cost, out=vals)
         np.maximum(vals, 0.0, out=vals)
         np.divide(vals, self.gamma, out=vals)
-        out.reshape(-1)[self.idx] = vals
-        col = np.bincount(self.cols, weights=vals, minlength=out.shape[1])
-        return out.sum(axis=1) - self.mu, col - self.nu
+        self.plan.reshape(-1)[self.idx] = vals
+        col = np.bincount(self.cols, weights=vals, minlength=self.plan.shape[1])
+        return self.plan.sum(axis=1) - self.mu, col - self.nu
 
-    def _select(self, pot, theta, out):
-        """Keep the band of reach ``theta`` at ``pot``, whose plan ``out`` holds."""
+    def _select(self, pot, theta):
+        """Keep the band of reach ``theta`` at ``pot``, whose dense plan ``plan`` holds."""
         alpha, beta = pot
         slack = 8.0 * np.finfo(float).eps * (np.abs(alpha).max() + np.abs(beta).max() + self.cmax + theta)
         if not (theta - slack > 0.0):  # also refuses a zero or non-finite reach
@@ -334,7 +323,7 @@ class _SupportBand:
         self.backoff = 0
         self.idx, self.cols, self.counts = np.concatenate(idx), np.concatenate(cols), np.concatenate(counts)
         self.cost = np.take(c, self.idx)
-        self.base, self.budget, self.synced = pot, theta - slack, [out]
+        self.base, self.budget = pot, theta - slack
 
 
 def _move(p, q) -> float:
@@ -358,28 +347,22 @@ def _quadratic_run(alg, c, gamma, mu, nu, tau):
     installed on the module before :func:`solve` see every call.
 
     Every recovery, Nesterov's at its extrapolated potentials included,
-    goes through one :class:`_SupportBand`: once the plan is sparse it
-    recomputes only the cells of a certified band around the support and
-    leaves the rest of the buffer at zero, and a dense recovery rebuilds
-    the band when the potentials have drifted past its reach.  Three rules
-    keep plans, residuals and so iterates bit for bit those of dense
-    recovery: band cells are computed in the dense op order, row sums are
-    the dense buffer's, and column sums are a ``bincount`` in row-major
-    order, which is numpy's axis-0 order.
+    goes through one :class:`_SupportBand`, which owns the plan buffer and
+    recovers only a certified band of cells once the plan is sparse.
+    Nesterov recovers its extrapolated point first and its current point
+    last, so the buffer holds the current plan when ``advance`` returns.
     """
     band = _SupportBand(c, gamma, mu, nu)
+    plan = band.plan  # the run's one plan buffer
     pot = DualPotentials(np.zeros(c.shape[0]), np.zeros(c.shape[1]))
-    plan = np.empty(c.shape)  # the run's plan buffer
-    residuals = band.recover(pot, plan)
+    residuals = band.recover(pot)
 
     if alg is Algorithm.NESTEROV:  # carries its previous iterate and counter
         state = NesterovState(pot, pot, 0)
-        work = np.empty(c.shape)  # the extrapolated plan, recovered in place
-        recover = functools.partial(band.recover, out=work)
 
         def step():
             nonlocal state
-            state = nesterov_step(state, c, gamma, mu, nu, tau, recover=recover)
+            state = nesterov_step(state, c, gamma, mu, nu, tau, recover=band.recover)
             return state.current
     else:
         plain = {
@@ -394,7 +377,7 @@ def _quadratic_run(alg, c, gamma, mu, nu, tau):
     def advance(plan_due):
         nonlocal pot, residuals
         pot = step()
-        residuals = band.recover(pot, plan)
+        residuals = band.recover(pot)
         return pot, plan, residual_violation(*residuals)
 
     def bounds(pot, plan):
@@ -497,17 +480,13 @@ def solve(mu, nu, c, config: SolverConfig) -> ConvergenceReport:
     history stride, where the returned plan must be the current one.  A dual
     iteration recovers the plan in place and takes its marginal residuals
     once; the stopping test and the next step both read them.  Once the plan
-    is sparse, the recovery recomputes only a certified band of cells around
-    its support, and a dense recovery (``recover_plan(..., out=)``)
-    rebuilds the band when the potentials drift past its reach.  Band cells
-    follow the dense op order, row sums are the dense buffer's and column
-    sums a row-major ``bincount``, so plans, potentials, iteration counts
-    and history rows are bit for bit those of recovering every cell.
-    Sinkhorn tests its scaling vectors instead of the plan,
-    and the ``K v`` of that test feeds the next sweep, so a sweep costs two
-    matrix-vector products.  It builds the plan, in place into one buffer,
-    only when due and to confirm convergence, so iteration counts are those
-    of testing the plan every iteration.
+    is sparse, the recovery touches only a certified band of cells, bit for
+    bit as a dense one would (see :class:`_SupportBand`).  Sinkhorn tests
+    its scaling vectors instead of the plan, and the ``K v`` of that test
+    feeds the next sweep, so a sweep costs two matrix-vector products.  It
+    builds the plan, in place into one buffer, only when due and to confirm
+    convergence, so iteration counts are those of testing the plan every
+    iteration.
 
     Raises
     ------

@@ -125,3 +125,8 @@ def test_solver_config_validation():
         SolverConfig(gamma=1.0, algorithm=Algorithm.FIXED_POINT, tau=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(gamma=1.0, algorithm="fixed_point")
+    # booleans and non-finite values are refused too
+    for bad in ({"gamma": True}, {"gamma": np.inf}, {"tol": np.inf}, {"tau": np.inf}, {"tau": True},
+                {"max_iters": True}, {"history_stride": True}):
+        with pytest.raises(ValueError):
+            SolverConfig(**{"gamma": 1.0, "algorithm": Algorithm.FIXED_POINT, **bad})

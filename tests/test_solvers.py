@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -385,7 +387,7 @@ def count_dense_recoveries(monkeypatch):
 
 def test_support_band_matches_dense_recovery_on_random_walks(rng, monkeypatch):
     # small moves keep the band; jumps past its reach and a NaN force dense
-    # recoveries; two buffers in turn, as Nesterov uses them
+    # recoveries; every call writes the band's one plan buffer
     dense = count_dense_recoveries(monkeypatch)
     mu, nu, c = realize_problem(default_problem("squared", 10.0, n=60))
     mu, nu = mu.w, nu.w
@@ -393,7 +395,6 @@ def test_support_band_matches_dense_recovery_on_random_walks(rng, monkeypatch):
                                           record_history=False)).final_potentials
     for walk in range(3):
         band = _SupportBand(c, 10.0, mu, nu)
-        buffers = (np.empty(c.shape), np.empty(c.shape))
         alpha, beta = start.alpha.copy(), start.beta.copy()
         dense[0] = 0
         calls = 0
@@ -406,16 +407,31 @@ def test_support_band_matches_dense_recovery_on_random_walks(rng, monkeypatch):
             pot = DualPotentials(alpha, beta)
             if k == 120:
                 pot = DualPotentials(np.where(np.arange(alpha.size) == 7, np.nan, alpha), beta)
-            out = buffers[int(rng.integers(2))]
             with np.errstate(invalid="ignore"):
-                f, g = band.recover(pot, out)
+                f, g = band.recover(pot)
                 plan = recover_plan(pot, c, 10.0)
                 rf, rg = marginal_residuals(plan, mu, nu)
             calls += 1
-            assert np.array_equal(out, plan, equal_nan=True), (walk, k)
+            assert np.array_equal(band.plan, plan, equal_nan=True), (walk, k)
             assert np.array_equal(f, rf, equal_nan=True) and np.array_equal(g, rg, equal_nan=True), (walk, k)
         # the band carried most recoveries; each jump and the NaN forced a dense one
         assert 5 <= dense[0] < calls / 3, (walk, dense[0])
+
+
+def test_nesterov_peak_memory_is_one_plan_buffer():
+    # Nesterov recovers its extrapolated and its current point into the one
+    # buffer the band owns, so its traced peak is that of fixed point
+    mu, nu, c = realize_problem(default_problem("squared", 10.0, n=300))
+    peaks = {}
+    for alg in (Algorithm.FIXED_POINT, Algorithm.NESTEROV):
+        config = SolverConfig(gamma=10.0, algorithm=alg, tol=1e-300, max_iters=60, record_history=False)
+        tracemalloc.start()
+        try:
+            solve(mu, nu, c, config)
+            peaks[alg] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[Algorithm.NESTEROV] - peaks[Algorithm.FIXED_POINT] < c.nbytes / 2, (peaks, c.nbytes)
 
 
 def test_solve_with_support_band_is_bit_identical_to_reference(monkeypatch):
