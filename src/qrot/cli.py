@@ -20,7 +20,6 @@ import numpy as np
 from .core import Algorithm, SolverConfig, max_violation
 from .dual import duality_gap
 from .fileio import (
-    ProblemFileError,
     default_problem,
     load_problem,
     realize_problem,
@@ -32,7 +31,7 @@ from .fileio import (
 )
 from .oracle import ENUMERATION_LIMIT, exact_solve
 from .problems import BENCHMARK_GAMMAS, COST_KINDS
-from .solvers import DivergenceError, solve
+from .solvers import solve
 
 _CLI_ALGORITHMS = {
     "cyclic-projection": Algorithm.CYCLIC_PROJECTION,
@@ -57,8 +56,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-# Reported as exit 1 with an error line; ZeroDivisionError is Sinkhorn underflow.
-_RUN_ERRORS = (ProblemFileError, DivergenceError, ValueError, OSError, ZeroDivisionError, MemoryError)
+# Reported by main as exit 1 with an error line: ZeroDivisionError is Sinkhorn
+# underflow, RuntimeError a diverging solver or a degenerate oracle instance.
+_RUN_ERRORS = (ValueError, OSError, RuntimeError, ZeroDivisionError, MemoryError)
 
 
 def _fail(message: str) -> int:
@@ -79,30 +79,35 @@ def _make_config(args, gamma, algorithm, **overrides) -> SolverConfig:
 
 def cmd_generate(args) -> int:
     gamma = BENCHMARK_GAMMAS[args.cost][1] if args.gamma is None else args.gamma
-    try:
-        problem = default_problem(cost=args.cost, gamma=gamma, n=args.n)
-        save_problem(problem, args.out)
-    except (ProblemFileError, OSError, ValueError) as exc:
-        return _fail(str(exc))
+    save_problem(default_problem(cost=args.cost, gamma=gamma, n=args.n), args.out)
     print(f"wrote {args.out}")
     return 0
 
 
-def cmd_solve(args) -> int:
-    try:
-        problem = load_problem(args.problem)
-        mu, nu, c = realize_problem(problem)
-        config = _make_config(args, problem.gamma, _CLI_ALGORITHMS[args.algorithm])
-        report = solve(mu, nu, c, config)
-        out = Path(args.out)
+def _run(args, algorithms):
+    """Solve ``args.problem`` with each algorithm and write that run's history
+    CSV to ``args.out``, which is created only once a solve has returned.
+
+    Returns the marginals, the output directory and the reports.
+    """
+    problem = load_problem(args.problem)
+    mu, nu, c = realize_problem(problem)
+    out = Path(args.out)
+    reports = []
+    for algorithm in algorithms:
+        report = solve(mu, nu, c, _make_config(args, problem.gamma, algorithm))
         out.mkdir(parents=True, exist_ok=True)
-        tag = report.algorithm.value
-        write_matrix(out / f"plan_{tag}.txt", report.final_plan)
-        write_vector(out / f"alpha_{tag}.txt", report.final_potentials.alpha)
-        write_vector(out / f"beta_{tag}.txt", report.final_potentials.beta)
-        write_history_csv(out / f"history_{tag}.csv", report, problem.gamma, args.tol)
-    except _RUN_ERRORS as exc:
-        return _fail(str(exc) or type(exc).__name__)
+        write_history_csv(out / f"history_{algorithm.value}.csv", report, problem.gamma, args.tol)
+        reports.append(report)
+    return mu, nu, out, reports
+
+
+def cmd_solve(args) -> int:
+    mu, nu, out, (report,) = _run(args, [_CLI_ALGORITHMS[args.algorithm]])
+    tag = report.algorithm.value
+    write_matrix(out / f"plan_{tag}.txt", report.final_plan)
+    write_vector(out / f"alpha_{tag}.txt", report.final_potentials.alpha)
+    write_vector(out / f"beta_{tag}.txt", report.final_potentials.beta)
     status = "converged" if report.converged else "hit the iteration cap"
     viol = max_violation(report.final_plan, mu, nu)
     print(f"{tag}: {status} after {report.iterations} iterations (max violation {viol:.3e})")
@@ -110,21 +115,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    try:
-        problem = load_problem(args.problem)
-        mu, nu, c = realize_problem(problem)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        reports = []
-        for algorithm in _COMPARED:
-            report = solve(mu, nu, c, _make_config(args, problem.gamma, algorithm))
-            write_history_csv(out / f"history_{algorithm.value}.csv", report, problem.gamma, args.tol)
-            reports.append(report)
-        render_convergence_svg(
-            [(r.algorithm.value, r.history) for r in reports], out / "compare.svg"
-        )
-    except _RUN_ERRORS as exc:
-        return _fail(str(exc) or type(exc).__name__)
+    _, _, out, reports = _run(args, _COMPARED)
+    render_convergence_svg([(r.algorithm.value, r.history) for r in reports], out / "compare.svg")
     for report in reports:
         status = "converged" if report.converged else "capped"
         print(f"{report.algorithm.value}: {status} in {report.iterations} iterations")
@@ -133,26 +125,20 @@ def cmd_compare(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    try:
-        problem = load_problem(args.problem)
-        mu, nu, c = realize_problem(problem)
-        cells = problem.grid1.n * problem.grid2.n
-        if cells > ENUMERATION_LIMIT:
-            return _fail(
-                f"instance has {cells} cells; oracle-check is limited to {ENUMERATION_LIMIT}"
-            )
-        plan_star, pot_star = exact_solve(mu, nu, c, problem.gamma)
-        print(f"oracle duality gap: {duality_gap(pot_star, plan_star, c, problem.gamma, mu, nu):.3e}")
-        worst = 0.0
-        for algorithm in _COMPARED:
-            config = _make_config(args, problem.gamma, algorithm, record_history=False)
-            report = solve(mu, nu, c, config)
-            gap = duality_gap(report.final_potentials, report.final_plan, c, problem.gamma, mu, nu)
-            diff = float(np.abs(report.final_plan - plan_star).max())
-            worst = max(worst, diff)
-            print(f"{algorithm.value}: plan discrepancy {diff:.3e}, duality gap {gap:.3e}")
-    except (*_RUN_ERRORS, RuntimeError) as exc:  # RuntimeError: degenerate oracle instance
-        return _fail(str(exc) or type(exc).__name__)
+    problem = load_problem(args.problem)
+    mu, nu, c = realize_problem(problem)
+    cells = problem.grid1.n * problem.grid2.n
+    if cells > ENUMERATION_LIMIT:
+        return _fail(f"instance has {cells} cells; oracle-check is limited to {ENUMERATION_LIMIT}")
+    plan_star, pot_star = exact_solve(mu, nu, c, problem.gamma)
+    print(f"oracle duality gap: {duality_gap(pot_star, plan_star, c, problem.gamma, mu, nu):.3e}")
+    worst = 0.0
+    for algorithm in _COMPARED:
+        report = solve(mu, nu, c, _make_config(args, problem.gamma, algorithm, record_history=False))
+        gap = duality_gap(report.final_potentials, report.final_plan, c, problem.gamma, mu, nu)
+        diff = float(np.abs(report.final_plan - plan_star).max())
+        worst = max(worst, diff)
+        print(f"{algorithm.value}: plan discrepancy {diff:.3e}, duality gap {gap:.3e}")
     if worst <= 1e-6:
         print("all plans within 1e-06 of the exact solution")
         return 0
@@ -204,7 +190,10 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _RUN_ERRORS as exc:
+        return _fail(str(exc) or type(exc).__name__)
 
 
 if __name__ == "__main__":

@@ -181,6 +181,11 @@ class SolverConfig:
             raise ValueError("history_stride must be an integer >= 1")
         if not isinstance(self.algorithm, Algorithm):
             raise ValueError("algorithm must be an Algorithm member")
+        # held as floats: a Fraction would turn the float kernels into object arrays
+        object.__setattr__(self, "gamma", float(self.gamma))
+        object.__setattr__(self, "tol", float(self.tol))
+        if self.tau is not None:
+            object.__setattr__(self, "tau", float(self.tau))
 
 
 class HistoryEntry(NamedTuple):

@@ -240,7 +240,7 @@ def _thin(pairs):
     return kept
 
 
-def render_convergence_svg(series, path, title="Maximal constraint violation per iteration") -> None:
+def render_convergence_svg(series, path) -> None:
     """Write a log-y line plot of violation curves as a standalone SVG.
 
     ``series`` is a list of (label, history) pairs where each history is a
@@ -282,48 +282,39 @@ def render_convergence_svg(series, path, title="Maximal constraint violation per
             "viewBox": f"0 0 {width} {height}",
         },
     )
+
+    def line(x1, y1, x2, y2, stroke="black", stroke_width="1"):
+        ET.SubElement(
+            svg, "line",
+            {"x1": str(x1), "y1": str(y1), "x2": str(x2), "y2": str(y2), "stroke": stroke, "stroke-width": stroke_width},
+        )
+
+    def text(x, y, label, anchor=None, size="12"):
+        attrs = {"x": str(x), "y": str(y)}
+        if anchor is not None:
+            attrs["text-anchor"] = anchor
+        ET.SubElement(svg, "text", {**attrs, "font-size": size, "font-family": "sans-serif"}).text = label
+
     ET.SubElement(svg, "rect", {"x": "0", "y": "0", "width": str(width), "height": str(height), "fill": "white"})
-    ET.SubElement(
-        svg, "text", {"x": str(width // 2), "y": "28", "text-anchor": "middle", "font-size": "16", "font-family": "sans-serif"}
-    ).text = title
+    text(width // 2, 28, "Maximal constraint violation per iteration", "middle", "16")
 
     # decade gridlines and y tick labels
     for dec in range(lo_dec, hi_dec + 1):
         y = sy(10.0**dec)
-        ET.SubElement(
-            svg, "line",
-            {"x1": str(ml), "y1": f"{y:.2f}", "x2": str(ml + pw), "y2": f"{y:.2f}", "stroke": "#dddddd", "stroke-width": "1"},
-        )
-        ET.SubElement(
-            svg, "text",
-            {"x": str(ml - 8), "y": f"{y + 4:.2f}", "text-anchor": "end", "font-size": "12", "font-family": "sans-serif"},
-        ).text = f"1e{dec:+03d}"
+        line(ml, f"{y:.2f}", ml + pw, f"{y:.2f}", stroke="#dddddd")
+        text(ml - 8, f"{y + 4:.2f}", f"1e{dec:+03d}", "end")
 
     # x ticks at five round positions
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         it = x_min + frac * (x_max - x_min)
         x = sx(it)
-        ET.SubElement(
-            svg, "line",
-            {"x1": f"{x:.2f}", "y1": str(mt + ph), "x2": f"{x:.2f}", "y2": str(mt + ph + 5), "stroke": "black", "stroke-width": "1"},
-        )
-        ET.SubElement(
-            svg, "text",
-            {"x": f"{x:.2f}", "y": str(mt + ph + 20), "text-anchor": "middle", "font-size": "12", "font-family": "sans-serif"},
-        ).text = str(int(round(it)))
+        line(f"{x:.2f}", mt + ph, f"{x:.2f}", mt + ph + 5)
+        text(f"{x:.2f}", mt + ph + 20, str(int(round(it))), "middle")
 
     # axes
-    ET.SubElement(
-        svg, "line", {"x1": str(ml), "y1": str(mt), "x2": str(ml), "y2": str(mt + ph), "stroke": "black", "stroke-width": "1"}
-    )
-    ET.SubElement(
-        svg, "line",
-        {"x1": str(ml), "y1": str(mt + ph), "x2": str(ml + pw), "y2": str(mt + ph), "stroke": "black", "stroke-width": "1"},
-    )
-    ET.SubElement(
-        svg, "text",
-        {"x": str(ml + pw // 2), "y": str(height - 15), "text-anchor": "middle", "font-size": "13", "font-family": "sans-serif"},
-    ).text = "iteration"
+    line(ml, mt, ml, mt + ph)
+    line(ml, mt + ph, ml + pw, mt + ph)
+    text(ml + pw // 2, height - 15, "iteration", "middle", "13")
 
     for k, (label, pairs) in enumerate(curves):
         color = _PALETTE[k % len(_PALETTE)]
@@ -332,15 +323,8 @@ def render_convergence_svg(series, path, title="Maximal constraint violation per
             svg, "polyline", {"points": points, "fill": "none", "stroke": color, "stroke-width": "1.5"}
         )
         ly = mt + 18 + 20 * k
-        ET.SubElement(
-            svg, "line",
-            {"x1": str(ml + pw + 12), "y1": str(ly - 4), "x2": str(ml + pw + 36), "y2": str(ly - 4), "stroke": color, "stroke-width": "2"},
-        )
-        ET.SubElement(
-            svg, "text",
-            {"x": str(ml + pw + 42), "y": str(ly), "font-size": "12", "font-family": "sans-serif"},
-        ).text = label
+        line(ml + pw + 12, ly - 4, ml + pw + 36, ly - 4, stroke=color, stroke_width="2")
+        text(ml + pw + 42, ly, label)
 
-    ET.ElementTree(svg).write(path, encoding="unicode", xml_declaration=True)
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write("\n")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(ET.tostring(svg, encoding="unicode", xml_declaration=True) + "\n")

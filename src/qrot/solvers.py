@@ -52,7 +52,7 @@ from .core import (
     primal_objective,
     residual_violation,
 )
-from .dual import dual_value, preconditioner_apply, recover_plan
+from .dual import dual_gradients, dual_value, preconditioner_apply, recover_plan
 
 __all__ = [
     "DivergenceError",
@@ -91,13 +91,15 @@ def _descend(pot, c, gamma, mu, nu, residuals, precondition) -> DualPotentials:
     """``pot - P grad F(pot)`` with ``P`` applied by ``precondition(ga, gb)``.
 
     ``grad F = gamma (f, g)`` with the marginal residuals ``(f, g)`` of the
-    plan at ``pot``, as in :func:`~qrot.dual.dual_gradients`; they are
-    computed here unless ``residuals`` passes them in.
+    plan at ``pot``: :func:`~qrot.dual.dual_gradients` computes it unless
+    ``residuals`` passes ``(f, g)`` in.
     """
     if residuals is None:
-        residuals = marginal_residuals(recover_plan(pot, c, gamma), mu, nu)
-    f, g = residuals
-    da, db = precondition(gamma * f, gamma * g)
+        ga, gb = dual_gradients(pot, c, gamma, mu, nu)
+    else:
+        f, g = residuals
+        ga, gb = gamma * f, gamma * g
+    da, db = precondition(ga, gb)
     alpha, beta = pot
     return DualPotentials(alpha - da, beta - db)
 
@@ -170,10 +172,7 @@ def nesterov_step(state: NesterovState, c, gamma, mu, nu, tau=None, recover=None
         cur.alpha + sigma * (cur.alpha - prev.alpha),
         cur.beta + sigma * (cur.beta - prev.beta),
     )
-    if recover is None:
-        residuals = marginal_residuals(recover_plan(bar, c, gamma), mu, nu)
-    else:
-        residuals = recover(bar)
+    residuals = None if recover is None else recover(bar)
     return NesterovState(gradient_step(bar, c, gamma, mu, nu, tau, residuals=residuals), cur, n + 1)
 
 

@@ -261,13 +261,26 @@ def test_solve_exit_codes(tmp_path, monkeypatch, capsys):
     assert code == 1
     assert "error: Sinkhorn denominator underflowed" in capsys.readouterr().err
 
+    # a diverging solve is an error line, and no output directory is left behind
+    code = main(["solve", str(problem_path), "--algorithm", "gradient", "--tau", "1e200", "--out", str(tmp_path / "o5")])
+    assert code == 1
+    assert "error: dual_gradient produced a non-finite iterate" in capsys.readouterr().err
+    assert not (tmp_path / "o5").exists()
+
     # an allocation the machine cannot serve (simulated; nothing is allocated)
-    def out_of_memory(problem):
+    def out_of_memory(*args):
         raise MemoryError()
 
+    monkeypatch.setattr("qrot.cli.save_problem", out_of_memory)
     monkeypatch.setattr("qrot.cli.realize_problem", out_of_memory)
-    assert main(["solve", str(problem_path), "--algorithm", "gradient", "--out", str(tmp_path / "o5")]) == 1
-    assert "error: MemoryError" in capsys.readouterr().err
+    for argv in (
+        ["generate", "--out", str(tmp_path / "g.json")],
+        ["solve", str(problem_path), "--algorithm", "gradient", "--out", str(tmp_path / "o6")],
+        ["compare", str(problem_path), "--out", str(tmp_path / "o7")],
+        ["oracle-check", str(problem_path)],
+    ):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: MemoryError\n"
 
 
 def test_compare_writes_artifacts_and_is_deterministic(tmp_path):

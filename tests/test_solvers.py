@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -275,6 +276,18 @@ def test_solve_divergence_detection():
         solve(HALF, HALF, C2, SolverConfig(gamma=1.0, algorithm=Algorithm.DUAL_GRADIENT, tau=1e200, max_iters=10))
     assert "dual_gradient" in str(err.value)
     assert err.value.iteration >= 1
+
+
+def test_solve_takes_fraction_parameters_as_floats():
+    mu, nu, c = realize_problem(default_problem("squared", 10.0, n=20))
+    for algorithm in Algorithm:
+        with_tau = algorithm in (Algorithm.DUAL_GRADIENT, Algorithm.NESTEROV)
+        exact = SolverConfig(gamma=Fraction(10), algorithm=algorithm, tol=Fraction(1, 10_000),
+                             tau=Fraction(1, 40) if with_tau else None)
+        rounded = SolverConfig(gamma=10.0, algorithm=algorithm, tol=1e-4, tau=0.025 if with_tau else None)
+        a, b = solve(mu, nu, c, exact), solve(mu, nu, c, rounded)
+        assert a.iterations == b.iterations
+        assert np.array_equal(a.final_plan, b.final_plan)
 
 
 def test_all_algorithms_agree_on_tiny_instances(rng):
