@@ -5,6 +5,12 @@ Subcommands: ``generate`` (emit a stock benchmark problem file), ``solve``
 algorithms plus a combined convergence plot), ``oracle-check`` (tiny
 instances against the exact solver).
 
+``compare`` solves in up to ``min(4, usable CPUs)`` processes: this one, and
+helpers started with ``spawn`` once it has been solving for half a second
+(see :mod:`qrot.pool`).  Its artifacts, output and exit code are those of
+solving the four one after another, apart from the ``elapsed_ms`` column.
+``solve``, and ``compare`` on one CPU, use this process alone.
+
 Exit codes: 0 success / converged, 2 iteration cap or failed check,
 1 input or I/O error.
 """
@@ -12,6 +18,8 @@ Exit codes: 0 success / converged, 2 iteration cap or failed check,
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from pathlib import Path
 
@@ -30,6 +38,7 @@ from .fileio import (
     write_vector,
 )
 from .oracle import ENUMERATION_LIMIT, exact_solve
+from .pool import solve_in_order, usable_cpus
 from .problems import BENCHMARK_GAMMAS, COST_KINDS
 from .solvers import solve
 
@@ -87,18 +96,24 @@ def cmd_generate(args) -> int:
 def _run(args, algorithms):
     """Solve ``args.problem`` with each algorithm and write that run's history
     CSV to ``args.out``, which is created only once a solve has returned.
+    The solves are shared out as :func:`qrot.pool.solve_in_order` says.
 
     Returns the marginals, the output directory and the reports.
     """
     problem = load_problem(args.problem)
     mu, nu, c = realize_problem(problem)
+    configs = [_make_config(args, problem.gamma, algorithm) for algorithm in algorithms]
     out = Path(args.out)
+    if out.exists() and not out.is_dir():  # refused before any solve starts
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(out))
     reports = []
-    for algorithm in algorithms:
-        report = solve(mu, nu, c, _make_config(args, problem.gamma, algorithm))
+
+    def write_history(report):
         out.mkdir(parents=True, exist_ok=True)
-        write_history_csv(out / f"history_{algorithm.value}.csv", report, problem.gamma, args.tol)
+        write_history_csv(out / f"history_{report.algorithm.value}.csv", report, problem.gamma, args.tol)
         reports.append(report)
+
+    solve_in_order(solve, mu, nu, c, configs, usable_cpus(), write_history)
     return mu, nu, out, reports
 
 
@@ -171,7 +186,10 @@ def build_parser() -> argparse.ArgumentParser:
     run_flags(slv, with_algorithm=True)
     slv.set_defaults(func=cmd_solve)
 
-    cmp_ = sub.add_parser("compare", help="run the four dual algorithms and plot convergence")
+    cmp_ = sub.add_parser(
+        "compare",
+        help="run the four dual algorithms, in up to min(4, usable CPUs) processes, and plot convergence",
+    )
     run_flags(cmp_)
     cmp_.set_defaults(func=cmd_compare)
 

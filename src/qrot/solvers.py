@@ -78,6 +78,10 @@ class DivergenceError(RuntimeError):
             "try a smaller stepsize or larger gamma"
         )
 
+    def __reduce__(self):
+        # rebuilt from its two fields, so it survives a trip between processes
+        return type(self), (self.algorithm, self.iteration)
+
 
 class NesterovState(NamedTuple):
     """Current and previous potentials plus the momentum counter n."""

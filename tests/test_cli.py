@@ -1,13 +1,32 @@
 import csv
+import dataclasses
 import itertools
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import time
 from fractions import Fraction
+from pathlib import Path
 from xml.etree import ElementTree as ET
 
 import numpy as np
 import pytest
 
-from qrot import Algorithm, ConvergenceReport, DualPotentials, Grid1D, HistoryEntry, MixtureComponent, MixtureSpec
+from qrot import (
+    Algorithm,
+    ConvergenceReport,
+    DivergenceError,
+    DualPotentials,
+    Grid1D,
+    HistoryEntry,
+    MixtureComponent,
+    MixtureSpec,
+    SolverConfig,
+    solve,
+)
 from qrot.cli import main
 from qrot.fileio import (
     ProblemFile,
@@ -21,7 +40,10 @@ from qrot.fileio import (
     write_matrix,
     write_vector,
 )
+from qrot.pool import _helper
 from qrot.problems import COST_KINDS
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def small_problem(n1=6, n2=6, gamma=2.0, cost="squared"):
@@ -374,3 +396,198 @@ def test_oracle_check_bound_guard(tmp_path):
     path = tmp_path / "big.json"
     save_problem(problem, path)
     assert main(["oracle-check", str(path)]) == 1
+
+
+# -- compare across processes ---------------------------------------------
+
+COMPARED = ("cyclic_projection", "dual_gradient", "fixed_point", "nesterov")
+
+
+def wait_for(condition, what, timeout=60.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.005)
+
+
+def wait_out_helpers():
+    """Wait until helper processes have started and then all exited."""
+    wait_for(multiprocessing.active_children, "a helper process to start")
+    wait_for(lambda: not multiprocessing.active_children(), "the helper processes to exit")
+
+
+def run_compare(monkeypatch, capsys, argv, cpus, parent_solve=None):
+    """``main(["compare", *argv])`` with ``cpus`` usable CPUs and helpers that
+    start at once; ``parent_solve`` replaces ``solve`` in the CLI process."""
+    monkeypatch.setattr("qrot.cli.usable_cpus", lambda: cpus)
+    monkeypatch.setattr("qrot.pool.START_AFTER_S", 0.0)
+    if parent_solve is not None:
+        monkeypatch.setattr("qrot.cli.solve", parent_solve)
+    capsys.readouterr()
+    code = main(["compare", *argv])
+    out, err = capsys.readouterr()
+    assert multiprocessing.active_children() == []
+    return code, out, err
+
+
+def compare_artifacts(out):
+    files = {}
+    for path in sorted(out.iterdir()) if out.is_dir() else ():
+        if path.suffix == ".csv":
+            files[path.name] = strip_elapsed(path)
+        else:
+            files[path.name] = path.read_bytes()
+    return files
+
+
+def test_compare_in_helper_processes_matches_one_process(tmp_path, monkeypatch, capsys):
+    problem_path = tmp_path / "problem.json"
+    save_problem(small_problem(), problem_path)
+    one_cell = tmp_path / "one.json"
+    save_problem(ProblemFile(Grid1D(1, 0.0, 1.0), Grid1D(1, 0.0, 1.0), MixtureSpec(((1.0, 0.5, 0.1),)),
+                             MixtureSpec(((1.0, 0.5, 0.1),)), "squared", 1.0), one_cell)
+    cases = {
+        "tol": ([str(problem_path), "--tol", "1e-7"], 0),
+        "cap": ([str(problem_path), "--max-iters", "40"], 2),
+        "diverging": ([str(problem_path), "--tau", "1e200"], 1),
+        "one-cell": ([str(one_cell)], 0),
+    }
+    for name, (argv, expected_code) in cases.items():
+        runs = []
+        for cpus in (1, 2, 4):
+            solved_here = []
+
+            def parent_solve(mu, nu, c, config, cpus=cpus, solved_here=solved_here):
+                # the CLI process waits until the helpers have solved all they could take
+                if cpus > 1 and not solved_here:
+                    wait_out_helpers()
+                solved_here.append(config.algorithm.value)
+                return solve(mu, nu, c, config)
+
+            out = tmp_path / f"{name}-{cpus}"
+            code, stdout, stderr = run_compare(monkeypatch, capsys, argv + ["--out", str(out)], cpus, parent_solve)
+            runs.append((code, stdout.replace(str(out), "OUT"), stderr.replace(str(out), "OUT"), compare_artifacts(out)))
+            # in one process everything is solved here, with helpers only the first method
+            assert solved_here == (list(COMPARED[:2] if name == "diverging" else COMPARED) if cpus == 1
+                                   else ["cyclic_projection"]), (name, cpus, solved_here)
+        assert runs[0] == runs[1] == runs[2], name
+        code, _, stderr, files = runs[0]
+        assert code == expected_code, (name, stderr)
+        if name == "diverging":
+            assert list(files) == ["history_cyclic_projection.csv"]
+            assert stderr.startswith("error: dual_gradient produced a non-finite iterate")
+        else:
+            assert list(files) == ["compare.svg"] + [f"history_{m}.csv" for m in COMPARED]
+
+
+def test_compare_leaves_no_process_behind(tmp_path, monkeypatch, capsys):
+    problem_path = tmp_path / "problem.json"
+    save_problem(small_problem(), problem_path)
+
+    # success: the CLI process solves everything while a helper is still starting
+    def after_helper_starts(mu, nu, c, config):
+        wait_for(multiprocessing.active_children, "a helper process to start")
+        return solve(mu, nu, c, config)
+
+    code, _, _ = run_compare(monkeypatch, capsys, [str(problem_path), "--out", str(tmp_path / "a")], 2,
+                             after_helper_starts)
+    assert code == 0
+
+    # a divergence in the CLI process, while a helper is still starting
+    def diverge_here(mu, nu, c, config):
+        wait_for(multiprocessing.active_children, "a helper process to start")
+        raise DivergenceError(config.algorithm, 1)
+
+    code, _, err = run_compare(monkeypatch, capsys, [str(problem_path), "--out", str(tmp_path / "b")], 2,
+                               diverge_here)
+    assert code == 1 and err.startswith("error: cyclic_projection produced a non-finite iterate at iteration 1")
+    assert not (tmp_path / "b").exists()
+
+    # a divergence in a helper: gradient descent diverges there at once, while
+    # fixed point and Nesterov run on in two more helpers towards a tolerance
+    # they cannot reach, and are stopped
+    def after_divergence(mu, nu, c, config):
+        wait_for(lambda: len(multiprocessing.active_children()) == 3, "three helper processes to start")
+        wait_for(lambda: len(multiprocessing.active_children()) < 3, "a helper process to exit")
+        return solve(mu, nu, c, dataclasses.replace(config, max_iters=5))
+
+    argv = [str(problem_path), "--tau", "1e200", "--tol", "1e-300", "--max-iters", "100000000",
+            "--out", str(tmp_path / "c")]
+    code, _, err = run_compare(monkeypatch, capsys, argv, 4, after_divergence)
+    assert code == 1 and err.startswith("error: dual_gradient produced a non-finite iterate")
+    assert [p.name for p in (tmp_path / "c").iterdir()] == ["history_cyclic_projection.csv"]
+
+
+def test_helper_returns_solver_errors_as_the_cli_process_raises_them(tmp_path, monkeypatch, capsys):
+    # every exception a solve can raise and main reports, after the trip from a
+    # helper process (run here in a thread, over a real pipe), gives the same
+    # error line and exit 1 as when the CLI process raises it itself
+    problem_path = tmp_path / "problem.json"
+    save_problem(small_problem(), problem_path)
+    raised = [
+        DivergenceError(Algorithm.NESTEROV, 7),
+        ZeroDivisionError("Sinkhorn denominator underflowed; increase gamma"),
+        MemoryError(),
+        ValueError("cost matrix must be finite"),
+    ]
+    monkeypatch.setattr("qrot.solvers.solve", lambda mu, nu, c, config: raised[config.max_iters - 1])
+    parent, child = multiprocessing.Pipe()
+    helper = threading.Thread(target=_helper, args=(child,))
+    helper.start()
+    configs = [SolverConfig(gamma=1.0, algorithm=Algorithm.NESTEROV, max_iters=k + 1) for k in range(len(raised))]
+    parent.send((None, None, None, configs))
+    assert parent.recv() is None
+    arrived = []
+    for index in range(len(raised)):
+        parent.send(index)
+        arrived.append(parent.recv())
+    parent.send(None)
+    helper.join(timeout=60)
+    assert not helper.is_alive()
+
+    lines = []
+    for exc in raised + arrived:
+        def fail(mu, nu, c, config, exc=exc):
+            raise exc
+
+        code, _, err = run_compare(monkeypatch, capsys, [str(problem_path), "--out", str(tmp_path / "o")], 1, fail)
+        lines.append((type(exc), code, err))
+    assert lines[:4] == lines[4:]
+    assert [code for _, code, _ in lines] == [1] * 8
+    assert lines[2][2] == "error: MemoryError\n"
+    assert (arrived[0].algorithm, arrived[0].iteration) == (Algorithm.NESTEROV, 7)
+
+
+def test_out_that_is_a_file_is_refused_before_any_solve(tmp_path, monkeypatch, capsys):
+    problem_path = tmp_path / "problem.json"
+    save_problem(small_problem(), problem_path)
+    blocker = tmp_path / "blocked"
+    blocker.write_text("a file, not a directory")
+
+    def no_solve(*args):
+        raise AssertionError("solve called")
+
+    monkeypatch.setattr("qrot.cli.solve", no_solve)
+    monkeypatch.setattr("qrot.cli.usable_cpus", lambda: 4)
+    monkeypatch.setattr("qrot.pool.START_AFTER_S", 0.0)
+    for argv in (["solve", str(problem_path), "--algorithm", "nesterov"], ["compare", str(problem_path)]):
+        capsys.readouterr()
+        assert main(argv + ["--out", str(blocker)]) == 1
+        assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{blocker}'\n"
+        assert multiprocessing.active_children() == []
+    assert blocker.read_text() == "a file, not a directory"
+
+
+def test_solve_and_short_compare_do_not_import_multiprocessing(tmp_path):
+    problem_path = tmp_path / "problem.json"
+    save_problem(small_problem(), problem_path)
+    script = (
+        "import sys\n"
+        "from qrot.cli import main\n"
+        f"assert main(['solve', {str(problem_path)!r}, '--algorithm', 'nesterov', '--out', {str(tmp_path / 's')!r}]) == 0\n"
+        f"assert main(['compare', {str(problem_path)!r}, '--out', {str(tmp_path / 'c')!r}]) == 0\n"
+        "assert 'multiprocessing' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

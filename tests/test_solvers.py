@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 from fractions import Fraction
 
@@ -276,6 +277,14 @@ def test_solve_divergence_detection():
         solve(HALF, HALF, C2, SolverConfig(gamma=1.0, algorithm=Algorithm.DUAL_GRADIENT, tau=1e200, max_iters=10))
     assert "dual_gradient" in str(err.value)
     assert err.value.iteration >= 1
+
+
+def test_divergence_error_survives_pickling():
+    # a helper process of `qrot compare` sends it back to the CLI process
+    err = DivergenceError(Algorithm.NESTEROV, 7)
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is DivergenceError and isinstance(back, RuntimeError)
+    assert (back.algorithm, back.iteration, str(back), back.args) == (Algorithm.NESTEROV, 7, str(err), err.args)
 
 
 def test_solve_takes_fraction_parameters_as_floats():
