@@ -259,16 +259,25 @@ def marginal_residuals(pi, mu, nu) -> tuple[np.ndarray, np.ndarray]:
 
 
 def residual_violation(f, g) -> float:
-    """``max(||f||_inf, ||g||_inf)``: :func:`max_violation` from the residuals."""
-    return float(max(np.abs(f).max(), np.abs(g).max()))
+    """``max(||f||_inf, ||g||_inf)``: :func:`max_violation` from the residuals.
+
+    A NaN in either residual makes the result NaN.
+    """
+    a, b = float(np.abs(f).max()), float(np.abs(g).max())
+    return b if b > a or b != b else a
 
 
-def primal_objective(pi, c, gamma: float) -> float:
-    """Transport cost plus quadratic penalty: ``<c, pi> + (gamma/2) ||pi||_F^2``."""
+def primal_objective(pi, c, gamma: float, norm2=None) -> float:
+    """Transport cost plus quadratic penalty: ``<c, pi> + (gamma/2) ||pi||_F^2``.
+
+    ``norm2`` may pass in ``||pi||_F^2`` as ``np.vdot(pi, pi)`` gives it.
+    """
     pi = np.asarray(pi, dtype=float)
     c = np.asarray(c, dtype=float)
     if pi.shape != c.shape:
         raise ValueError(f"plan shape {pi.shape} does not match cost shape {c.shape}")
     if not (gamma > 0):
         raise ValueError("gamma must be positive")
-    return float(np.vdot(c, pi) + 0.5 * gamma * np.vdot(pi, pi))
+    if norm2 is None:
+        norm2 = np.vdot(pi, pi)
+    return float(np.vdot(c, pi) + 0.5 * gamma * norm2)

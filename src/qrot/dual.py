@@ -55,17 +55,20 @@ def recover_plan(pot, c, gamma: float, out=None) -> np.ndarray:
     return np.divide(out, gamma, out=out)
 
 
-def dual_objective(pot, c, gamma: float, mu, nu, plan=None) -> float:
+def dual_objective(pot, c, gamma: float, mu, nu, plan=None, norm2=None) -> float:
     """Value of F at the given potentials (the function the solvers descend).
 
     ``F = (gamma^2 / 2) ||pi||^2 - gamma <alpha, mu> - gamma <beta, nu>`` with
-    ``pi = recover_plan(pot, c, gamma)``; ``plan`` may pass in that recovery.
+    ``pi = recover_plan(pot, c, gamma)``; ``plan`` may pass in that recovery,
+    and ``norm2`` its ``||pi||^2`` as ``np.vdot(pi, pi)`` gives it.
     """
     mu, nu = as_weights(mu), as_weights(nu)
-    if plan is None:
-        plan = recover_plan(pot, c, gamma)
+    if norm2 is None:
+        if plan is None:
+            plan = recover_plan(pot, c, gamma)
+        norm2 = np.vdot(plan, plan)
     alpha, beta = pot
-    return float(0.5 * gamma * gamma * np.vdot(plan, plan) - gamma * (alpha @ mu) - gamma * (beta @ nu))
+    return float(0.5 * gamma * gamma * norm2 - gamma * (alpha @ mu) - gamma * (beta @ nu))
 
 
 def dual_gradients(pot, c, gamma: float, mu, nu, plan=None):
@@ -79,9 +82,9 @@ def dual_gradients(pot, c, gamma: float, mu, nu, plan=None):
     return gamma * f, gamma * g
 
 
-def dual_value(pot, c, gamma: float, mu, nu, plan=None) -> float:
+def dual_value(pot, c, gamma: float, mu, nu, plan=None, norm2=None) -> float:
     """Dual lower bound ``-F / gamma = <alpha, mu> + <beta, nu> - (gamma / 2) ||pi||^2``."""
-    return -dual_objective(pot, c, gamma, mu, nu, plan) / gamma
+    return -dual_objective(pot, c, gamma, mu, nu, plan, norm2) / gamma
 
 
 def duality_gap(pot, pi, c, gamma: float, mu, nu) -> float:

@@ -183,12 +183,27 @@ def realize_problem(problem: ProblemFile):
 
 
 def write_matrix(path, arr) -> None:
-    """Plain-text matrix: '# N M' header, one whitespace-joined row per line."""
+    """Plain-text matrix: '# N M' header, one whitespace-joined row per line.
+
+    Every value is written as its ``repr``.  In a row that is mostly
+    ``+0.0``, those cells get the literal ``0.0`` (their ``repr``) and only
+    the others go through ``repr``; ``-0.0`` is one of the others.
+    """
     arr = np.asarray(arr, dtype=float)
+    n, m = arr.shape
+    bits = arr.view(np.int64)  # +0.0 is the one float whose bits are all zero
+    zeros = ["0.0"] * m
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# {arr.shape[0]} {arr.shape[1]}\n")
-        for row in arr.tolist():
-            fh.write(" ".join(map(repr, row)) + "\n")
+        fh.write(f"# {n} {m}\n")
+        for row, row_bits, k in zip(arr, bits, np.count_nonzero(bits, axis=1).tolist()):
+            if 2 * k < m:
+                cols = np.flatnonzero(row_bits)
+                cells = zeros.copy()
+                for j, x in zip(cols.tolist(), row[cols].tolist()):
+                    cells[j] = repr(x)
+            else:
+                cells = map(repr, row.tolist())
+            fh.write(" ".join(cells) + "\n")
 
 
 def write_vector(path, vec) -> None:

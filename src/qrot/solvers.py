@@ -32,7 +32,7 @@ dense recovery would; :class:`_SupportBand` states the rules.
 
 from __future__ import annotations
 
-import functools
+import math
 import time
 from typing import NamedTuple
 
@@ -46,11 +46,9 @@ from .core import (
     SolverConfig,
     as_weights,
     check_mass_balance,
-    marginal_residuals,
     marginals,
     max_violation,
     primal_objective,
-    residual_violation,
 )
 from .dual import dual_gradients, dual_value, preconditioner_apply, recover_plan
 
@@ -91,21 +89,19 @@ class NesterovState(NamedTuple):
     n: int
 
 
-def _descend(pot, c, gamma, mu, nu, residuals, precondition) -> DualPotentials:
-    """``pot - P grad F(pot)`` with ``P`` applied by ``precondition(ga, gb)``.
-
-    ``grad F = gamma (f, g)`` with the marginal residuals ``(f, g)`` of the
-    plan at ``pot``: :func:`~qrot.dual.dual_gradients` computes it unless
-    ``residuals`` passes ``(f, g)`` in.
-    """
+def _gradient(pot, c, gamma, mu, nu, residuals):
+    """``grad F(pot) = gamma (f, g)`` with the marginal residuals ``(f, g)``
+    of the plan at ``pot``: :func:`~qrot.dual.dual_gradients` computes it
+    unless ``residuals`` passes ``(f, g)`` in."""
     if residuals is None:
-        ga, gb = dual_gradients(pot, c, gamma, mu, nu)
-    else:
-        f, g = residuals
-        ga, gb = gamma * f, gamma * g
-    da, db = precondition(ga, gb)
-    alpha, beta = pot
-    return DualPotentials(alpha - da, beta - db)
+        return dual_gradients(pot, c, gamma, mu, nu)
+    f, g = residuals
+    return gamma * f, gamma * g
+
+
+def _descend(pot, da, db) -> DualPotentials:
+    """``pot - (da, db)``, with ``(da, db) = P grad F(pot)``."""
+    return DualPotentials(pot.alpha - da, pot.beta - db)
 
 
 def cyclic_projection_step(
@@ -125,7 +121,8 @@ def cyclic_projection_step(
     ``residuals`` is as in :func:`gradient_step`.
     """
     n, m = np.shape(c)
-    return _descend(pot, c, gamma, mu, nu, residuals, lambda ga, gb: (ga / m, gb / n - ga.sum() / (n * m)))
+    ga, gb = _gradient(pot, c, gamma, mu, nu, residuals)
+    return _descend(pot, ga / m, gb / n - ga.sum() / (n * m))
 
 
 def gradient_step(
@@ -140,7 +137,8 @@ def gradient_step(
     """
     if tau is None:
         tau = 1.0 / sum(np.shape(c))
-    return _descend(pot, c, gamma, mu, nu, residuals, lambda ga, gb: (tau * ga, tau * gb))
+    ga, gb = _gradient(pot, c, gamma, mu, nu, residuals)
+    return _descend(pot, tau * ga, tau * gb)
 
 
 def fixed_point_step(
@@ -154,7 +152,7 @@ def fixed_point_step(
     Fixed points have zero residuals, i.e. the recovered plan is feasible
     and hence optimal.  ``residuals`` is as in :func:`gradient_step`.
     """
-    return _descend(pot, c, gamma, mu, nu, residuals, preconditioner_apply)
+    return _descend(pot, *preconditioner_apply(*_gradient(pot, c, gamma, mu, nu, residuals)))
 
 
 def nesterov_step(state: NesterovState, c, gamma, mu, nu, tau=None, recover=None) -> NesterovState:
@@ -227,7 +225,9 @@ class _SupportBand:
     ``recover(pot)`` writes ``recover_plan(pot, c, gamma)`` into ``plan``,
     the band's C-contiguous ``(N, M)`` buffer, and returns
     ``marginal_residuals(plan, mu, nu)``; plan and residuals are bit for bit
-    those of the dense calls, whichever path it takes.
+    those of the dense calls, whichever path it takes.  The residuals are
+    the two halves ``f, g`` of one buffer ``res``, which the next call
+    overwrites, so a caller can take their largest magnitude in one pass.
 
     The band is the cells with ``alpha (+) beta - c > -theta`` at its base
     potentials, as the dense recovery rounds them, stored in row-major order
@@ -245,36 +245,60 @@ class _SupportBand:
     Within that budget three rules keep the result bit for bit that of dense
     recovery.  Band cells follow the dense op order, ``beta[cols] +
     alpha[rows]``, then ``- c``, ``max 0`` and ``/ gamma``, and are
-    scattered into ``plan``.  Row sums stay ``plan.sum(axis=1)`` on the
-    dense buffer, numpy's pairwise order.  Column sums are ``np.bincount``
-    over the band in row-major order: numpy sums axis 0 of a C-contiguous
-    array one row after another, and the off-band terms it adds are
-    ``+0.0``, which leaves every partial sum unchanged.
+    scattered into ``plan``.  Row sums follow numpy's pairwise order for
+    ``plan.sum(axis=1)``: it starts each row from ``0.0`` and splits a row of
+    more than 128 terms in two at a multiple of 8 near its middle, again and
+    again, down to leaves of at most 128 columns, each summed by numpy's own
+    loop (:func:`_pairwise_leaves`).  A leaf with no band cell in a row
+    holds only ``+0.0`` there and sums to ``+0.0``, and ``x + 0.0 = x`` (no
+    recovered cell is ``-0.0``), so each leaf is summed by numpy on the
+    dense buffer over the rows whose band cells reach into it, every other
+    leaf sum is ``+0.0``, and the leaf sums are added up as numpy's split
+    pairs them (:func:`_leaf_blocks`, :func:`_leaf_row_sums`).  With
+    ``M <= 128`` that is one leaf, the dense row sum of the band's rows.
+    Column sums are ``np.bincount`` over the band in row-major order: numpy
+    sums axis 0 of a C-contiguous array one row after another, and the
+    off-band terms it adds are ``+0.0``, which leaves every partial sum
+    unchanged.
 
-    Past the budget, or with non-finite potentials (a NaN drift fails the
-    test), one dense recovery through the module's ``recover_plan`` rebuilds
-    the band at the new potentials, with ``theta = _BAND_REACH`` times the
-    larger of the last two moves between calls.  No band is kept when that
-    move is zero or not finite, or when the band would hold more than
-    ``_BAND_MAX_SHARE`` of the cells: the selection pass stops as soon as
-    it counts that many, and the next 1, 3, 7, then at most
-    ``_BAND_MAX_WAIT`` dense recoveries do not try again.
+    Past the budget, or with non-finite potentials (a NaN or infinite drift
+    fails the test), one dense recovery through the module's
+    ``recover_plan`` rebuilds the band at the new potentials, with
+    ``theta = _BAND_REACH`` times the larger of the last two moves between
+    calls.  No band is kept when that move is zero or not finite, at
+    non-finite potentials (their slack is not finite), or when the band
+    would hold more than ``_BAND_MAX_SHARE`` of the cells: the selection
+    pass stops as soon as it counts that many, and the next 1, 3, 7, then at
+    most ``_BAND_MAX_WAIT`` dense recoveries do not try again.  So a band
+    that is live after a call proves that call's potentials finite.
     """
 
     def __init__(self, c, gamma, mu, nu):
         self.c, self.gamma, self.mu, self.nu = c, gamma, mu, nu
         self.cmax = float(max(c.max(), -c.min()))  # max|c|, without an N x M temporary
+        n, m = c.shape
+        # the small buffers go before the plan buffer: allocated after it, they
+        # left the heap one plan larger after a few runs (peak RSS 136 -> 144 MB
+        # on kernel-n1000 with perfbench's allocator settings)
+        self.res = np.empty(n + m)  # the residuals (f, g) of the last call, end to end
+        self.f, self.g = self.res[:n], self.res[n:]
+        self.drift = np.empty(n + m)  # scratch for the drift test
         self.plan = np.empty(c.shape)  # the run's one plan buffer
+        self.flat = self.plan.reshape(-1)  # a view of it
+        self.leaves, self.tree = _pairwise_leaves(m)
         self.recent = (None, None)  # potentials of the last two calls
         self.base = None  # potentials of the live band, None when dense
+        self.base_flat = None  # the same, end to end
+        self.ends = np.array([0, n])  # where alpha and beta start in those
         self.budget = 0.0
         self.idx = self.cols = self.counts = self.cost = None
+        self.sums = self.blocks = None  # per-leaf row sums, and the (block, out) pairs that fill them
         self.wait = self.backoff = 0  # dense recoveries left to skip selection, and their count
 
     def recover(self, pot):
         last, before = self.recent
         self.recent = (pot, last)
-        if self.base is not None and _move(pot, self.base) <= self.budget:
+        if self.base is not None and self._drift(pot) <= self.budget:
             return self._banded(pot)
         residuals = self._dense(pot)
         self.base = None
@@ -285,20 +309,34 @@ class _SupportBand:
             self._select(pot, _BAND_REACH * max(moves))
         return residuals
 
+    def _drift(self, pot):
+        """``_move(pot, self.base)``, on the potentials end to end."""
+        d = np.concatenate(pot, out=self.drift)
+        np.subtract(d, self.base_flat, out=d)
+        da, db = np.maximum.reduceat(np.abs(d, out=d), self.ends).tolist()
+        return da + db
+
     def _dense(self, pot):
         recover_plan(pot, self.c, self.gamma, out=self.plan)
-        return marginal_residuals(self.plan, self.mu, self.nu)
+        return self._residuals(*marginals(self.plan))
+
+    def _residuals(self, row, col):
+        """``(row - mu, col - nu)``, written into ``res``."""
+        np.subtract(row, self.mu, out=self.f)
+        np.subtract(col, self.nu, out=self.g)
+        return self.f, self.g
 
     def _banded(self, pot):
         alpha, beta = pot
-        vals = np.take(beta, self.cols)
-        np.add(vals, np.repeat(alpha, self.counts), out=vals)
+        vals = beta.take(self.cols)
+        np.add(vals, alpha.repeat(self.counts), out=vals)
         np.subtract(vals, self.cost, out=vals)
         np.maximum(vals, 0.0, out=vals)
         np.divide(vals, self.gamma, out=vals)
-        self.plan.reshape(-1)[self.idx] = vals
+        self.flat[self.idx] = vals
+        row = _leaf_row_sums(self.blocks, self.sums, self.tree)
         col = np.bincount(self.cols, weights=vals, minlength=self.plan.shape[1])
-        return self.plan.sum(axis=1) - self.mu, col - self.nu
+        return self._residuals(row, col)
 
     def _select(self, pot, theta):
         """Keep the band of reach ``theta`` at ``pot``, whose dense plan ``plan`` holds."""
@@ -309,6 +347,7 @@ class _SupportBand:
         c = self.c
         n, m = c.shape
         self.idx = self.cols = self.counts = self.cost = None  # the old band's storage goes first
+        self.sums = self.blocks = None
         rows = max(1, _BAND_BLOCK_CELLS // m)
         idx, cols, counts, size = [], [], [], 0
         for r0 in range(0, n, rows):
@@ -326,7 +365,71 @@ class _SupportBand:
         self.backoff = 0
         self.idx, self.cols, self.counts = np.concatenate(idx), np.concatenate(cols), np.concatenate(counts)
         self.cost = np.take(c, self.idx)
+        self.sums, self.blocks = _leaf_blocks(self.plan, self.leaves, self.cols, self.counts)
         self.base, self.budget = pot, theta - slack
+        self.base_flat = np.concatenate(pot)
+
+
+# numpy adds up a row pairwise: a run of more than this many terms is split in
+# two at a multiple of 8 near its middle, and shorter runs are the leaves
+_PAIRWISE_BLOCK = 128
+
+
+def _pairwise_leaves(m):
+    """numpy's pairwise split of a row of ``m`` terms.
+
+    Returns the leaves' column spans ``[(j0, j1), ...]`` from left to right,
+    and the tree that adds their sums: a leaf's index, or a pair of trees.
+    """
+    leaves = []
+
+    def split(j0, k):
+        if k <= _PAIRWISE_BLOCK:
+            leaves.append((j0, j0 + k))
+            return len(leaves) - 1
+        half = k // 2 - (k // 2) % 8
+        return split(j0, half), split(j0 + half, k - half)
+
+    return leaves, split(0, m)
+
+
+def _leaf_blocks(plan, leaves, cols, counts):
+    """Where the row sums of a banded ``plan`` read it, leaf by leaf.
+
+    ``cols`` and ``counts`` give the band in row-major order, and every cell
+    of ``plan`` off the band must be ``+0.0``.  Returns ``(sums, blocks)``:
+    ``sums`` is an all-zero ``(leaves, N)`` array, and ``blocks`` pairs the
+    block ``plan[r0:r1, j0:j1]`` of each leaf ``j0:j1`` with its row sums'
+    place ``sums[k, r0:r1]``, where ``r0`` and ``r1 - 1`` are the first and
+    last rows whose band cells reach into the leaf.  A leaf no row reaches
+    has no block.
+    """
+    rows = np.flatnonzero(counts)
+    end = np.cumsum(counts)[rows]  # one past each such row's last band cell
+    first, last = cols[end - counts[rows]], cols[end - 1]  # its first and last column
+    sums = np.zeros((len(leaves), counts.size))
+    blocks = []
+    for k, (j0, j1) in enumerate(leaves):
+        touch = rows[(first < j1) & (last >= j0)]
+        if touch.size:
+            r0, r1 = touch[0], touch[-1] + 1
+            blocks.append((plan[r0:r1, j0:j1], sums[k, r0:r1]))
+    return sums, blocks
+
+
+def _leaf_row_sums(blocks, sums, tree):
+    """``plan.sum(axis=1)`` bit for bit, from :func:`_leaf_blocks` and the
+    ``tree`` of :func:`_pairwise_leaves`."""
+    for block, out in blocks:
+        np.add.reduce(block, axis=1, out=out)
+    return _tree_sum(tree, sums)
+
+
+def _tree_sum(tree, sums):
+    """The leaf sums ``sums[k]`` added up in the order ``tree`` pairs them."""
+    if type(tree) is int:
+        return sums[tree]
+    return _tree_sum(tree[0], sums) + _tree_sum(tree[1], sums)
 
 
 def _move(p, q) -> float:
@@ -340,24 +443,32 @@ def _quadratic_run(alg, c, gamma, mu, nu, tau):
 
     ``advance(plan_due)`` takes one step on the dual, recovers the plan in
     place into the run's one plan buffer and takes its marginal residuals
-    once; the violation it returns and the next step both read them.  It
-    returns ``(potentials, plan, violation)`` and ignores ``plan_due``, as
+    once; the violation it returns (their largest magnitude, taken in one
+    pass over the band's residual buffer) and the next step both read them.
+    It returns ``(potentials, plan, violation)`` and ignores ``plan_due``, as
     the plan is recovered every iteration anyway.  ``bounds(pot, plan)`` is
-    ``(dual_value, primal_objective)`` for a history row.  The three plain
-    methods share one ``step``, calling their step function bound once
-    (gradient descent's with its ``tau``).  Steps are looked up in this
-    module when the run is built and kernels at call time, so wrappers
-    installed on the module before :func:`solve` see every call.
+    ``(dual_value, primal_objective)`` for a history row; the two share one
+    ``||pi||^2``.  The three plain methods share one ``step``, calling their
+    step function with positional arguments (gradient descent's with its
+    ``tau``, whose default ``1 / (M + N)`` is taken once here).  Steps are
+    looked up in this module when the run is built and kernels at call time,
+    so wrappers installed on the module before :func:`solve` see every call.
 
     Every recovery, Nesterov's at its extrapolated potentials included,
     goes through one :class:`_SupportBand`, which owns the plan buffer and
     recovers only a certified band of cells once the plan is sparse.
     Nesterov recovers its extrapolated point first and its current point
     last, so the buffer holds the current plan when ``advance`` returns.
+    A band that is live after the last recovery proves the potentials
+    finite, so they are tested only when it is not; non-finite potentials
+    make the violation NaN, which :func:`solve` reports as divergence.
     """
+    n, m = c.shape
+    if tau is None:
+        tau = 1.0 / (m + n)
     band = _SupportBand(c, gamma, mu, nu)
     plan = band.plan  # the run's one plan buffer
-    pot = DualPotentials(np.zeros(c.shape[0]), np.zeros(c.shape[1]))
+    pot = DualPotentials(np.zeros(n), np.zeros(m))
     residuals = band.recover(pot)
 
     if alg is Algorithm.NESTEROV:  # carries its previous iterate and counter
@@ -365,26 +476,29 @@ def _quadratic_run(alg, c, gamma, mu, nu, tau):
 
         def step():
             nonlocal state
-            state = nesterov_step(state, c, gamma, mu, nu, tau, recover=band.recover)
+            state = nesterov_step(state, c, gamma, mu, nu, tau, band.recover)
             return state.current
     else:
-        plain = {
-            Algorithm.CYCLIC_PROJECTION: cyclic_projection_step,
-            Algorithm.DUAL_GRADIENT: functools.partial(gradient_step, tau=tau),
-            Algorithm.FIXED_POINT: fixed_point_step,
+        plain, args = {
+            Algorithm.CYCLIC_PROJECTION: (cyclic_projection_step, ()),
+            Algorithm.DUAL_GRADIENT: (gradient_step, (tau,)),
+            Algorithm.FIXED_POINT: (fixed_point_step, ()),
         }[alg]
 
         def step():
-            return plain(pot, c, gamma, mu, nu, residuals=residuals)
+            return plain(pot, c, gamma, mu, nu, *args, residuals)
 
     def advance(plan_due):
         nonlocal pot, residuals
         pot = step()
         residuals = band.recover(pot)
-        return pot, plan, residual_violation(*residuals)
+        if band.base is None and not (np.isfinite(pot.alpha).all() and np.isfinite(pot.beta).all()):
+            return pot, plan, math.nan
+        return pot, plan, float(np.maximum.reduce(np.abs(band.res)))  # NaN if any residual is
 
     def bounds(pot, plan):
-        return dual_value(pot, c, gamma, mu, nu, plan=plan), primal_objective(plan, c, gamma)
+        norm2 = np.vdot(plan, plan)
+        return dual_value(pot, c, gamma, mu, nu, norm2=norm2), primal_objective(plan, c, gamma, norm2)
 
     return advance, bounds
 
@@ -411,6 +525,7 @@ def _sinkhorn_run(c, gamma, mu, nu, tol):
     plan is the last one built (None before the first), and a converged or
     final iteration always builds it.
 
+    Potentials that are not finite make the violation NaN.
     ``bounds(pot, plan)`` is the entropic ``(dual, primal)`` pair of a
     history row.
     """
@@ -429,6 +544,8 @@ def _sinkhorn_run(c, gamma, mu, nu, tol):
         # Shift log u, log v so the plan is exp((alpha (+) beta - c)/gamma - 1),
         # the maximizer form of the entropic conjugate.
         pot = DualPotentials(gamma * (np.log(u) + 0.5), gamma * (np.log(v) + 0.5))
+        if not (np.isfinite(pot.alpha).all() and np.isfinite(pot.beta).all()):
+            return pot, plan, math.nan
         if not plan_due:
             Kv = K @ v
             row = u * Kv
@@ -480,14 +597,16 @@ def solve(mu, nu, c, config: SolverConfig) -> ConvergenceReport:
     (``_quadratic_run`` or ``_sinkhorn_run``); the loop then calls its
     ``advance(plan_due)`` every iteration and its ``bounds`` for each
     history row.  ``plan_due`` is set at the last iteration and at each
-    history stride, where the returned plan must be the current one.  A dual
-    iteration recovers the plan in place and takes its marginal residuals
-    once; the stopping test and the next step both read them.  Once the plan
-    is sparse, the recovery touches only a certified band of cells, bit for
-    bit as a dense one would (see :class:`_SupportBand`).  Sinkhorn tests
-    its scaling vectors instead of the plan, and the ``K v`` of that test
-    feeds the next sweep, so a sweep costs two matrix-vector products.  It
-    builds the plan, in place into one buffer, only when due and to confirm
+    history stride, where the returned plan must be the current one.  The
+    violation ``advance`` returns is not finite whenever the iterate is not,
+    so the loop tests that one number for divergence.  A dual iteration
+    recovers the plan in place and takes its marginal residuals once; the
+    stopping test and the next step both read them.  Once the plan is
+    sparse, the recovery touches only a certified band of cells, bit for bit
+    as a dense one would (see :class:`_SupportBand`).  Sinkhorn tests its
+    scaling vectors instead of the plan, and the ``K v`` of that test feeds
+    the next sweep, so a sweep costs two matrix-vector products.  It builds
+    the plan, in place into one buffer, only when due and to confirm
     convergence, so iteration counts are those of testing the plan every
     iteration.
 
@@ -512,24 +631,23 @@ def solve(mu, nu, c, config: SolverConfig) -> ConvergenceReport:
         advance, bounds = _quadratic_run(alg, c, gamma, mu, nu, config.tau)
 
     history: list[HistoryEntry] = []
+    tol, max_iters, record, stride = config.tol, config.max_iters, config.record_history, config.history_stride
     t0 = time.perf_counter()
     converged = False
     iterations = 0
 
     # overflow on a diverging run is reported via DivergenceError, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(1, config.max_iters + 1):
+        for it in range(1, max_iters + 1):
             # the plan of the last iteration and of each history row is reported
-            plan_due = it == config.max_iters or (
-                config.record_history and it % config.history_stride == 0
-            )
+            plan_due = it == max_iters or (record and it % stride == 0)
             pot, plan, viol = advance(plan_due)
-            if not (np.isfinite(viol) and np.isfinite(pot.alpha).all() and np.isfinite(pot.beta).all()):
+            if not math.isfinite(viol):  # also when the potentials are not finite
                 raise DivergenceError(alg, it)
 
             iterations = it
-            converged = viol <= config.tol
-            if config.record_history and (converged or plan_due):
+            converged = viol <= tol
+            if record and (converged or plan_due):
                 dual, primal = bounds(pot, plan)
                 history.append(
                     HistoryEntry(it, viol, dual, primal, primal - dual, time.perf_counter() - t0)

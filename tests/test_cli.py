@@ -210,6 +210,34 @@ def test_matrix_roundtrip(tmp_path):
     assert (tmp_path / "v.txt").read_text() == "# 3\n-0.0\n5e-324\n0.6666666666666666\n"
 
 
+def test_write_matrix_is_byte_identical_to_plain_repr_rows(tmp_path, rng):
+    # the writer formats only the cells that are not +0.0; its bytes must be
+    # those of a repr on every cell
+    def plain(arr):
+        return f"# {arr.shape[0]} {arr.shape[1]}\n" + "".join(" ".join(map(repr, row)) + "\n" for row in arr.tolist())
+
+    sparse = np.where(rng.random((40, 37)) < 0.05, rng.lognormal(0.0, 3.0, (40, 37)), 0.0)
+    sparse[3, 5], sparse[7, 0], sparse[7, 36], sparse[11, 9] = -0.0, 5e-324, -5e-324, 2.2250738585072014e-308
+    odd = sparse.copy()
+    odd[0, :3] = (np.inf, -np.inf, np.nan)
+    odd[1] = -0.0  # a row of -0.0 only
+    odd[2, ::2] = 1.5  # a row about half nonzero
+    cases = {
+        "sparse": sparse,
+        "dense": rng.lognormal(0.0, 3.0, (23, 31)),
+        "zeros": np.zeros((5, 6)),
+        "odd": odd,
+        "columns": sparse.T,  # not C-contiguous
+        "one": np.array([[0.1]]),
+        "one zero": np.zeros((1, 1)),
+        "one negative zero": np.array([[-0.0]]),
+        "no columns": np.zeros((3, 0)),
+    }
+    for name, arr in cases.items():
+        write_matrix(tmp_path / "m.txt", arr)
+        assert (tmp_path / "m.txt").read_bytes() == plain(arr).encode(), name
+
+
 def test_generate_then_solve_converges(tmp_path):
     problem_path = tmp_path / "problem.json"
     assert main(["generate", "--out", str(problem_path), "--cost", "squared", "--gamma", "2.0", "--n", "6"]) == 0

@@ -10,7 +10,7 @@ from qrot import (
     max_violation,
     primal_objective,
 )
-from qrot.core import check_mass_balance
+from qrot.core import check_mass_balance, residual_violation
 
 
 def test_grid_points_are_uniform_cell_centers():
@@ -81,6 +81,18 @@ def test_max_violation_zero_iff_exact(rng):
         bumped = col.copy()
         bumped[0] += 1e-9
         assert max_violation(pi, row, bumped) > 0
+
+
+def test_residual_violation_propagates_nan_from_either_side():
+    nan, inf = float("nan"), float("inf")
+    assert residual_violation([1.0, -3.0], [2.0]) == 3.0
+    assert residual_violation([1.0], [-5.0]) == 5.0
+    for f, g in (([1.0], [nan]), ([nan], [1.0]), ([2.0, nan], [-7.0]), ([-7.0], [2.0, nan]), ([nan], [nan])):
+        assert np.isnan(residual_violation(f, g)), (f, g)
+        assert np.isnan(residual_violation(np.array(f), np.array(g))), (f, g)
+    assert residual_violation([1.0], [-inf]) == inf and residual_violation([-inf], [1.0]) == inf
+    # max_violation reads the residuals the same way
+    assert np.isnan(max_violation([[0.5, 0.5]], [1.0], [nan, 0.5]))
 
 
 def test_max_violation_dimension_mismatch():

@@ -28,7 +28,7 @@ from qrot import (
 from qrot.core import marginal_residuals
 from qrot.dual import dual_value
 from qrot.fileio import default_problem, realize_problem
-from qrot.solvers import _SupportBand
+from qrot.solvers import _leaf_blocks, _leaf_row_sums, _pairwise_leaves, _SupportBand
 
 C2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 HALF = np.array([0.5, 0.5])
@@ -489,6 +489,63 @@ def test_bincount_column_sums_are_numpy_axis0_sums(rng):
         assert np.array_equal(np.bincount(cols, weights=vals, minlength=m), plan.sum(axis=0))
     # the check has power: the same terms added bottom-up round differently
     assert not np.array_equal(np.bincount(cols[::-1], weights=vals[::-1], minlength=m), plan.sum(axis=0))
+
+
+def banded_plan(rng, n, m):
+    """A random plan whose nonzeros lie on a band: each row has a window of
+    columns, drifting along the row index, in which some cells are positive.
+    Returns the plan, the band's column indices in row-major order, and its
+    per-row counts; some band cells are zero, and some rows have no band."""
+    width = max(1, int(rng.integers(1, max(2, m // 3))))
+    starts = (np.linspace(0, m - width, n) + rng.integers(-width, width + 1, n)).clip(0, m - width).astype(int)
+    band = np.zeros((n, m), bool)
+    for i, j0 in enumerate(starts):
+        if rng.random() > 0.1:
+            band[i, j0 : j0 + int(rng.integers(1, width + 1))] = True
+    plan = np.where(band & (rng.random((n, m)) < 0.8), rng.lognormal(0.0, 4.0, (n, m)), 0.0)
+    idx = np.flatnonzero(band)
+    return plan, (idx % m).astype(np.int32), band.sum(axis=1)
+
+
+def test_leaf_row_sums_are_numpy_axis1_sums(rng):
+    # the band's row sums rest on this: numpy's pairwise row sum is a tree
+    # over leaves of at most 128 columns, and summing only the rows of each
+    # leaf that the band reaches gives plan.sum(axis=1) bit for bit.  A
+    # numpy that splits rows another way fails here.
+    widths = [1, 3, 7, 8, 100, 127, 128, 129, 255, 300, 1003, 4097, 8200]
+    for m in widths + [int(w) for w in rng.integers(2, 2000, 8)]:
+        leaves, tree = _pairwise_leaves(m)
+        assert leaves[0][0] == 0 and leaves[-1][1] == m and all(a[1] == b[0] for a, b in zip(leaves, leaves[1:]))
+        assert all(j1 - j0 <= 128 for j0, j1 in leaves) and (len(leaves) == 1) == (m <= 128)
+        for n in (1, 9, 40) if m < 8000 else (6,):
+            plan, cols, counts = banded_plan(rng, n, m)
+            sums, blocks = _leaf_blocks(plan, leaves, cols, counts)
+            assert np.array_equal(_leaf_row_sums(blocks, sums, tree), plan.sum(axis=1)), (m, n)
+    # the check has power: the same terms added one after another round differently
+    n, m = 50, 1003
+    plan, cols, counts = banded_plan(rng, n, m)
+    rows = np.repeat(np.arange(n), counts)
+    vals = plan[rows, cols]
+    assert not np.array_equal(np.bincount(rows, weights=vals, minlength=n), plan.sum(axis=1))
+
+
+def test_solve_over_several_leaves_is_bit_identical_to_reference(monkeypatch):
+    # at n=300 a row has four leaves (72, 72, 72 and 84 columns), and at
+    # gamma 2 the band is live on most iterations
+    mu, nu, c = realize_problem(default_problem("squared", 2.0, n=300))
+    assert len(_pairwise_leaves(300)[0]) == 4
+    dense = count_dense_recoveries(monkeypatch)
+    for alg in DUAL_ALGORITHMS:
+        config = SolverConfig(gamma=2.0, algorithm=alg, tol=1e-300, max_iters=100, history_stride=1)
+        dense[0] = 0
+        rep = solve(mu, nu, c, config)
+        assert dense[0] < rep.iterations / 2, (alg, dense[0])
+        iters, converged, plan, pot, rows = reference_dual_solve(mu, nu, c, config)
+        assert (rep.iterations, rep.converged) == (iters, converged) == (100, False), alg
+        assert np.array_equal(rep.final_plan, plan)
+        assert np.array_equal(rep.final_potentials.alpha, pot.alpha)
+        assert np.array_equal(rep.final_potentials.beta, pot.beta)
+        assert [tuple(r)[:2] + (r.dual_objective, r.primal_objective) for r in rep.history] == rows
 
 
 def test_divergence_with_support_band_live_matches_reference(monkeypatch):
