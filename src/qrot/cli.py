@@ -9,7 +9,11 @@ instances against the exact solver).
 helpers started with ``spawn`` once it has been solving for half a second
 (see :mod:`qrot.pool`).  Its artifacts, output and exit code are those of
 solving the four one after another, apart from the ``elapsed_ms`` column.
-``solve``, and ``compare`` on one CPU, use this process alone.
+``compare`` on one CPU uses this process alone.  ``solve`` solves in this
+process, and writes a plan with at least 2**17 values that are not +0.0 on
+every usable CPU: this process and one helper per further CPU, each running
+the standard library alone (see :func:`qrot.fileio.write_matrix`).  The
+plan file is byte for byte the one this process would write alone.
 
 Exit codes: 0 success / converged, 2 iteration cap or failed check,
 1 input or I/O error.
@@ -182,7 +186,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--history-stride", type=int, default=1, dest="history_stride")
 
-    slv = sub.add_parser("solve", help="run one algorithm on a problem file")
+    slv = sub.add_parser(
+        "solve",
+        help="run one algorithm on a problem file; a large plan is written on up to all usable CPUs",
+    )
     run_flags(slv, with_algorithm=True)
     slv.set_defaults(func=cmd_solve)
 

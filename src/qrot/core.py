@@ -32,10 +32,16 @@ __all__ = [
     "max_violation",
     "primal_objective",
     "residual_violation",
+    "vdot",
 ]
 
 # Relative tolerance for the equal-mass requirement on the two marginals.
 MASS_BALANCE_RTOL = 1e-12
+
+# OpenBLAS spreads a dot product of more than 10,000 elements over its
+# threads, and how it splits the sum changes the last bits; a call on at most
+# this many elements is not split.
+DOT_CHUNK = 10_000
 
 
 def _finite_real(value, what: str) -> float:
@@ -267,10 +273,24 @@ def residual_violation(f, g) -> float:
     return b if b > a or b != b else a
 
 
+def vdot(a, b):
+    """``np.vdot(a, b)`` over consecutive chunks of at most ``DOT_CHUNK``
+    elements of the flattened arrays, added in order: a result that does not
+    depend on the number of BLAS threads.  Up to ``DOT_CHUNK`` elements it is
+    the one ``np.vdot`` call."""
+    if np.size(a) <= DOT_CHUNK:
+        return np.vdot(a, b)
+    a, b = np.ravel(a), np.ravel(b)
+    total = np.vdot(a[:DOT_CHUNK], b[:DOT_CHUNK])
+    for start in range(DOT_CHUNK, a.size, DOT_CHUNK):
+        total += np.vdot(a[start:start + DOT_CHUNK], b[start:start + DOT_CHUNK])
+    return total
+
+
 def primal_objective(pi, c, gamma: float, norm2=None) -> float:
     """Transport cost plus quadratic penalty: ``<c, pi> + (gamma/2) ||pi||_F^2``.
 
-    ``norm2`` may pass in ``||pi||_F^2`` as ``np.vdot(pi, pi)`` gives it.
+    ``norm2`` may pass in ``||pi||_F^2`` as ``vdot(pi, pi)`` gives it.
     """
     pi = np.asarray(pi, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -279,5 +299,5 @@ def primal_objective(pi, c, gamma: float, norm2=None) -> float:
     if not (gamma > 0):
         raise ValueError("gamma must be positive")
     if norm2 is None:
-        norm2 = np.vdot(pi, pi)
-    return float(np.vdot(c, pi) + 0.5 * gamma * norm2)
+        norm2 = vdot(pi, pi)
+    return float(vdot(c, pi) + 0.5 * gamma * norm2)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DualPotentials, as_weights, marginal_residuals, primal_objective
+from .core import DualPotentials, as_weights, marginal_residuals, primal_objective, vdot
 
 __all__ = [
     "build_hessian",
@@ -60,15 +60,15 @@ def dual_objective(pot, c, gamma: float, mu, nu, plan=None, norm2=None) -> float
 
     ``F = (gamma^2 / 2) ||pi||^2 - gamma <alpha, mu> - gamma <beta, nu>`` with
     ``pi = recover_plan(pot, c, gamma)``; ``plan`` may pass in that recovery,
-    and ``norm2`` its ``||pi||^2`` as ``np.vdot(pi, pi)`` gives it.
+    and ``norm2`` its ``||pi||^2`` as :func:`qrot.core.vdot` gives it.
     """
     mu, nu = as_weights(mu), as_weights(nu)
     if norm2 is None:
         if plan is None:
             plan = recover_plan(pot, c, gamma)
-        norm2 = np.vdot(plan, plan)
+        norm2 = vdot(plan, plan)
     alpha, beta = pot
-    return float(0.5 * gamma * gamma * norm2 - gamma * (alpha @ mu) - gamma * (beta @ nu))
+    return float(0.5 * gamma * gamma * norm2 - gamma * vdot(alpha, mu) - gamma * vdot(beta, nu))
 
 
 def dual_gradients(pot, c, gamma: float, mu, nu, plan=None):

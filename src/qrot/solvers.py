@@ -49,6 +49,7 @@ from .core import (
     marginals,
     max_violation,
     primal_objective,
+    vdot,
 )
 from .dual import dual_gradients, dual_value, preconditioner_apply, recover_plan
 
@@ -497,7 +498,7 @@ def _quadratic_run(alg, c, gamma, mu, nu, tau):
         return pot, plan, float(np.maximum.reduce(np.abs(band.res)))  # NaN if any residual is
 
     def bounds(pot, plan):
-        norm2 = np.vdot(plan, plan)
+        norm2 = vdot(plan, plan)
         return dual_value(pot, c, gamma, mu, nu, norm2=norm2), primal_objective(plan, c, gamma, norm2)
 
     return advance, bounds
@@ -562,7 +563,7 @@ def _sinkhorn_run(c, gamma, mu, nu, tol):
         alpha, beta = pot
         row, col = marginals(plan)
         mass = gamma * plan.sum()
-        return float(alpha @ mu + beta @ nu - mass), float(alpha @ row + beta @ col - mass)
+        return float(vdot(alpha, mu) + vdot(beta, nu) - mass), float(vdot(alpha, row) + vdot(beta, col) - mass)
 
     return advance, bounds
 

@@ -4,6 +4,7 @@ import itertools
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -27,8 +28,10 @@ from qrot import (
     SolverConfig,
     solve,
 )
+from qrot import rowtext
 from qrot.cli import main
 from qrot.fileio import (
+    PARALLEL_MIN_REPRS,
     ProblemFile,
     ProblemFileError,
     default_problem,
@@ -39,6 +42,7 @@ from qrot.fileio import (
     write_history_csv,
     write_matrix,
     write_vector,
+    _row_bounds,
 )
 from qrot.pool import _helper
 from qrot.problems import COST_KINDS
@@ -236,6 +240,178 @@ def test_write_matrix_is_byte_identical_to_plain_repr_rows(tmp_path, rng):
     for name, arr in cases.items():
         write_matrix(tmp_path / "m.txt", arr)
         assert (tmp_path / "m.txt").read_bytes() == plain(arr).encode(), name
+
+
+def plain_matrix(arr):
+    return (f"# {arr.shape[0]} {arr.shape[1]}\n"
+            + "".join(" ".join(map(repr, row)) + "\n" for row in arr.tolist())).encode()
+
+
+def record_processes(monkeypatch):
+    """The processes started through subprocess.Popen from now on, as a list."""
+    started = []
+    real = subprocess.Popen
+
+    def popen(*args, **kwargs):
+        started.append(real(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", popen)
+    return started
+
+
+def share_writes(monkeypatch, cpus):
+    """Make write_matrix share every matrix out over ``cpus`` CPUs."""
+    monkeypatch.setattr("qrot.fileio.PARALLEL_MIN_REPRS", 0)
+    monkeypatch.setattr("qrot.fileio.usable_cpus", lambda: cpus)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_write_matrix_through_helper_processes_is_byte_identical(tmp_path, rng, monkeypatch, cpus):
+    # every case of the one-process test again, with rows cut into parts, so
+    # that part boundaries fall on a 1-row matrix, 3x0, a transposed plan and
+    # inf/nan/-0.0/5e-324 cells; then 1000 rows of sparse and dense blocks
+    share_writes(monkeypatch, cpus)
+    started = record_processes(monkeypatch)
+    threads = threading.active_count()
+    test_write_matrix_is_byte_identical_to_plain_repr_rows(tmp_path, rng)
+    assert started
+
+    dense = rng.lognormal(0.0, 3.0, (1000, 300))
+    mixed = np.where((np.arange(1000) // 7 % 3 == 0)[:, None] | (rng.random((1000, 300)) < 0.1), dense, 0.0)
+    mixed[::11, ::13] = -0.0
+    started.clear()
+    write_matrix(tmp_path / "m.txt", mixed)
+    assert (tmp_path / "m.txt").read_bytes() == plain_matrix(mixed)
+    assert len(started) == cpus - 1
+    assert all(p.returncode == 0 for p in started)
+    assert threading.active_count() == threads
+
+
+def test_row_parts_carry_about_equal_numbers_of_values():
+    # a row costs its values plus one, and each cut falls after the last row
+    # whose running cost is within its share: costs 15 and 15, then 7, 8 and 15
+    reprs = np.array([0, 5, 5, 0, 0, 10, 0, 0, 0, 0])
+    assert _row_bounds(reprs, 1) == [0, 10]
+    assert _row_bounds(reprs, 2) == [0, 5, 10]
+    assert _row_bounds(reprs, 3) == [0, 2, 5, 10]
+    assert _row_bounds(np.zeros(3, int), 4) == [0, 1, 2, 3]  # no empty part
+    assert _row_bounds(np.array([1000]), 2) == [0, 1]
+    assert _row_bounds(np.zeros(0, int), 2) == [0, 0]
+
+
+def test_write_matrix_starts_no_process_on_one_cpu_or_under_the_threshold(tmp_path, monkeypatch):
+    def no_process(*args, **kwargs):
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(subprocess, "Popen", no_process)
+    at_threshold = np.full((PARALLEL_MIN_REPRS // 512, 512), 0.1)
+    under = at_threshold.copy()
+    under[7, 9] = 0.0
+    for cpus, arr in ((1, at_threshold), (4, under)):
+        monkeypatch.setattr("qrot.fileio.usable_cpus", lambda: cpus)
+        write_matrix(tmp_path / "m.txt", arr)
+        assert (tmp_path / "m.txt").read_bytes() == plain_matrix(arr)
+    monkeypatch.setattr("qrot.fileio.usable_cpus", lambda: 2)
+    with pytest.raises(AssertionError, match="a process was started"):
+        write_matrix(tmp_path / "m.txt", at_threshold)
+
+
+@pytest.mark.parametrize("helper, how", [
+    ("import sys\nsys.stdin.buffer.read()\nsys.exit(3)", "exited with status 3"),
+    ("import sys\nsys.exit(3)", "exited with status 3"),  # without reading its rows
+    ("import os, signal, sys\nsys.stdin.buffer.read()\nsys.stdout.write('0.5 ')\nsys.stdout.flush()\n"
+     "os.kill(os.getpid(), signal.SIGKILL)", "was killed by signal 9"),
+])
+def test_failed_helper_is_an_error_and_leaves_no_process(tmp_path, monkeypatch, capsys, helper, how):
+    problem_path = tmp_path / "problem.json"
+    save_problem(small_problem(), problem_path)
+    script = tmp_path / "helper.py"
+    script.write_text(helper)
+    monkeypatch.setattr("qrot.rowtext.__file__", str(script))
+    share_writes(monkeypatch, 2)
+    started = record_processes(monkeypatch)
+    threads = threading.active_count()
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["solve", str(problem_path), "--algorithm", "nesterov", "--out", str(out)]) == 1
+    plan = out / "plan_nesterov.txt"
+    assert capsys.readouterr().err == f"error: the helper process writing rows 3-5 of {plan} {how}\n"
+    assert len(started) == 1 and started[0].returncode is not None
+    assert threading.active_count() == threads
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_write_in_this_process_reaps_the_helpers(tmp_path, monkeypatch, capsys):
+    # the plan file is /dev/full, so writing this process's own rows fails
+    problem_path = tmp_path / "problem.json"
+    save_problem(small_problem(), problem_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "plan_nesterov.txt").symlink_to("/dev/full")
+    share_writes(monkeypatch, 3)
+    started = record_processes(monkeypatch)
+    threads = threading.active_count()
+    capsys.readouterr()
+    assert main(["solve", str(problem_path), "--algorithm", "nesterov", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert len(started) == 2 and all(p.returncode is not None for p in started)
+    assert threading.active_count() == threads
+
+
+def test_row_helper_fed_short_exits_without_a_word():
+    # a parent that dies while sending the rows leaves the helper a short read
+    helper = subprocess.run([sys.executable, "-I", "-S", rowtext.__file__, "2", "3"], input=b"\0" * 47,
+                            capture_output=True)
+    assert (helper.returncode, helper.stdout, helper.stderr) == (1, b"", b"")
+    helper = subprocess.run([sys.executable, "-I", "-S", rowtext.__file__, "2", "3"], input=b"\0" * 48,
+                            capture_output=True)
+    assert (helper.returncode, helper.stdout, helper.stderr) == (0, b"0.0 0.0 0.0\n0.0 0.0 0.0\n", b"")
+
+
+@pytest.mark.parametrize("killed", ["while starting its helpers", "while writing its own rows"])
+def test_solve_killed_mid_write_leaves_no_helper_running(tmp_path, killed):
+    # the helpers inherit the killed process's stderr, so it reads to its end
+    # only once they have exited too, and a helper's traceback would show there.
+    # A dense 300x300 plan gives each helper more text than a pipe holds.
+    problem_path = tmp_path / "problem.json"
+    save_problem(small_problem(300, 300), problem_path)
+    pids = tmp_path / "pids"
+    script = (
+        "import os, signal, subprocess, time\n"
+        "import qrot.fileio as fileio\n"
+        "from qrot.cli import main\n"
+        "fileio.PARALLEL_MIN_REPRS = 0\n"
+        "fileio.usable_cpus = lambda: 3\n"
+        "real_popen, write_rows = subprocess.Popen, fileio._write_rows\n"
+        "def die():\n"
+        "    os.kill(os.getpid(), signal.SIGKILL)\n"
+        "def popen(*args, **kwargs):\n"
+        "    helper = real_popen(*args, **kwargs)\n"
+        f"    with open({str(pids)!r}, 'a') as fh:\n"
+        "        fh.write(f'{helper.pid}\\n')\n"
+        f"    if {killed == 'while starting its helpers'}:\n"
+        "        die()\n"
+        "    return helper\n"
+        "def slow_rows(*args):\n"
+        "    time.sleep(0.5)  # the helpers have their rows by now\n"
+        "    die()\n"
+        "subprocess.Popen, fileio._write_rows = popen, slow_rows\n"
+        f"main(['solve', {str(problem_path)!r}, '--algorithm', 'sinkhorn', '--max-iters', '3',\n"
+        f"      '--out', {str(tmp_path / 'o')!r}])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    parent = subprocess.Popen([sys.executable, "-c", script], env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True)
+    try:
+        out, err = parent.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        for pid in map(int, pids.read_text().split()):
+            os.kill(pid, signal.SIGKILL)
+        raise
+    assert parent.returncode == -signal.SIGKILL
+    assert (out, err) == ("", "")
+    assert len(pids.read_text().split()) == (1 if killed == "while starting its helpers" else 2)
 
 
 def test_generate_then_solve_converges(tmp_path):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +18,7 @@ from qrot import (
     recover_plan,
     support_mask,
 )
+from qrot.core import DOT_CHUNK, vdot
 
 C2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 HALF = np.array([0.5, 0.5])
@@ -204,3 +210,39 @@ def test_hessian_is_second_difference_of_gradient_off_kink(rng):
     ga1, gb1 = dual_gradients(pot(a + d[:3], b + d[3:]), c, 1.0, mu, nu)
     change = np.concatenate([ga1 - ga0, gb1 - gb0])
     assert np.allclose(G @ d, change, atol=1e-12)
+
+
+def test_vdot_adds_chunks_in_order(rng):
+    a, b = rng.normal(size=(2, 4 * DOT_CHUNK + 17))
+    assert vdot(a[:DOT_CHUNK], b[:DOT_CHUNK]) == np.vdot(a[:DOT_CHUNK], b[:DOT_CHUNK])
+    total = 0.0
+    for start in range(0, a.size, DOT_CHUNK):
+        total += np.vdot(a[start:start + DOT_CHUNK], b[start:start + DOT_CHUNK])
+    assert vdot(a, b) == total
+    plan = a[:40000].reshape(200, 200)
+    assert vdot(plan.T, plan.T) == vdot(plan.T.copy(), plan.T.copy())  # flattened in C order, as np.vdot does
+
+
+def test_history_objectives_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS splits np.vdot over its threads above 10,000 elements; the
+    # objectives of a history row must have the same bits on any CPU count
+    script = (
+        "import numpy as np\n"
+        "from qrot import DualPotentials, primal_objective\n"
+        "from qrot.dual import dual_value, recover_plan\n"
+        "rng = np.random.default_rng(7)\n"
+        "c = rng.random((200, 200))\n"
+        "mu, nu = np.full(200, 1 / 200), np.full(200, 1 / 200)\n"
+        "pot = DualPotentials(rng.random(200), rng.random(200))\n"
+        "plan = recover_plan(pot, c, 0.5)\n"
+        "print(primal_objective(plan, c, 0.5).hex(), dual_value(pot, c, 0.5, mu, nu).hex())\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
