@@ -55,36 +55,30 @@ def recover_plan(pot, c, gamma: float, out=None) -> np.ndarray:
     return np.divide(out, gamma, out=out)
 
 
-def dual_objective(pot, c, gamma: float, mu, nu, plan=None, norm2=None) -> float:
+def dual_objective(pot, c, gamma: float, mu, nu, norm2=None) -> float:
     """Value of F at the given potentials (the function the solvers descend).
 
     ``F = (gamma^2 / 2) ||pi||^2 - gamma <alpha, mu> - gamma <beta, nu>`` with
-    ``pi = recover_plan(pot, c, gamma)``; ``plan`` may pass in that recovery,
-    and ``norm2`` its ``||pi||^2`` as :func:`qrot.core.vdot` gives it.
+    ``pi = recover_plan(pot, c, gamma)``; ``norm2`` may pass in its
+    ``||pi||^2`` as :func:`qrot.core.vdot` gives it.
     """
     mu, nu = as_weights(mu), as_weights(nu)
     if norm2 is None:
-        if plan is None:
-            plan = recover_plan(pot, c, gamma)
+        plan = recover_plan(pot, c, gamma)
         norm2 = vdot(plan, plan)
     alpha, beta = pot
     return float(0.5 * gamma * gamma * norm2 - gamma * vdot(alpha, mu) - gamma * vdot(beta, nu))
 
 
-def dual_gradients(pot, c, gamma: float, mu, nu, plan=None):
-    """Gradients of F: ``(gamma (pi 1 - mu), gamma (pi.T 1 - nu))``.
-
-    ``plan`` may pass in a precomputed ``recover_plan(pot, c, gamma)``.
-    """
-    if plan is None:
-        plan = recover_plan(pot, c, gamma)
-    f, g = marginal_residuals(plan, mu, nu)
+def dual_gradients(pot, c, gamma: float, mu, nu):
+    """Gradients of F: ``(gamma (pi 1 - mu), gamma (pi.T 1 - nu))``."""
+    f, g = marginal_residuals(recover_plan(pot, c, gamma), mu, nu)
     return gamma * f, gamma * g
 
 
-def dual_value(pot, c, gamma: float, mu, nu, plan=None, norm2=None) -> float:
+def dual_value(pot, c, gamma: float, mu, nu, norm2=None) -> float:
     """Dual lower bound ``-F / gamma = <alpha, mu> + <beta, nu> - (gamma / 2) ||pi||^2``."""
-    return -dual_objective(pot, c, gamma, mu, nu, plan, norm2) / gamma
+    return -dual_objective(pot, c, gamma, mu, nu, norm2) / gamma
 
 
 def duality_gap(pot, pi, c, gamma: float, mu, nu) -> float:

@@ -26,8 +26,10 @@ The run's state and buffers live in the builder, so the loop of
 :func:`solve` never asks which method it drives.
 
 Quadratic regularization makes the plan sparse, and a dual run recovers it
-only on a certified band of cells that can be positive, bit for bit as a
-dense recovery would; :class:`_SupportBand` states the rules.
+only on a certified band of cells that can be positive.  The plan and its
+column sums are bit for bit those of a dense recovery, and its row sums
+within the rounding of a sum in another order; :class:`_SupportBand` states
+the rules.
 """
 
 from __future__ import annotations
@@ -224,11 +226,13 @@ class _SupportBand:
     that can be positive.
 
     ``recover(pot)`` writes ``recover_plan(pot, c, gamma)`` into ``plan``,
-    the band's C-contiguous ``(N, M)`` buffer, and returns
-    ``marginal_residuals(plan, mu, nu)``; plan and residuals are bit for bit
-    those of the dense calls, whichever path it takes.  The residuals are
-    the two halves ``f, g`` of one buffer ``res``, which the next call
-    overwrites, so a caller can take their largest magnitude in one pass.
+    the band's C-contiguous ``(N, M)`` buffer, and returns the residuals
+    ``(f, g)`` of ``marginal_residuals(plan, mu, nu)``.  ``plan`` and ``g``
+    are bit for bit those of the dense calls, whichever path it takes, and
+    so is ``f`` after a dense recovery; a banded ``f`` is within the bound
+    below.  The residuals are the two halves ``f, g`` of one buffer ``res``,
+    which the next call overwrites, so a caller can take their largest
+    magnitude in one pass.
 
     The band is the cells with ``alpha (+) beta - c > -theta`` at its base
     potentials, as the dense recovery rounds them, stored in row-major order
@@ -243,24 +247,18 @@ class _SupportBand:
     rounding of the selection, of the drift and of the recovery, so the
     rounded value stays negative and its clip is ``+0.0``.
 
-    Within that budget three rules keep the result bit for bit that of dense
-    recovery.  Band cells follow the dense op order, ``beta[cols] +
+    Within that budget two rules keep ``plan`` and ``g`` bit for bit those
+    of dense recovery.  Band cells follow the dense op order, ``beta[cols] +
     alpha[rows]``, then ``- c``, ``max 0`` and ``/ gamma``, and are
-    scattered into ``plan``.  Row sums follow numpy's pairwise order for
-    ``plan.sum(axis=1)``: it starts each row from ``0.0`` and splits a row of
-    more than 128 terms in two at a multiple of 8 near its middle, again and
-    again, down to leaves of at most 128 columns, each summed by numpy's own
-    loop (:func:`_pairwise_leaves`).  A leaf with no band cell in a row
-    holds only ``+0.0`` there and sums to ``+0.0``, and ``x + 0.0 = x`` (no
-    recovered cell is ``-0.0``), so each leaf is summed by numpy on the
-    dense buffer over the rows whose band cells reach into it, every other
-    leaf sum is ``+0.0``, and the leaf sums are added up as numpy's split
-    pairs them (:func:`_leaf_blocks`, :func:`_leaf_row_sums`).  With
-    ``M <= 128`` that is one leaf, the dense row sum of the band's rows.
-    Column sums are ``np.bincount`` over the band in row-major order: numpy
-    sums axis 0 of a C-contiguous array one row after another, and the
-    off-band terms it adds are ``+0.0``, which leaves every partial sum
-    unchanged.
+    scattered into ``plan``.  Column sums are ``np.bincount`` over the band
+    in row-major order: numpy sums axis 0 of a C-contiguous array one row
+    after another, and the off-band terms it adds are ``+0.0``, which leaves
+    every partial sum unchanged (no recovered cell is ``-0.0``).  Row sums
+    are ``np.add.reduceat`` over the band's values, one run per row with a
+    band cell, and exactly ``0.0`` in a row without one.  They add the same
+    nonnegative terms as ``plan.sum(axis=1)`` in another order, so a row sum
+    differs from the dense one by at most ``(M - 1) eps`` times the row sum,
+    and ``f`` from the dense row residual by as much.
 
     Past the budget, or with non-finite potentials (a NaN or infinite drift
     fails the test), one dense recovery through the module's
@@ -284,16 +282,16 @@ class _SupportBand:
         self.res = np.empty(n + m)  # the residuals (f, g) of the last call, end to end
         self.f, self.g = self.res[:n], self.res[n:]
         self.drift = np.empty(n + m)  # scratch for the drift test
+        self.row = np.zeros(n)  # the band's row sums, zero in rows without a band cell
         self.plan = np.empty(c.shape)  # the run's one plan buffer
         self.flat = self.plan.reshape(-1)  # a view of it
-        self.leaves, self.tree = _pairwise_leaves(m)
         self.recent = (None, None)  # potentials of the last two calls
         self.base = None  # potentials of the live band, None when dense
         self.base_flat = None  # the same, end to end
         self.ends = np.array([0, n])  # where alpha and beta start in those
         self.budget = 0.0
         self.idx = self.cols = self.counts = self.cost = None
-        self.sums = self.blocks = None  # per-leaf row sums, and the (block, out) pairs that fill them
+        self.rows = self.starts = None  # the rows with a band cell, and where each starts in the band
         self.wait = self.backoff = 0  # dense recoveries left to skip selection, and their count
 
     def recover(self, pot):
@@ -335,9 +333,10 @@ class _SupportBand:
         np.maximum(vals, 0.0, out=vals)
         np.divide(vals, self.gamma, out=vals)
         self.flat[self.idx] = vals
-        row = _leaf_row_sums(self.blocks, self.sums, self.tree)
+        if self.rows.size:  # with no band cell there is no run to sum, and every row sum stays 0.0
+            self.row[self.rows] = np.add.reduceat(vals, self.starts)
         col = np.bincount(self.cols, weights=vals, minlength=self.plan.shape[1])
-        return self._residuals(row, col)
+        return self._residuals(self.row, col)
 
     def _select(self, pot, theta):
         """Keep the band of reach ``theta`` at ``pot``, whose dense plan ``plan`` holds."""
@@ -348,7 +347,6 @@ class _SupportBand:
         c = self.c
         n, m = c.shape
         self.idx = self.cols = self.counts = self.cost = None  # the old band's storage goes first
-        self.sums = self.blocks = None
         rows = max(1, _BAND_BLOCK_CELLS // m)
         idx, cols, counts, size = [], [], [], 0
         for r0 in range(0, n, rows):
@@ -366,71 +364,11 @@ class _SupportBand:
         self.backoff = 0
         self.idx, self.cols, self.counts = np.concatenate(idx), np.concatenate(cols), np.concatenate(counts)
         self.cost = np.take(c, self.idx)
-        self.sums, self.blocks = _leaf_blocks(self.plan, self.leaves, self.cols, self.counts)
+        self.rows = np.flatnonzero(self.counts)
+        self.starts = (np.cumsum(self.counts) - self.counts)[self.rows]
+        self.row.fill(0.0)
         self.base, self.budget = pot, theta - slack
         self.base_flat = np.concatenate(pot)
-
-
-# numpy adds up a row pairwise: a run of more than this many terms is split in
-# two at a multiple of 8 near its middle, and shorter runs are the leaves
-_PAIRWISE_BLOCK = 128
-
-
-def _pairwise_leaves(m):
-    """numpy's pairwise split of a row of ``m`` terms.
-
-    Returns the leaves' column spans ``[(j0, j1), ...]`` from left to right,
-    and the tree that adds their sums: a leaf's index, or a pair of trees.
-    """
-    leaves = []
-
-    def split(j0, k):
-        if k <= _PAIRWISE_BLOCK:
-            leaves.append((j0, j0 + k))
-            return len(leaves) - 1
-        half = k // 2 - (k // 2) % 8
-        return split(j0, half), split(j0 + half, k - half)
-
-    return leaves, split(0, m)
-
-
-def _leaf_blocks(plan, leaves, cols, counts):
-    """Where the row sums of a banded ``plan`` read it, leaf by leaf.
-
-    ``cols`` and ``counts`` give the band in row-major order, and every cell
-    of ``plan`` off the band must be ``+0.0``.  Returns ``(sums, blocks)``:
-    ``sums`` is an all-zero ``(leaves, N)`` array, and ``blocks`` pairs the
-    block ``plan[r0:r1, j0:j1]`` of each leaf ``j0:j1`` with its row sums'
-    place ``sums[k, r0:r1]``, where ``r0`` and ``r1 - 1`` are the first and
-    last rows whose band cells reach into the leaf.  A leaf no row reaches
-    has no block.
-    """
-    rows = np.flatnonzero(counts)
-    end = np.cumsum(counts)[rows]  # one past each such row's last band cell
-    first, last = cols[end - counts[rows]], cols[end - 1]  # its first and last column
-    sums = np.zeros((len(leaves), counts.size))
-    blocks = []
-    for k, (j0, j1) in enumerate(leaves):
-        touch = rows[(first < j1) & (last >= j0)]
-        if touch.size:
-            r0, r1 = touch[0], touch[-1] + 1
-            blocks.append((plan[r0:r1, j0:j1], sums[k, r0:r1]))
-    return sums, blocks
-
-
-def _leaf_row_sums(blocks, sums, tree):
-    """``plan.sum(axis=1)`` bit for bit, from :func:`_leaf_blocks` and the
-    ``tree`` of :func:`_pairwise_leaves`."""
-    for block, out in blocks:
-        np.add.reduce(block, axis=1, out=out)
-    return _tree_sum(tree, sums)
-
-
-def _tree_sum(tree, sums):
-    """The leaf sums ``sums[k]`` added up in the order ``tree`` pairs them."""
-    if type(tree) is int:
-        return sums[tree]
-    return _tree_sum(tree[0], sums) + _tree_sum(tree[1], sums)
 
 
 def _move(p, q) -> float:
@@ -603,8 +541,10 @@ def solve(mu, nu, c, config: SolverConfig) -> ConvergenceReport:
     so the loop tests that one number for divergence.  A dual iteration
     recovers the plan in place and takes its marginal residuals once; the
     stopping test and the next step both read them.  Once the plan is
-    sparse, the recovery touches only a certified band of cells, bit for bit
-    as a dense one would (see :class:`_SupportBand`).  Sinkhorn tests its
+    sparse, the recovery touches only a certified band of cells: the plan
+    and its column sums are bit for bit those of a dense recovery, and each
+    row sum is within ``(M - 1) eps`` times itself of the dense one (see
+    :class:`_SupportBand`).  Sinkhorn tests its
     scaling vectors instead of the plan, and the ``K v`` of that test feeds
     the next sweep, so a sweep costs two matrix-vector products.  It builds
     the plan, in place into one buffer, only when due and to confirm

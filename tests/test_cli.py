@@ -595,11 +595,14 @@ def test_oracle_check_random_4x4_seeds(tmp_path, rng):
         assert main(["oracle-check", str(path)]) == 0
 
 
-def test_oracle_check_bound_guard(tmp_path):
+def test_oracle_check_bound_guard(tmp_path, capsys):
     problem = small_problem(5, 4)  # 20 cells
     path = tmp_path / "big.json"
     save_problem(problem, path)
     assert main(["oracle-check", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "20 cells" in captured.err, captured.err
 
 
 # -- compare across processes ---------------------------------------------

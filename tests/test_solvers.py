@@ -11,6 +11,8 @@ from qrot import (
     DivergenceError,
     DualPotentials,
     Entropy,
+    Grid1D,
+    MixtureSpec,
     NesterovState,
     SolverConfig,
     cyclic_projection_step,
@@ -27,8 +29,8 @@ from qrot import (
 )
 from qrot.core import marginal_residuals
 from qrot.dual import dual_value
-from qrot.fileio import default_problem, realize_problem
-from qrot.solvers import _leaf_blocks, _leaf_row_sums, _pairwise_leaves, _SupportBand
+from qrot.fileio import ProblemFile, default_problem, realize_problem
+from qrot.solvers import _SupportBand
 
 C2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 HALF = np.array([0.5, 0.5])
@@ -407,9 +409,17 @@ def count_dense_recoveries(monkeypatch):
     return count
 
 
+def row_sum_bound(plan):
+    """How far a row sum of ``plan`` taken in another order may be from
+    ``plan.sum(axis=1)``: ``(M - 1) eps`` times the row sum."""
+    return (plan.shape[1] - 1) * np.finfo(float).eps * plan.sum(axis=1)
+
+
 def test_support_band_matches_dense_recovery_on_random_walks(rng, monkeypatch):
     # small moves keep the band; jumps past its reach and a NaN force dense
-    # recoveries; every call writes the band's one plan buffer
+    # recoveries; every call writes the band's one plan buffer.  The plan and
+    # the column residuals are the dense ones bit for bit, and the row
+    # residuals are too or lie within the bound of a reordered row sum
     dense = count_dense_recoveries(monkeypatch)
     mu, nu, c = realize_problem(default_problem("squared", 10.0, n=60))
     mu, nu = mu.w, nu.w
@@ -435,7 +445,8 @@ def test_support_band_matches_dense_recovery_on_random_walks(rng, monkeypatch):
                 rf, rg = marginal_residuals(plan, mu, nu)
             calls += 1
             assert np.array_equal(band.plan, plan, equal_nan=True), (walk, k)
-            assert np.array_equal(f, rf, equal_nan=True) and np.array_equal(g, rg, equal_nan=True), (walk, k)
+            assert np.array_equal(g, rg, equal_nan=True), (walk, k)
+            assert np.array_equal(f, rf, equal_nan=True) or (np.abs(f - rf) <= row_sum_bound(plan)).all(), (walk, k)
         # the band carried most recoveries; each jump and the NaN forced a dense one
         assert 5 <= dense[0] < calls / 3, (walk, dense[0])
 
@@ -456,9 +467,26 @@ def test_nesterov_peak_memory_is_one_plan_buffer():
     assert peaks[Algorithm.NESTEROV] - peaks[Algorithm.FIXED_POINT] < c.nbytes / 2, (peaks, c.nbytes)
 
 
-def test_solve_with_support_band_is_bit_identical_to_reference(monkeypatch):
+def assert_matches_reference(rep, reference, what, rel=1e-12):
+    """``rep`` stops where the plain loop ``reference`` stops, and its plan,
+    potentials and history columns are within ``rel`` of the loop's."""
+    iters, converged, plan, pot, rows = reference
+    assert (rep.iterations, rep.converged) == (iters, converged), what
+
+    def close(a, b):
+        return np.abs(np.subtract(a, b)).max() <= rel * np.abs(b).max()
+
+    assert close(rep.final_plan, plan), what
+    assert close(rep.final_potentials.alpha, pot.alpha) and close(rep.final_potentials.beta, pot.beta), what
+    assert [r.iteration for r in rep.history] == [row[0] for row in rows], what
+    for r, row in zip(rep.history, rows):
+        assert all(close(x, y) for x, y in zip((r.max_violation, r.dual_objective, r.primal_objective), row[1:])), what
+
+
+def test_solve_with_support_band_matches_reference(monkeypatch):
     # at n=150 and gamma 1 the plan is sparse and the band engages: far
-    # fewer dense recoveries than iterations, and bit for bit the plain loop
+    # fewer dense recoveries than iterations, the plain loop's iteration
+    # count, and its plans, potentials and history within 1e-12
     mu, nu, c = realize_problem(default_problem("squared", 1.0, n=150))
     dense = count_dense_recoveries(monkeypatch)
     for alg in DUAL_ALGORITHMS:
@@ -468,13 +496,8 @@ def test_solve_with_support_band_is_bit_identical_to_reference(monkeypatch):
             dense[0] = 0
             rep = solve(mu, nu, c, config)
             assert dense[0] < rep.iterations / 2, (alg, tol, dense[0], rep.iterations)
-            iters, converged, plan, pot, rows = reference_dual_solve(mu, nu, c, config)
-            assert (rep.iterations, rep.converged) == (iters, converged), (alg, tol)
-            assert converged == (tol > 1e-300)
-            assert np.array_equal(rep.final_plan, plan)
-            assert np.array_equal(rep.final_potentials.alpha, pot.alpha)
-            assert np.array_equal(rep.final_potentials.beta, pot.beta)
-            assert [tuple(r)[:2] + (r.dual_objective, r.primal_objective) for r in rep.history] == rows
+            assert rep.converged == (tol > 1e-300)
+            assert_matches_reference(rep, reference_dual_solve(mu, nu, c, config), (alg, tol))
 
 
 def test_bincount_column_sums_are_numpy_axis0_sums(rng):
@@ -507,45 +530,63 @@ def banded_plan(rng, n, m):
     return plan, (idx % m).astype(np.int32), band.sum(axis=1)
 
 
-def test_leaf_row_sums_are_numpy_axis1_sums(rng):
-    # the band's row sums rest on this: numpy's pairwise row sum is a tree
-    # over leaves of at most 128 columns, and summing only the rows of each
-    # leaf that the band reaches gives plan.sum(axis=1) bit for bit.  A
-    # numpy that splits rows another way fails here.
-    widths = [1, 3, 7, 8, 100, 127, 128, 129, 255, 300, 1003, 4097, 8200]
-    for m in widths + [int(w) for w in rng.integers(2, 2000, 8)]:
-        leaves, tree = _pairwise_leaves(m)
-        assert leaves[0][0] == 0 and leaves[-1][1] == m and all(a[1] == b[0] for a, b in zip(leaves, leaves[1:]))
-        assert all(j1 - j0 <= 128 for j0, j1 in leaves) and (len(leaves) == 1) == (m <= 128)
-        for n in (1, 9, 40) if m < 8000 else (6,):
+def test_reduceat_row_sums_of_banded_plans_are_within_the_bound(rng):
+    # the band's row sums rest on this: np.add.reduceat over the band's
+    # values in row-major order, one run per row with a band cell, is
+    # plan.sum(axis=1) within (M - 1) eps of the row sum, and a row without
+    # a band cell sums to exactly 0.0
+    for m in [1, 3, 7, 8, 100, 127, 128, 129, 255, 300, 1003, 4097] + [int(w) for w in rng.integers(2, 2000, 8)]:
+        for n in (1, 9, 40):
             plan, cols, counts = banded_plan(rng, n, m)
-            sums, blocks = _leaf_blocks(plan, leaves, cols, counts)
-            assert np.array_equal(_leaf_row_sums(blocks, sums, tree), plan.sum(axis=1)), (m, n)
-    # the check has power: the same terms added one after another round differently
-    n, m = 50, 1003
-    plan, cols, counts = banded_plan(rng, n, m)
-    rows = np.repeat(np.arange(n), counts)
-    vals = plan[rows, cols]
-    assert not np.array_equal(np.bincount(rows, weights=vals, minlength=n), plan.sum(axis=1))
+            vals = plan[np.repeat(np.arange(n), counts), cols]
+            rows = np.flatnonzero(counts)
+            row = np.zeros(n)
+            if rows.size:
+                row[rows] = np.add.reduceat(vals, (np.cumsum(counts) - counts)[rows])
+            assert (np.abs(row - plan.sum(axis=1)) <= row_sum_bound(plan)).all(), (m, n)
+            assert not row[counts == 0].any(), (m, n)
 
 
-def test_solve_over_several_leaves_is_bit_identical_to_reference(monkeypatch):
-    # at n=300 a row has four leaves (72, 72, 72 and 84 columns), and at
-    # gamma 2 the band is live on most iterations
+def test_solve_with_band_live_on_most_iterations_matches_reference(monkeypatch):
+    # at n=300 and gamma 2 the band is live on most iterations
     mu, nu, c = realize_problem(default_problem("squared", 2.0, n=300))
-    assert len(_pairwise_leaves(300)[0]) == 4
     dense = count_dense_recoveries(monkeypatch)
     for alg in DUAL_ALGORITHMS:
         config = SolverConfig(gamma=2.0, algorithm=alg, tol=1e-300, max_iters=100, history_stride=1)
         dense[0] = 0
         rep = solve(mu, nu, c, config)
         assert dense[0] < rep.iterations / 2, (alg, dense[0])
-        iters, converged, plan, pot, rows = reference_dual_solve(mu, nu, c, config)
-        assert (rep.iterations, rep.converged) == (iters, converged) == (100, False), alg
-        assert np.array_equal(rep.final_plan, plan)
-        assert np.array_equal(rep.final_potentials.alpha, pot.alpha)
-        assert np.array_equal(rep.final_potentials.beta, pot.beta)
-        assert [tuple(r)[:2] + (r.dual_objective, r.primal_objective) for r in rep.history] == rows
+        assert rep.iterations == 100 and not rep.converged, alg
+        assert_matches_reference(rep, reference_dual_solve(mu, nu, c, config), alg)
+
+
+def test_empty_support_band_gives_a_zero_plan(rng, monkeypatch):
+    # costs near 900 leave no cell within reach of small moves from zero
+    # potentials, so the band that goes live holds no cell at all: the plan
+    # is all zero and the residuals are exactly (-mu, -nu), as dense
+    problem = ProblemFile(
+        grid1=Grid1D(4, 0.0, 1.0),
+        grid2=Grid1D(5, 30.0, 31.0),
+        marginal1=MixtureSpec(((0.5, 0.3, 0.12), (0.5, 0.7, 0.12))),
+        marginal2=MixtureSpec(((1.0, 30.5, 0.2),)),
+        cost="squared",
+        gamma=1.0,
+    )
+    mu, nu, c = realize_problem(problem)
+    mu, nu = mu.w, nu.w
+    dense = count_dense_recoveries(monkeypatch)
+    band = _SupportBand(c, 1.0, mu, nu)
+    pot = zeros(4, 5)
+    for k in range(6):
+        f, g = band.recover(pot)
+        plan = recover_plan(pot, c, 1.0)
+        rf, rg = marginal_residuals(plan, mu, nu)
+        assert np.array_equal(band.plan, plan) and not plan.any(), k
+        assert np.array_equal(f, rf) and np.array_equal(g, rg), k
+        assert np.array_equal(f, -mu) and np.array_equal(g, -nu), k
+        assert (band.base is not None) == (k > 0) and (k == 0 or band.idx.size == 0), k
+        pot = DualPotentials(pot.alpha + 1e-3 * rng.standard_normal(4), pot.beta + 1e-3 * rng.standard_normal(5))
+    assert dense[0] == 2  # the first call, and the second, which selected the band
 
 
 def test_divergence_with_support_band_live_matches_reference(monkeypatch):
@@ -553,6 +594,9 @@ def test_divergence_with_support_band_live_matches_reference(monkeypatch):
     # problem scaled near the float range.  A tau above the block's
     # stability limit 2 / 20 makes the potentials oscillate with growing
     # amplitude until they overflow, while the band carries most recoveries.
+    # Where an overflow lands depends on the order of a sum, so the band's
+    # run and the plain loop may diverge an iteration apart; the run is
+    # finite up to the iteration it reports, and the plain loop diverges too
     scale, n, b = 1e308, 40, 10
     c = np.full((n, n), 1.5 * scale)
     c[:b, :b] = -scale
@@ -561,23 +605,27 @@ def test_divergence_with_support_band_live_matches_reference(monkeypatch):
     nu[:b] = mu[b - 1 :: -1]
     dense = count_dense_recoveries(monkeypatch)
     for alg, tau in ((Algorithm.DUAL_GRADIENT, 0.12), (Algorithm.NESTEROV, 0.1)):
-        config = SolverConfig(gamma=scale, algorithm=alg, tol=1e-300, max_iters=1000, tau=tau,
-                              record_history=False)
+        def config(max_iters):
+            return SolverConfig(gamma=scale, algorithm=alg, tol=1e-300, max_iters=max_iters, tau=tau,
+                                record_history=False)
+
         dense[0] = 0
         with pytest.raises(DivergenceError) as err:
-            solve(mu, nu, c, config)
+            solve(mu, nu, c, config(1000))
         it = err.value.iteration
         assert 10 < it < 1000 and dense[0] < it / 2, (alg, it, dense[0])
 
-        def finite(max_iters):
-            with np.errstate(all="ignore"):
-                *_, plan, pot, _ = reference_dual_solve(
-                    mu, nu, c, SolverConfig(gamma=scale, algorithm=alg, tol=1e-300, max_iters=max_iters, tau=tau,
-                                            record_history=False))
-                viol = max_violation(plan, mu, nu)
-            return bool(np.isfinite(viol) and np.isfinite(pot.alpha).all() and np.isfinite(pot.beta).all())
+        rep = solve(mu, nu, c, config(it - 1))  # no non-finite iterate masked, none reported early
+        pot = rep.final_potentials
+        with np.errstate(all="ignore"):
+            viol = max_violation(rep.final_plan, mu, nu)
+        assert rep.iterations == it - 1 and np.isfinite(viol), alg
+        assert np.isfinite(pot.alpha).all() and np.isfinite(pot.beta).all(), alg
 
-        assert finite(it - 1) and not finite(it), alg
+        with np.errstate(all="ignore"):
+            *_, plan, pot, _ = reference_dual_solve(mu, nu, c, config(1000))
+            viol = max_violation(plan, mu, nu)
+        assert not (np.isfinite(viol) and np.isfinite(pot.alpha).all() and np.isfinite(pot.beta).all()), alg
 
 
 def reference_sinkhorn(mu, nu, c, gamma, tol, max_iters, history_stride=None):
