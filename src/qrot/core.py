@@ -111,10 +111,7 @@ class DiscreteMeasure:
         w = np.asarray(self.w, dtype=float)
         if w.shape != (self.grid.n,):
             raise ValueError(f"expected {self.grid.n} weights, got shape {w.shape}")
-        if not np.isfinite(w).all():
-            raise ValueError("measure weights must be finite")
-        if (w < 0).any():
-            raise ValueError("measure weights must be nonnegative")
+        _check_weights(w, "measure weights")
         object.__setattr__(self, "w", w)
 
     @property
@@ -227,6 +224,14 @@ def as_weights(m) -> np.ndarray:
     if isinstance(m, DiscreteMeasure):
         return m.w
     return np.asarray(m, dtype=float)
+
+
+def _check_weights(w, what: str) -> None:
+    """Reject weights ``w`` that are not all finite and nonnegative."""
+    if not np.isfinite(w).all():
+        raise ValueError(f"{what} must be finite")
+    if (w < 0).any():
+        raise ValueError(f"{what} must be nonnegative")
 
 
 def check_mass_balance(mu, nu) -> None:

@@ -188,31 +188,48 @@ def realize_problem(problem: ProblemFile):
 def write_matrix(path, arr) -> None:
     """Plain-text matrix: '# N M' header, one whitespace-joined row per line.
 
-    Every value is written as its ``repr``.  In a row that is mostly
-    ``+0.0``, those cells get the literal ``0.0`` (their ``repr``) and only
-    the others go through ``repr``; ``-0.0`` is one of the others.
+    Every value is written as its ``repr``, by :func:`qrot.rowtext.lines`.
 
-    A matrix with at least ``PARALLEL_MIN_REPRS`` values to ``repr`` is
-    written on every CPU this process may use, when there is more than one:
-    its rows are cut into that many contiguous parts with about equal numbers
-    of such values.  This process formats the first part while helper
-    processes running :mod:`qrot.rowtext` format the others; the parts are
-    then written in order, so the file is byte for byte the one-process one.
-    Every helper is stopped and reaped before this returns or raises, and a
-    helper that fails raises RuntimeError.
+    A matrix with at least ``PARALLEL_MIN_REPRS`` values that are not
+    ``+0.0`` is written on every CPU this process may use, when there is
+    more than one: its rows are cut into that many contiguous parts with
+    about equal numbers of such values.  This process formats the first part
+    from the array itself while helper processes running :mod:`qrot.rowtext`
+    format the others from their bytes; the parts are then written in order,
+    so the file is byte for byte the one-process one.  Every helper is
+    stopped and reaped before this returns or raises, and a helper that
+    fails raises RuntimeError.
     """
-    arr = np.asarray(arr, dtype=float)
+    arr = np.ascontiguousarray(arr, dtype=float)
     n, m = arr.shape
-    bits = arr.view(np.int64)  # +0.0 is the one float whose bits are all zero
-    reprs = np.count_nonzero(bits, axis=1)
+    reprs = np.count_nonzero(arr.view(np.int64), axis=1)  # +0.0 is the one float whose bits are all zero
     cpus = usable_cpus() if reprs.sum() >= PARALLEL_MIN_REPRS and sys.executable else 1
     bounds = _row_bounds(reprs, cpus)
+    own, parts = bounds[1], list(zip(bounds[1:-1], bounds[2:]))  # this process's rows, then the helpers'
+    helpers, senders = [], []
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# {n} {m}\n")
-        if len(bounds) == 2:
-            _write_rows(fh, arr, bits, reprs)
-        else:
-            _write_rows_with_helpers(fh, arr, bits, reprs, bounds, path)
+        try:
+            for start, stop in parts:
+                _start_helper(arr[start:stop], helpers, senders)
+            fh.writelines(rowtext.lines(arr[:own], own, m))
+            fh.flush()
+            for helper, (start, stop) in zip(helpers, parts):
+                while text := helper.stdout.read(1 << 20):
+                    fh.buffer.write(text)
+                code = helper.wait()
+                if code:
+                    how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                    raise RuntimeError(f"the helper process writing rows {start}-{stop - 1} of {path} {how}")
+        finally:
+            for helper in helpers:
+                helper.kill()  # a no-op once it has been reaped
+            for sender in senders:
+                sender.join()
+            for helper in helpers:
+                helper.stdin.close()
+                helper.stdout.close()
+                helper.wait()
 
 
 # A helper costs about 30 ms (its start and its rows through a pipe) against
@@ -235,21 +252,6 @@ def _row_bounds(reprs, parts) -> list:
     return sorted({0, n, *cuts.tolist()})
 
 
-def _write_rows(fh, arr, bits, reprs) -> None:
-    """Write the text lines of ``arr``'s rows, given their bits and their
-    counts of cells that are not +0.0."""
-    zeros = ["0.0"] * arr.shape[1]
-    for row, row_bits, k in zip(arr, bits, reprs.tolist()):
-        if 2 * k < len(zeros):
-            cols = np.flatnonzero(row_bits)
-            cells = zeros.copy()
-            for j, x in zip(cols.tolist(), row[cols].tolist()):
-                cells[j] = repr(x)
-        else:
-            cells = map(repr, row.tolist())
-        fh.write(" ".join(cells) + "\n")
-
-
 def _send(pipe, rows) -> None:
     """Write ``rows`` to a helper's stdin and close it."""
     try:
@@ -259,38 +261,16 @@ def _send(pipe, rows) -> None:
         pass
 
 
-def _write_rows_with_helpers(fh, arr, bits, reprs, bounds, path) -> None:
-    import shutil
+def _start_helper(rows, helpers, senders) -> None:
+    """Start a helper process formatting the C-contiguous ``rows``, and a
+    thread sending them to its stdin; each goes on its list as it starts."""
     import subprocess
     import threading
 
-    m = arr.shape[1]
-    helpers, senders = [], []
-    try:
-        for start, stop in zip(bounds[1:-1], bounds[2:]):
-            helper = subprocess.Popen([sys.executable, "-I", "-S", rowtext.__file__, str(stop - start), str(m)],
-                                      stdin=subprocess.PIPE, stdout=subprocess.PIPE)
-            helpers.append(helper)
-            senders.append(threading.Thread(target=_send, args=(helper.stdin, np.ascontiguousarray(arr[start:stop]))))
-            senders[-1].start()
-        own = bounds[1]
-        _write_rows(fh, arr[:own], bits[:own], reprs[:own])
-        fh.flush()
-        for helper, start, stop in zip(helpers, bounds[1:-1], bounds[2:]):
-            shutil.copyfileobj(helper.stdout, fh.buffer, 1 << 20)
-            code = helper.wait()
-            if code:
-                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-                raise RuntimeError(f"the helper process writing rows {start}-{stop - 1} of {path} {how}")
-    finally:
-        for helper in helpers:
-            helper.kill()  # a no-op once it has been reaped
-        for sender in senders:
-            sender.join()
-        for helper in helpers:
-            helper.stdin.close()
-            helper.stdout.close()
-            helper.wait()
+    helpers.append(subprocess.Popen([sys.executable, "-I", "-S", rowtext.__file__, *map(str, rows.shape)],
+                                    stdin=subprocess.PIPE, stdout=subprocess.PIPE))
+    senders.append(threading.Thread(target=_send, args=(helpers[-1].stdin, rows)))
+    senders[-1].start()
 
 
 def write_vector(path, vec) -> None:

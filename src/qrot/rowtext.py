@@ -1,41 +1,41 @@
-"""The text lines of :func:`qrot.fileio.write_matrix`, from the standard library alone.
+"""The text lines of a matrix file, from the standard library alone.
+
+:func:`lines` formats the rows of every :func:`qrot.fileio.write_matrix`
+file, in the CLI process from the array and in its helpers from raw bytes.
+Each value is written as its ``repr``; only a row's span, from its first to
+its last cell that is not ``+0.0``, goes through ``repr``, and the cells
+outside it get the literal ``0.0``, which is ``repr(0.0)``.
 
 ``python -I -S rowtext.py N M`` reads N rows of M float64 values (native
 byte order, rows one after another) on stdin and writes their N lines to
-stdout: the ``repr`` of each value, separated by single spaces.  A row that
-is mostly ``+0.0`` gets the literal ``0.0`` for those cells, as
-``write_matrix`` does, so the lines are byte for byte the ones it writes.
-
-``write_matrix`` runs this file in its helper processes.  It imports neither
-numpy nor qrot, so a helper starts in about 20 ms rather than 0.2 s.  A
-helper ignores Ctrl-C, which its parent handles.  If the parent dies, the
-helper's stdin ends early or its stdout has no reader, and it exits with
-status 1 and prints nothing.
+stdout.  It imports neither numpy nor qrot, so a helper starts in about
+20 ms rather than 0.2 s.  A helper ignores Ctrl-C, which its parent handles.
+If the parent dies, the helper's stdin ends early or its stdout has no
+reader, and it exits with status 1 and prints nothing.
 """
 
 import os
 import signal
 import sys
-from array import array
-from itertools import compress
 
 
 def lines(data, n, m):
-    """The text line of each of the ``n`` rows of ``m`` values in ``data``."""
-    values, bits = array("d"), array("q")
-    values.frombytes(data)
-    bits.frombytes(data)  # +0.0 is the one float whose bits are all zero
-    zeros = ["0.0"] * m
-    cols = range(m)
+    """The text line of each of the ``n`` rows of ``m`` float64 values in
+    ``data``, any C-contiguous buffer of them."""
+    if not n * m:  # memoryview.cast refuses a zero in the shape
+        yield from ["\n"] * n
+        return
+    raw = memoryview(data).cast("B")
+    values = raw.cast("d")
+    width = 8 * m
     for i in range(n):
-        row, row_bits = values[i * m:(i + 1) * m], bits[i * m:(i + 1) * m]
-        if 2 * (m - row_bits.count(0)) < m:
-            cells = zeros.copy()
-            for j in compress(cols, row_bits):
-                cells[j] = repr(row[j])
-        else:
-            cells = map(repr, row)
-        yield " ".join(cells) + "\n"
+        row = bytes(raw[i * width:(i + 1) * width])
+        # +0.0 is the one float whose bytes are all zero; a row of +0.0
+        # alone keeps its last cell as its span
+        start = min((width - len(row.lstrip(b"\0"))) // 8, m - 1)
+        stop = max((len(row.rstrip(b"\0")) + 7) // 8, start + 1)
+        span = values[i * m + start:i * m + stop].tolist()
+        yield "0.0 " * start + " ".join(map(repr, span)) + " 0.0" * (m - stop) + "\n"
 
 
 def main(argv) -> None:

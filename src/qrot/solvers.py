@@ -46,6 +46,7 @@ from .core import (
     DualPotentials,
     HistoryEntry,
     SolverConfig,
+    _check_weights,
     as_weights,
     check_mass_balance,
     marginals,
@@ -470,8 +471,11 @@ def _sinkhorn_run(c, gamma, mu, nu, tol):
     """
     if (mu <= 0).any() or (nu <= 0).any():
         raise ValueError("Sinkhorn requires strictly positive marginals")
-    K = np.divide(c, -gamma)  # exp(-c / gamma), formed in one array
-    np.exp(K, out=K)
+    with np.errstate(over="ignore"):
+        K = np.divide(c, -gamma)  # exp(-c / gamma), formed in one array
+        np.exp(K, out=K)
+    if not np.isfinite(K).all():
+        raise ValueError("Sinkhorn kernel exp(-c / gamma) overflows; use a larger gamma")
     u, v = np.ones(c.shape[0]), np.ones(c.shape[1])
     Kv = None  # K @ v at the current v, when the stopping test formed it
     plan = None  # the run's plan buffer once the first plan is built
@@ -514,8 +518,8 @@ def solve(mu, nu, c, config: SolverConfig) -> ConvergenceReport:
     Parameters
     ----------
     mu, nu : DiscreteMeasure or array-like
-        Marginals with equal total mass (and strictly positive weights for
-        the Sinkhorn baseline).
+        Marginals: one-dimensional, finite and nonnegative weights with
+        equal total mass (strictly positive for the Sinkhorn baseline).
     c : array-like, shape (N, M)
         Cost matrix, finite entries.
     config : SolverConfig
@@ -553,10 +557,17 @@ def solve(mu, nu, c, config: SolverConfig) -> ConvergenceReport:
 
     Raises
     ------
+    ValueError
+        If the marginals or the cost are not as above, or Sinkhorn's kernel
+        ``exp(-c / gamma)`` overflows.
     DivergenceError
         If an iterate stops being finite.
     """
     mu, nu = as_weights(mu), as_weights(nu)
+    for name, w in (("mu", mu), ("nu", nu)):
+        if w.ndim != 1:
+            raise ValueError(f"marginal {name} must be one-dimensional, got shape {w.shape}")
+        _check_weights(w, f"marginal {name}")
     c = np.asarray(c, dtype=float)
     if c.ndim != 2 or c.shape != (mu.size, nu.size):
         raise ValueError(f"cost shape {c.shape} does not match marginals ({mu.size}, {nu.size})")

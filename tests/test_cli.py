@@ -215,8 +215,9 @@ def test_matrix_roundtrip(tmp_path):
 
 
 def test_write_matrix_is_byte_identical_to_plain_repr_rows(tmp_path, rng):
-    # the writer formats only the cells that are not +0.0; its bytes must be
-    # those of a repr on every cell
+    # the writer formats only each row's span, from the first to the last cell
+    # that is not +0.0, found from the row's bytes; its bytes must be those of
+    # a repr on every cell, and the same from the array as from raw bytes
     def plain(arr):
         return f"# {arr.shape[0]} {arr.shape[1]}\n" + "".join(" ".join(map(repr, row)) + "\n" for row in arr.tolist())
 
@@ -226,6 +227,14 @@ def test_write_matrix_is_byte_identical_to_plain_repr_rows(tmp_path, rng):
     odd[0, :3] = (np.inf, -np.inf, np.nan)
     odd[1] = -0.0  # a row of -0.0 only
     odd[2, ::2] = 1.5  # a row about half nonzero
+    # span ends at the first and last column, inside the row, or one cell alone,
+    # with +0.0 cells between them; 0.5 and 1.5 have zero low bytes, 5e-324 zero
+    # high bytes and -0.0 a single nonzero byte
+    ends = ((0, 8), (2, 6), (3, 4), (0, 0), (8, 8))
+    values = list(itertools.product((0.5, 1.5, 5e-324, -0.0), repeat=2))
+    spans = np.zeros((len(ends) * len(values), 9))
+    for row, ((j, k), (x, y)) in zip(spans, itertools.product(ends, values)):
+        row[j], row[k] = x, y
     cases = {
         "sparse": sparse,
         "dense": rng.lognormal(0.0, 3.0, (23, 31)),
@@ -236,10 +245,14 @@ def test_write_matrix_is_byte_identical_to_plain_repr_rows(tmp_path, rng):
         "one zero": np.zeros((1, 1)),
         "one negative zero": np.array([[-0.0]]),
         "no columns": np.zeros((3, 0)),
+        "no rows": np.zeros((0, 4)),
+        "spans": spans,
     }
     for name, arr in cases.items():
         write_matrix(tmp_path / "m.txt", arr)
         assert (tmp_path / "m.txt").read_bytes() == plain(arr).encode(), name
+        rows = np.ascontiguousarray(arr)
+        assert list(rowtext.lines(rows.tobytes(), *arr.shape)) == list(rowtext.lines(rows, *arr.shape)), name
 
 
 def plain_matrix(arr):
@@ -383,7 +396,7 @@ def test_solve_killed_mid_write_leaves_no_helper_running(tmp_path, killed):
         "from qrot.cli import main\n"
         "fileio.PARALLEL_MIN_REPRS = 0\n"
         "fileio.usable_cpus = lambda: 3\n"
-        "real_popen, write_rows = subprocess.Popen, fileio._write_rows\n"
+        "real_popen = subprocess.Popen\n"
         "def die():\n"
         "    os.kill(os.getpid(), signal.SIGKILL)\n"
         "def popen(*args, **kwargs):\n"
@@ -396,7 +409,7 @@ def test_solve_killed_mid_write_leaves_no_helper_running(tmp_path, killed):
         "def slow_rows(*args):\n"
         "    time.sleep(0.5)  # the helpers have their rows by now\n"
         "    die()\n"
-        "subprocess.Popen, fileio._write_rows = popen, slow_rows\n"
+        "subprocess.Popen, fileio.rowtext.lines = popen, slow_rows  # this process's rows only\n"
         f"main(['solve', {str(problem_path)!r}, '--algorithm', 'sinkhorn', '--max-iters', '3',\n"
         f"      '--out', {str(tmp_path / 'o')!r}])\n"
     )

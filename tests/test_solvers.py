@@ -274,6 +274,26 @@ def test_solve_rejects_unbalanced_or_mismatched_inputs():
         solve([1.0, 0.0], HALF, C2, SolverConfig(gamma=1.0, algorithm=Algorithm.SINKHORN))
 
 
+@pytest.mark.parametrize("alg", [Algorithm.NESTEROV, Algorithm.SINKHORN])
+@pytest.mark.parametrize("mu, nu, match", [
+    ([np.nan, 1.0], HALF, "marginal mu must be finite"),
+    (HALF, [0.5, np.inf], "marginal nu must be finite"),
+    ([1.5, -0.5], HALF, "marginal mu must be nonnegative"),
+    (HALF, [[0.5, 0.5]], r"marginal nu must be one-dimensional, got shape \(1, 2\)"),
+])
+def test_solve_rejects_bad_marginal_arrays(alg, mu, nu, match):
+    # plain arrays get the checks a DiscreteMeasure's weights get, before any
+    # iteration could diverge, run to the cap or fail to broadcast
+    with pytest.raises(ValueError, match=match):
+        solve(mu, nu, C2, SolverConfig(gamma=1.0, algorithm=alg, max_iters=50))
+
+
+def test_sinkhorn_kernel_overflow_is_a_value_error():
+    # exp(10 / 0.01) overflows; the error names it, and no warning escapes
+    with pytest.raises(ValueError, match="overflows"):
+        solve(HALF, HALF, [[-10.0, 0.0], [0.0, -10.0]], SolverConfig(gamma=0.01, algorithm=Algorithm.SINKHORN))
+
+
 def test_solve_divergence_detection():
     with pytest.raises(DivergenceError) as err:
         solve(HALF, HALF, C2, SolverConfig(gamma=1.0, algorithm=Algorithm.DUAL_GRADIENT, tau=1e200, max_iters=10))
