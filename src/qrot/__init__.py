@@ -3,8 +3,9 @@
 The package bundles four low-cost-per-iteration dual algorithms (cyclic
 projection, dual gradient descent, a preconditioned fixed-point iteration,
 and Nesterov-accelerated gradient descent), an entropic Sinkhorn baseline,
-an exact enumeration oracle for tiny instances, convex-regularizer and
-Luxemburg-norm utilities, and reproducible 1D benchmark problems.
+an exact oracle for small instances (a proposed support certified by its
+optimality checks), convex-regularizer and Luxemburg-norm utilities, and
+reproducible 1D benchmark problems.
 """
 
 from .core import (

@@ -2,8 +2,8 @@
 
 Subcommands: ``generate`` (emit a stock benchmark problem file), ``solve``
 (one algorithm, artifacts to a directory), ``compare`` (all four dual
-algorithms plus a combined convergence plot), ``oracle-check`` (tiny
-instances against the exact solver).
+algorithms plus a combined convergence plot), ``oracle-check`` (small
+instances, N + M <= 200, against the exact solver).
 
 ``compare`` solves in up to ``min(4, usable CPUs)`` processes: this one, and
 helpers started with ``spawn`` once it has been solving for half a second
@@ -70,7 +70,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 # Reported by main as exit 1 with an error line: ZeroDivisionError is Sinkhorn
-# underflow, RuntimeError a diverging solver or a degenerate oracle instance.
+# underflow, RuntimeError a diverging solver or an oracle proposal that fails its checks.
 _RUN_ERRORS = (ValueError, OSError, RuntimeError, ZeroDivisionError, MemoryError)
 
 
@@ -198,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.set_defaults(func=cmd_compare)
 
     orc = sub.add_parser("oracle-check", help="validate the solvers against the exact oracle")
-    orc.add_argument("problem", help="tiny problem file (N*M <= 16)")
+    orc.add_argument("problem", help="small problem file (N + M <= 200)")
     orc.add_argument("--tol", type=float, default=1e-9)
     orc.add_argument("--max-iters", type=int, default=200_000, dest="max_iters")
     orc.add_argument("--tau", type=float, default=None)

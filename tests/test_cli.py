@@ -608,14 +608,23 @@ def test_oracle_check_random_4x4_seeds(tmp_path, rng):
         assert main(["oracle-check", str(path)]) == 0
 
 
+def test_oracle_check_stock_n10(tmp_path, capsys):
+    # 100 cells: all four dual methods against the oracle on a stock problem
+    path = tmp_path / "t10.json"
+    assert main(["generate", "--n", "10", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["oracle-check", str(path)]) == 0
+    assert capsys.readouterr().out.endswith("all plans within 1e-06 of the exact solution\n")
+
+
 def test_oracle_check_bound_guard(tmp_path, capsys):
-    problem = small_problem(5, 4)  # 20 cells
+    problem = small_problem(101, 100)  # N + M = 201
     path = tmp_path / "big.json"
     save_problem(problem, path)
     assert main(["oracle-check", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and "20 cells" in captured.err, captured.err
+    assert captured.err.startswith("error: ") and "N + M = 201" in captured.err, captured.err
 
 
 # -- compare across processes ---------------------------------------------

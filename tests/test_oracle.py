@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_instance
 from qrot import duality_gap, exact_solve, max_violation, recover_plan
-from qrot.oracle import _covering_patterns
+from qrot.fileio import default_problem, realize_problem
 
 C2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -33,27 +33,26 @@ def test_pinned_regression_asymmetric_marginals():
 
 
 def test_oracle_solutions_are_feasible_and_tight(rng):
+    instances = []
     for k in range(15):
         mu, nu, c = random_instance(rng)
-        gamma = [0.5, 1.0, 5.0][k % 3]
+        instances.append((mu, nu, c, [0.5, 1.0, 5.0][k % 3]))
+    # 100 cells, beyond any pattern enumeration
+    instances.append((*realize_problem(default_problem("squared", 10.0, 10)), 10.0))
+    # supports that split into parts of balanced mass, whose relative shift
+    # the optimality system leaves free
+    uniform = np.full(4, 0.25)
+    for c, gamma in (
+        ([[1, 1, 2, 0], [1, 1, 0, 0], [0, 2, 1, 0], [2, 0, 0, 0]], 2.0),
+        ([[0, 0, 0, 0], [0, 2, 2, 0], [0, 2, 2, 0], [1, 2, 0, 2]], 1.0),
+    ):
+        instances.append((uniform, uniform, np.array(c, dtype=float), gamma))
+    for mu, nu, c, gamma in instances:
         plan, pot = exact_solve(mu, nu, c, gamma)
         assert (plan >= 0).all()
         assert max_violation(plan, mu, nu) < 1e-12
         assert duality_gap(pot, plan, c, gamma, mu, nu) <= 1e-10
         assert abs(pot.beta.mean()) < 1e-12
-
-
-def test_enumeration_order_is_densest_first():
-    order = _covering_patterns(2, 2)
-    assert order[0] == 0b1111
-    counts = [mask.bit_count() for mask in order]
-    assert counts == sorted(counts, reverse=True)
-    # ties broken by ascending mask value
-    for a, b in zip(order, order[1:]):
-        if a.bit_count() == b.bit_count():
-            assert a < b
-    # every pattern covers all rows and columns
-    assert all(mask & 0b0011 and mask & 0b1100 and mask & 0b0101 and mask & 0b1010 for mask in order)
 
 
 def test_large_gamma_approaches_min_norm_feasible_plan():
@@ -69,13 +68,19 @@ def test_large_gamma_approaches_min_norm_feasible_plan():
 
 
 def test_input_guards():
-    with pytest.raises(ValueError):
-        exact_solve(np.full(5, 0.2), np.full(4, 0.25), np.zeros((5, 4)), 1.0)  # 20 cells
+    with pytest.raises(ValueError, match="N \\+ M = 201"):
+        exact_solve(np.full(101, 1 / 101), np.full(100, 0.01), np.zeros((101, 100)), 1.0)
+    with pytest.raises(ValueError, match="marginal mu must be finite"):
+        exact_solve([np.nan, 1.0], [0.5, 0.5], C2, 1.0)
+    with pytest.raises(ValueError, match="marginal nu must be finite"):
+        exact_solve([0.5, 0.5], [np.inf, 1.0], C2, 1.0)
     with pytest.raises(ValueError):
         exact_solve([0.5, 0.5], [1.0, 0.0], C2, 1.0)  # zero mass cell
     with pytest.raises(ValueError):
         exact_solve([0.5, 0.5], [0.3, 0.3], C2, 1.0)  # unbalanced
     with pytest.raises(ValueError):
         exact_solve([0.5, 0.5], [0.5, 0.5], C2, 0.0)  # bad gamma
+    with pytest.raises(ValueError):
+        exact_solve([0.5, 0.5], [0.5, 0.5], C2, np.inf)
     with pytest.raises(ValueError):
         exact_solve([0.5, 0.5], [0.5, 0.5], np.zeros((3, 2)), 1.0)  # shape
