@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Algorithm, DualPotentials, SolverConfig, _check_weights, as_weights, check_mass_balance
+from .core import Algorithm, DualPotentials, SolverConfig, as_weights
 from .dual import HESSIAN_SIZE_LIMIT, build_hessian
 from .solvers import solve
 
@@ -76,7 +76,7 @@ def exact_solve(mu, nu, c, gamma: float):
     Raises
     ------
     ValueError
-        On inputs above the size cap or invalid marginals.
+        On inputs above the size cap, invalid marginals or an invalid cost.
     RuntimeError
         If the proposed support does not pass the optimality checks
         (numerically degenerate instance).
@@ -84,17 +84,14 @@ def exact_solve(mu, nu, c, gamma: float):
     mu, nu = as_weights(mu), as_weights(nu)
     c = np.asarray(c, dtype=float)
     n, m = mu.size, nu.size
-    if c.shape != (n, m):
-        raise ValueError(f"cost shape {c.shape} does not match marginals ({n}, {m})")
     if n + m > HESSIAN_SIZE_LIMIT:
         raise ValueError(f"instance has N + M = {n + m}; the oracle is capped at {HESSIAN_SIZE_LIMIT}")
-    _check_weights(mu, "marginal mu")
-    _check_weights(nu, "marginal nu")
     if (mu <= 0).any() or (nu <= 0).any():
         raise ValueError("marginals must be strictly positive")
-    check_mass_balance(mu, nu)
 
-    # SolverConfig refuses a gamma that is not a finite positive real
+    # SolverConfig refuses a gamma that is not a finite positive real, and
+    # solve refuses marginals that are not finite or balanced and a cost
+    # that is not finite or not N x M
     proposer = SolverConfig(gamma, Algorithm.NESTEROV, tol=1e-12, max_iters=1_000_000, record_history=False)
     alpha, beta = solve(mu, nu, c, proposer).final_potentials
     shift = beta.mean()

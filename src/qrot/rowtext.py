@@ -21,7 +21,10 @@ import sys
 
 def lines(data, n, m):
     """The text line of each of the ``n`` rows of ``m`` float64 values in
-    ``data``, any C-contiguous buffer of them."""
+    ``data``, any C-contiguous buffer of them.
+
+    :func:`qrot.fileio._spans` counts the same spans with numpy, to share
+    rows out among helpers; a change to the span rule here goes there too."""
     if not n * m:  # memoryview.cast refuses a zero in the shape
         yield from ["\n"] * n
         return

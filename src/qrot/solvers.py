@@ -219,7 +219,6 @@ def sinkhorn_plan(u, v, K, out=None) -> np.ndarray:
 _BAND_REACH = 32.0
 _BAND_MAX_SHARE = 0.25
 _BAND_BLOCK_CELLS = 1 << 16  # cells per block of the pass that selects a band
-_BAND_MAX_WAIT = 8  # most dense recoveries that skip selection after a band too wide
 
 
 class _SupportBand:
@@ -263,14 +262,14 @@ class _SupportBand:
 
     Past the budget, or with non-finite potentials (a NaN or infinite drift
     fails the test), one dense recovery through the module's
-    ``recover_plan`` rebuilds the band at the new potentials, with
-    ``theta = _BAND_REACH`` times the larger of the last two moves between
-    calls.  No band is kept when that move is zero or not finite, at
-    non-finite potentials (their slack is not finite), or when the band
-    would hold more than ``_BAND_MAX_SHARE`` of the cells: the selection
-    pass stops as soon as it counts that many, and the next 1, 3, 7, then at
-    most ``_BAND_MAX_WAIT`` dense recoveries do not try again.  So a band
-    that is live after a call proves that call's potentials finite.
+    ``recover_plan`` rebuilds the band by one rule: every dense recovery but
+    the first selects the band at its potentials with ``theta =
+    _BAND_REACH`` times their move from the previous call's.  No band is
+    kept when that move is zero or not finite, at non-finite potentials
+    (their slack is not finite), or when the band would hold more than
+    ``_BAND_MAX_SHARE`` of the cells: the selection pass stops as soon as it
+    counts that many.  So a band that is live after a call proves that
+    call's potentials finite.
     """
 
     def __init__(self, c, gamma, mu, nu):
@@ -286,27 +285,22 @@ class _SupportBand:
         self.row = np.zeros(n)  # the band's row sums, zero in rows without a band cell
         self.plan = np.empty(c.shape)  # the run's one plan buffer
         self.flat = self.plan.reshape(-1)  # a view of it
-        self.recent = (None, None)  # potentials of the last two calls
+        self.last = None  # potentials of the last call
         self.base = None  # potentials of the live band, None when dense
         self.base_flat = None  # the same, end to end
         self.ends = np.array([0, n])  # where alpha and beta start in those
         self.budget = 0.0
         self.idx = self.cols = self.counts = self.cost = None
         self.rows = self.starts = None  # the rows with a band cell, and where each starts in the band
-        self.wait = self.backoff = 0  # dense recoveries left to skip selection, and their count
 
     def recover(self, pot):
-        last, before = self.recent
-        self.recent = (pot, last)
+        last, self.last = self.last, pot
         if self.base is not None and self._drift(pot) <= self.budget:
             return self._banded(pot)
         residuals = self._dense(pot)
         self.base = None
-        if self.wait:
-            self.wait -= 1
-        elif last is not None:
-            moves = [_move(pot, last)] + ([] if before is None else [_move(last, before)])
-            self._select(pot, _BAND_REACH * max(moves))
+        if last is not None:
+            self._select(pot, _BAND_REACH * _move(pot, last))
         return residuals
 
     def _drift(self, pot):
@@ -353,16 +347,13 @@ class _SupportBand:
         for r0 in range(0, n, rows):
             t = np.add(beta, alpha[r0 : r0 + rows, None])  # rounded as recover_plan rounds it
             keep = np.subtract(t, c[r0 : r0 + rows], out=t) > -theta
+            counts.append(np.count_nonzero(keep, axis=1))  # before the indices, so a band too wide costs less
+            size += int(counts[-1].sum())
+            if size > _BAND_MAX_SHARE * n * m:
+                return
             flat = np.flatnonzero(keep)
             idx.append(flat + r0 * m)
             cols.append((flat % m).astype(np.int32))
-            counts.append(np.count_nonzero(keep, axis=1))
-            size += flat.size
-            if size > _BAND_MAX_SHARE * n * m:
-                self.backoff = min(2 * self.backoff + 1, _BAND_MAX_WAIT)
-                self.wait = self.backoff
-                return
-        self.backoff = 0
         self.idx, self.cols, self.counts = np.concatenate(idx), np.concatenate(cols), np.concatenate(counts)
         self.cost = np.take(c, self.idx)
         self.rows = np.flatnonzero(self.counts)

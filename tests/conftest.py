@@ -16,6 +16,21 @@ def random_instance(rng, n=None, m=None, lo=0.2):
     return mu, nu, c
 
 
+def count_dense_recoveries(monkeypatch):
+    """Route ``qrot.solvers.recover_plan`` through a counter; returns the
+    one-element list that holds the count."""
+    from qrot import recover_plan
+
+    count = [0]
+
+    def counted(pot, c, gamma, out=None):
+        count[0] += 1
+        return recover_plan(pot, c, gamma, out=out)
+
+    monkeypatch.setattr("qrot.solvers.recover_plan", counted)
+    return count
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

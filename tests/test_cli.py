@@ -43,6 +43,7 @@ from qrot.fileio import (
     write_matrix,
     write_vector,
     _row_bounds,
+    _spans,
 )
 from qrot.pool import _helper
 from qrot.problems import COST_KINDS
@@ -214,10 +215,25 @@ def test_matrix_roundtrip(tmp_path):
     assert (tmp_path / "v.txt").read_text() == "# 3\n-0.0\n5e-324\n0.6666666666666666\n"
 
 
-def test_write_matrix_is_byte_identical_to_plain_repr_rows(tmp_path, rng):
+def reprs_per_row(rows, monkeypatch):
+    """How many values ``rowtext.lines`` passes to ``repr`` in each row of
+    the C-contiguous ``rows``."""
+    calls = []
+    with monkeypatch.context() as patch:
+        patch.setattr(rowtext, "repr", lambda x: calls.append(x) or repr(x), raising=False)
+        counts = []
+        for _ in rowtext.lines(rows, *rows.shape):
+            counts.append(len(calls))
+            calls.clear()
+    return counts
+
+
+def test_write_matrix_is_byte_identical_to_plain_repr_rows(tmp_path, rng, monkeypatch):
     # the writer formats only each row's span, from the first to the last cell
     # that is not +0.0, found from the row's bytes; its bytes must be those of
-    # a repr on every cell, and the same from the array as from raw bytes
+    # a repr on every cell, and the same from the array as from raw bytes.
+    # fileio._spans, which shares the rows out among helpers, must count the
+    # values lines() reprs in each row
     def plain(arr):
         return f"# {arr.shape[0]} {arr.shape[1]}\n" + "".join(" ".join(map(repr, row)) + "\n" for row in arr.tolist())
 
@@ -253,6 +269,7 @@ def test_write_matrix_is_byte_identical_to_plain_repr_rows(tmp_path, rng):
         assert (tmp_path / "m.txt").read_bytes() == plain(arr).encode(), name
         rows = np.ascontiguousarray(arr)
         assert list(rowtext.lines(rows.tobytes(), *arr.shape)) == list(rowtext.lines(rows, *arr.shape)), name
+        assert _spans(rows).tolist() == reprs_per_row(rows, monkeypatch), name
 
 
 def plain_matrix(arr):
@@ -287,7 +304,7 @@ def test_write_matrix_through_helper_processes_is_byte_identical(tmp_path, rng, 
     share_writes(monkeypatch, cpus)
     started = record_processes(monkeypatch)
     threads = threading.active_count()
-    test_write_matrix_is_byte_identical_to_plain_repr_rows(tmp_path, rng)
+    test_write_matrix_is_byte_identical_to_plain_repr_rows(tmp_path, rng, monkeypatch)
     assert started
 
     dense = rng.lognormal(0.0, 3.0, (1000, 300))
@@ -320,7 +337,7 @@ def test_write_matrix_starts_no_process_on_one_cpu_or_under_the_threshold(tmp_pa
     monkeypatch.setattr(subprocess, "Popen", no_process)
     at_threshold = np.full((PARALLEL_MIN_REPRS // 512, 512), 0.1)
     under = at_threshold.copy()
-    under[7, 9] = 0.0
+    under[7, -1] = 0.0  # the end of a row's span; a +0.0 inside it is repr'd all the same
     for cpus, arr in ((1, at_threshold), (4, under)):
         monkeypatch.setattr("qrot.fileio.usable_cpus", lambda: cpus)
         write_matrix(tmp_path / "m.txt", arr)
@@ -328,6 +345,27 @@ def test_write_matrix_starts_no_process_on_one_cpu_or_under_the_threshold(tmp_pa
     monkeypatch.setattr("qrot.fileio.usable_cpus", lambda: 2)
     with pytest.raises(AssertionError, match="a process was started"):
         write_matrix(tmp_path / "m.txt", at_threshold)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_write_matrix_counts_the_spans_it_reprs(tmp_path, monkeypatch, cpus):
+    # lines() reprs each row from its first to its last cell that is not
+    # +0.0, zeros between them included, so 1000 rows with only their end
+    # cells set cost 300 values each: 300,000 in all, over the threshold,
+    # though only 2,000 cells are nonzero
+    arr = np.zeros((1000, 300))
+    arr[:, 0], arr[:, -1] = 0.25, -3.5
+    assert _spans(arr).tolist() == [300] * 1000
+    assert arr.size > PARALLEL_MIN_REPRS > np.count_nonzero(arr)
+    monkeypatch.setattr("qrot.fileio.usable_cpus", lambda: cpus)
+    started = record_processes(monkeypatch)
+    write_matrix(tmp_path / "m.txt", arr)
+    assert (tmp_path / "m.txt").read_bytes() == plain_matrix(arr)
+    assert len(started) == cpus - 1 and all(p.returncode == 0 for p in started)
+    # a row of +0.0 alone is one value, its last; -0.0 is not +0.0
+    edges = np.array([[0.0, 0.0, 0.0], [0.0, -0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 3.0]])
+    assert _spans(edges).tolist() == [1, 1, 1, 2]
+    assert _spans(np.zeros((2, 0))).tolist() == [0, 0]
 
 
 @pytest.mark.parametrize("helper, how", [

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_instance
+from conftest import count_dense_recoveries, random_instance
 from qrot import (
     Algorithm,
     DivergenceError,
@@ -416,19 +416,6 @@ def test_solve_is_bit_identical_to_reference_dual_loop(rng):
                     assert [tuple(r)[:2] + (r.dual_objective, r.primal_objective) for r in rep.history] == rows
 
 
-def count_dense_recoveries(monkeypatch):
-    """Route ``qrot.solvers.recover_plan`` through a counter; returns the
-    one-element list that holds the count."""
-    count = [0]
-
-    def counted(pot, c, gamma, out=None):
-        count[0] += 1
-        return recover_plan(pot, c, gamma, out=out)
-
-    monkeypatch.setattr("qrot.solvers.recover_plan", counted)
-    return count
-
-
 def row_sum_bound(plan):
     """How far a row sum of ``plan`` taken in another order may be from
     ``plan.sum(axis=1)``: ``(M - 1) eps`` times the row sum."""
@@ -469,6 +456,18 @@ def test_support_band_matches_dense_recovery_on_random_walks(rng, monkeypatch):
             assert np.array_equal(f, rf, equal_nan=True) or (np.abs(f - rf) <= row_sum_bound(plan)).all(), (walk, k)
         # the band carried most recoveries; each jump and the NaN forced a dense one
         assert 5 <= dense[0] < calls / 3, (walk, dense[0])
+
+
+def test_nesterov_rebuilds_the_band_from_its_last_move(monkeypatch):
+    # every dense recovery after the first selects a band of reach 32 times
+    # the move from the previous call, so on the stock n=100 problem
+    # Nesterov recovers densely 156 times
+    mu, nu, c = realize_problem(default_problem("squared", 10.0, 100))
+    dense = count_dense_recoveries(monkeypatch)
+    rep = solve(mu, nu, c, SolverConfig(gamma=10.0, algorithm=Algorithm.NESTEROV, tol=1e-5,
+                                        record_history=False))
+    assert (rep.iterations, rep.converged) == (1165, True)
+    assert dense[0] <= 200, dense[0]
 
 
 def test_nesterov_peak_memory_is_one_plan_buffer():
