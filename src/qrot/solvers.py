@@ -22,14 +22,19 @@ descent also takes ``tau``); only Nesterov carries a state.
 Each method builds its own run, ``(advance, bounds)``: ``advance(plan_due)``
 takes one iteration and returns ``(potentials, plan, violation)``, and
 ``bounds(pot, plan)`` gives the ``(dual, primal)`` pair of a history row.
-The run's state and buffers live in the builder, so the loop of
-:func:`solve` never asks which method it drives.
+The returned plan is the current one when ``plan_due`` is set or the
+violation is at most the tolerance; in between it may be stale.  The run's
+state and buffers live in the builder, so the loop of :func:`solve` never
+asks which method it drives.
 
 Quadratic regularization makes the plan sparse, and a dual run recovers it
-only on a certified band of cells that can be positive.  The plan and its
+only on a certified band of cells that can be positive, writing the band's
+values into the plan only where a plan is returned.  The plan and its
 column sums are bit for bit those of a dense recovery, and its row sums
 within the rounding of a sum in another order; :class:`_SupportBand` states
-the rules.
+the rules.  A history row sums over the band's values too, so its
+objectives are within the rounding of a sum in another order of those over
+the whole plan, and may differ from them in the last digits.
 """
 
 from __future__ import annotations
@@ -222,26 +227,33 @@ _BAND_BLOCK_CELLS = 1 << 16  # cells per block of the pass that selects a band
 
 
 class _SupportBand:
-    """Plan recovery into the run's one plan buffer, touching only the cells
+    """Plan recovery for the run's one plan buffer, touching only the cells
     that can be positive.
 
-    ``recover(pot)`` writes ``recover_plan(pot, c, gamma)`` into ``plan``,
-    the band's C-contiguous ``(N, M)`` buffer, and returns the residuals
-    ``(f, g)`` of ``marginal_residuals(plan, mu, nu)``.  ``plan`` and ``g``
-    are bit for bit those of the dense calls, whichever path it takes, and
-    so is ``f`` after a dense recovery; a banded ``f`` is within the bound
-    below.  The residuals are the two halves ``f, g`` of one buffer ``res``,
-    which the next call overwrites, so a caller can take their largest
-    magnitude in one pass.
+    ``recover(pot)`` recovers ``pi = recover_plan(pot, c, gamma)`` and
+    returns the residuals ``(f, g)`` of ``marginal_residuals(pi, mu, nu)``.
+    A dense recovery writes ``pi`` into ``plan``, the band's C-contiguous
+    ``(N, M)`` buffer.  A banded one leaves ``plan`` as it is and keeps the
+    band's values; ``write()`` scatters them into ``plan``.  So ``plan`` is
+    ``pi`` after a dense call, and after ``write()`` following any call; in
+    between, its band cells are stale.  ``values`` and ``values_cost`` are
+    the last call's values and their costs: the band's after a banded call,
+    the whole of ``plan`` and ``c`` after a dense one.  Either way they hold
+    every nonzero of ``pi``.  ``g`` and the written ``plan`` are bit for bit
+    those of the dense calls, whichever path a call takes, and so is ``f``
+    after a dense recovery; a banded ``f`` is within the bound below.  The
+    residuals are the two halves ``f, g`` of one buffer ``res``, which the
+    next call overwrites, so a caller can take their largest magnitude in
+    one pass.
 
     The band is the cells with ``alpha (+) beta - c > -theta`` at its base
     potentials, as the dense recovery rounds them, stored in row-major order
     as flat indices, column indices and costs.  While a band is live, the
     off-band cells of ``plan`` are zero: the band is selected from the dense
-    recovery at its base, which ``plan`` holds, and every later call writes
-    the same buffer.  A cell off the band stays at zero while the
-    potentials' drift from the base, ``max|d alpha| + max|d beta|``, is at
-    most ``theta - slack`` with
+    recovery at its base, which ``plan`` holds, and until the next dense
+    recovery only ``write()`` touches the buffer, at band cells.  A cell off
+    the band stays at zero while the potentials' drift from the base,
+    ``max|d alpha| + max|d beta|``, is at most ``theta - slack`` with
     ``slack = 8 eps (max|alpha0| + max|beta0| + max|c| + theta)``: the drift
     lifts the exact value by at most the drift, and the slack covers the
     rounding of the selection, of the drift and of the recovery, so the
@@ -249,9 +261,9 @@ class _SupportBand:
 
     Within that budget two rules keep ``plan`` and ``g`` bit for bit those
     of dense recovery.  Band cells follow the dense op order, ``beta[cols] +
-    alpha[rows]``, then ``- c``, ``max 0`` and ``/ gamma``, and are
-    scattered into ``plan``.  Column sums are ``np.bincount`` over the band
-    in row-major order: numpy sums axis 0 of a C-contiguous array one row
+    alpha[rows]``, then ``- c``, ``max 0`` and ``/ gamma``, and ``write()``
+    scatters them into ``plan``.  Column sums are ``np.bincount`` over the
+    band in row-major order: numpy sums axis 0 of a C-contiguous array one row
     after another, and the off-band terms it adds are ``+0.0``, which leaves
     every partial sum unchanged (no recovered cell is ``-0.0``).  Row sums
     are ``np.add.reduceat`` over the band's values, one run per row with a
@@ -285,6 +297,9 @@ class _SupportBand:
         self.row = np.zeros(n)  # the band's row sums, zero in rows without a band cell
         self.plan = np.empty(c.shape)  # the run's one plan buffer
         self.flat = self.plan.reshape(-1)  # a view of it
+        # the plan's values at the last call and their costs: the band's after
+        # a banded call, the whole plan buffer and c after a dense one
+        self.values, self.values_cost = self.plan, c
         self.last = None  # potentials of the last call
         self.base = None  # potentials of the live band, None when dense
         self.base_flat = None  # the same, end to end
@@ -310,8 +325,15 @@ class _SupportBand:
         da, db = np.maximum.reduceat(np.abs(d, out=d), self.ends).tolist()
         return da + db
 
+    def write(self):
+        """Make ``plan`` the plan of the last call: scatter the band's values
+        into it if that call was banded."""
+        if self.values is not self.plan:
+            self.flat[self.idx] = self.values
+
     def _dense(self, pot):
         recover_plan(pot, self.c, self.gamma, out=self.plan)
+        self.values, self.values_cost = self.plan, self.c
         return self._residuals(*marginals(self.plan))
 
     def _residuals(self, row, col):
@@ -327,7 +349,7 @@ class _SupportBand:
         np.subtract(vals, self.cost, out=vals)
         np.maximum(vals, 0.0, out=vals)
         np.divide(vals, self.gamma, out=vals)
-        self.flat[self.idx] = vals
+        self.values, self.values_cost = vals, self.cost
         if self.rows.size:  # with no band cell there is no run to sum, and every row sum stays 0.0
             self.row[self.rows] = np.add.reduceat(vals, self.starts)
         col = np.bincount(self.cols, weights=vals, minlength=self.plan.shape[1])
@@ -368,18 +390,26 @@ def _move(p, q) -> float:
     return np.abs(p.alpha - q.alpha).max() + np.abs(p.beta - q.beta).max()
 
 
-def _quadratic_run(alg, c, gamma, mu, nu, tau):
+def _quadratic_run(alg, c, gamma, mu, nu, tau, tol):
     """``(advance, bounds)`` of a quadratic dual method started from zero
     potentials.
 
-    ``advance(plan_due)`` takes one step on the dual, recovers the plan in
-    place into the run's one plan buffer and takes its marginal residuals
-    once; the violation it returns (their largest magnitude, taken in one
-    pass over the band's residual buffer) and the next step both read them.
-    It returns ``(potentials, plan, violation)`` and ignores ``plan_due``, as
-    the plan is recovered every iteration anyway.  ``bounds(pot, plan)`` is
-    ``(dual_value, primal_objective)`` for a history row; the two share one
-    ``||pi||^2``.  The three plain methods share one ``step``, calling their
+    ``advance(plan_due)`` takes one step on the dual, recovers the plan and
+    takes its marginal residuals once; the violation it returns (their
+    largest magnitude, taken in one pass over the band's residual buffer)
+    and the next step both read them.  It returns ``(potentials, plan,
+    violation)``, where ``plan`` is the run's one plan buffer.  As in
+    :func:`_sinkhorn_run`, that buffer holds the current plan when
+    ``plan_due`` is set or the violation is at most ``tol``: only then does
+    ``advance`` write the band's values into it.  ``bounds(pot, plan)`` is
+    ``(dual_value, primal_objective)`` for a history row, taken over the
+    values of the last recovery and their costs (the band's, or the whole
+    plan and ``c``) with :func:`~qrot.core.vdot`, whose fixed chunks keep
+    the sums independent of the BLAS thread count; the two share one
+    ``||pi||^2``.  Over the band they add the plan's nonzeros in another
+    order than over the whole plan, so the objectives can differ from the
+    dense sums in the last digits.  The three plain methods share one
+    ``step``, calling their
     step function with positional arguments (gradient descent's with its
     ``tau``, whose default ``1 / (M + N)`` is taken once here).  Steps are
     looked up in this module when the run is built and kernels at call time,
@@ -389,7 +419,9 @@ def _quadratic_run(alg, c, gamma, mu, nu, tau):
     goes through one :class:`_SupportBand`, which owns the plan buffer and
     recovers only a certified band of cells once the plan is sparse.
     Nesterov recovers its extrapolated point first and its current point
-    last, so the buffer holds the current plan when ``advance`` returns.
+    last, so the values of the last recovery, and the plan ``advance``
+    writes, are those of the current point; the extrapolated plan is never
+    written.
     A band that is live after the last recovery proves the potentials
     finite, so they are tested only when it is not; non-finite potentials
     make the violation NaN, which :func:`solve` reports as divergence.
@@ -425,11 +457,16 @@ def _quadratic_run(alg, c, gamma, mu, nu, tau):
         residuals = band.recover(pot)
         if band.base is None and not (np.isfinite(pot.alpha).all() and np.isfinite(pot.beta).all()):
             return pot, plan, math.nan
-        return pot, plan, float(np.maximum.reduce(np.abs(band.res)))  # NaN if any residual is
+        violation = float(np.maximum.reduce(np.abs(band.res)))  # NaN if any residual is
+        if plan_due or violation <= tol:
+            band.write()
+        return pot, plan, violation
 
     def bounds(pot, plan):
-        norm2 = vdot(plan, plan)
-        return dual_value(pot, c, gamma, mu, nu, norm2=norm2), primal_objective(plan, c, gamma, norm2)
+        # over the values of the last recovery, which is the plan returned
+        values, cost = band.values, band.values_cost
+        norm2 = vdot(values, values)
+        return dual_value(pot, c, gamma, mu, nu, norm2=norm2), primal_objective(values, cost, gamma, norm2)
 
     return advance, bounds
 
@@ -531,7 +568,8 @@ def solve(mu, nu, c, config: SolverConfig) -> ConvergenceReport:
     (``_quadratic_run`` or ``_sinkhorn_run``); the loop then calls its
     ``advance(plan_due)`` every iteration and its ``bounds`` for each
     history row.  ``plan_due`` is set at the last iteration and at each
-    history stride, where the returned plan must be the current one.  The
+    history stride, where the returned plan must be the current one, as it
+    must be at the iteration that converges; in between it may be stale.  The
     violation ``advance`` returns is not finite whenever the iterate is not,
     so the loop tests that one number for divergence.  A dual iteration
     recovers the plan in place and takes its marginal residuals once; the
@@ -539,7 +577,11 @@ def solve(mu, nu, c, config: SolverConfig) -> ConvergenceReport:
     sparse, the recovery touches only a certified band of cells: the plan
     and its column sums are bit for bit those of a dense recovery, and each
     row sum is within ``(M - 1) eps`` times itself of the dense one (see
-    :class:`_SupportBand`).  Sinkhorn tests its
+    :class:`_SupportBand`).  The band's values are written into the plan
+    only where it is returned.  While a band is live, a history row's
+    objectives are taken over the band's values, so they are within the
+    rounding of a sum taken in another order of those over the whole plan,
+    and may differ from them in the last digits.  Sinkhorn tests its
     scaling vectors instead of the plan, and the ``K v`` of that test feeds
     the next sweep, so a sweep costs two matrix-vector products.  It builds
     the plan, in place into one buffer, only when due and to confirm
@@ -571,7 +613,7 @@ def solve(mu, nu, c, config: SolverConfig) -> ConvergenceReport:
     if alg is Algorithm.SINKHORN:
         advance, bounds = _sinkhorn_run(c, gamma, mu, nu, config.tol)
     else:
-        advance, bounds = _quadratic_run(alg, c, gamma, mu, nu, config.tau)
+        advance, bounds = _quadratic_run(alg, c, gamma, mu, nu, config.tau, config.tol)
 
     history: list[HistoryEntry] = []
     tol, max_iters, record, stride = config.tol, config.max_iters, config.record_history, config.history_stride

@@ -1,6 +1,10 @@
+import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -424,9 +428,10 @@ def row_sum_bound(plan):
 
 def test_support_band_matches_dense_recovery_on_random_walks(rng, monkeypatch):
     # small moves keep the band; jumps past its reach and a NaN force dense
-    # recoveries; every call writes the band's one plan buffer.  The plan and
-    # the column residuals are the dense ones bit for bit, and the row
-    # residuals are too or lie within the bound of a reordered row sum
+    # recoveries; after every call the band writes its plan into its one
+    # buffer.  The plan and the column residuals are the dense ones bit for
+    # bit, and the row residuals are too or lie within the bound of a
+    # reordered row sum
     dense = count_dense_recoveries(monkeypatch)
     mu, nu, c = realize_problem(default_problem("squared", 10.0, n=60))
     mu, nu = mu.w, nu.w
@@ -451,6 +456,7 @@ def test_support_band_matches_dense_recovery_on_random_walks(rng, monkeypatch):
                 plan = recover_plan(pot, c, 10.0)
                 rf, rg = marginal_residuals(plan, mu, nu)
             calls += 1
+            band.write()
             assert np.array_equal(band.plan, plan, equal_nan=True), (walk, k)
             assert np.array_equal(g, rg, equal_nan=True), (walk, k)
             assert np.array_equal(f, rf, equal_nan=True) or (np.abs(f - rf) <= row_sum_bound(plan)).all(), (walk, k)
@@ -517,6 +523,56 @@ def test_solve_with_support_band_matches_reference(monkeypatch):
             assert dense[0] < rep.iterations / 2, (alg, tol, dense[0], rep.iterations)
             assert rep.converged == (tol > 1e-300)
             assert_matches_reference(rep, reference_dual_solve(mu, nu, c, config), (alg, tol))
+
+
+def test_band_writes_the_plan_where_a_run_returns_it(monkeypatch):
+    # a banded recovery leaves the plan buffer stale until a plan is due, so
+    # a run that converges between history rows, or with history off, must
+    # still write its last plan; so must a run that stops at the cap.  None
+    # of these runs ends on a history row of stride 7
+    mu, nu, c = realize_problem(default_problem("squared", 1.0, n=150))
+    dense = count_dense_recoveries(monkeypatch)
+    for alg in DUAL_ALGORITHMS:
+        for tol, max_iters, history in ((1e-3, 100_000, None), (1e-3, 100_000, 7), (1e-300, 60, None)):
+            config = SolverConfig(gamma=1.0, algorithm=alg, tol=tol, max_iters=max_iters,
+                                  record_history=history is not None, history_stride=history or 1)
+            dense[0] = 0
+            rep = solve(mu, nu, c, config)
+            assert dense[0] < rep.iterations / 2, (alg, tol, dense[0], rep.iterations)
+            assert rep.converged == (tol > 1e-300) and rep.iterations % 7, (alg, rep.iterations)
+            assert np.array_equal(rep.final_plan, recover_plan(rep.final_potentials, c, 1.0)), (alg, tol, history)
+
+
+def test_history_rows_over_a_live_band_do_not_depend_on_the_blas_thread_count():
+    # at n=1000 the band holds tens of thousands of cells, which OpenBLAS
+    # would split over its threads in one np.vdot; the history rows taken
+    # over the band's values must have the same bits on any CPU count
+    script = (
+        "from qrot import Algorithm, SolverConfig, recover_plan, solve, solvers\n"
+        "from qrot.fileio import default_problem, realize_problem\n"
+        "dense = [0]\n"
+        "def counted(*args, **kwargs):\n"
+        "    dense[0] += 1\n"
+        "    return recover_plan(*args, **kwargs)\n"
+        "solvers.recover_plan = counted\n"
+        "mu, nu, c = realize_problem(default_problem('squared', 10.0, n=1000))\n"
+        "config = SolverConfig(gamma=10.0, algorithm=Algorithm.NESTEROV, tol=1e-12, max_iters=50, history_stride=1)\n"
+        "rep = solve(mu, nu, c, config)\n"
+        "print(dense[0])\n"
+        "for r in rep.history:\n"
+        "    print(r.dual_objective.hex(), r.primal_objective.hex())\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.splitlines())
+    dense, rows = int(outputs[0][0]), outputs[0][1:]
+    assert len(rows) == 50 and dense <= 10, (len(rows), dense)  # most of the 101 recoveries are banded
+    assert outputs[0] == outputs[1]
 
 
 def test_bincount_column_sums_are_numpy_axis0_sums(rng):
@@ -600,6 +656,7 @@ def test_empty_support_band_gives_a_zero_plan(rng, monkeypatch):
         f, g = band.recover(pot)
         plan = recover_plan(pot, c, 1.0)
         rf, rg = marginal_residuals(plan, mu, nu)
+        band.write()
         assert np.array_equal(band.plan, plan) and not plan.any(), k
         assert np.array_equal(f, rf) and np.array_equal(g, rg), k
         assert np.array_equal(f, -mu) and np.array_equal(g, -nu), k
