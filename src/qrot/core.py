@@ -283,7 +283,8 @@ def vdot(a, b):
     elements of the flattened arrays, added in order: a result that does not
     depend on the number of BLAS threads.  Up to ``DOT_CHUNK`` elements it is
     the one ``np.vdot`` call."""
-    if np.size(a) <= DOT_CHUNK:
+    # an array's own size skips np.size's dispatch, a fifth of a short call
+    if (a.size if isinstance(a, np.ndarray) else np.size(a)) <= DOT_CHUNK:
         return np.vdot(a, b)
     a, b = np.ravel(a), np.ravel(b)
     total = np.vdot(a[:DOT_CHUNK], b[:DOT_CHUNK])
@@ -305,4 +306,10 @@ def primal_objective(pi, c, gamma: float, norm2=None) -> float:
         raise ValueError("gamma must be positive")
     if norm2 is None:
         norm2 = vdot(pi, pi)
+    return _primal_objective(pi, c, gamma, norm2)
+
+
+def _primal_objective(pi, c, gamma: float, norm2) -> float:
+    """:func:`primal_objective` without its checks: ``pi`` and ``c`` are
+    float arrays of one size, ``gamma > 0`` and ``norm2 = vdot(pi, pi)``."""
     return float(vdot(c, pi) + 0.5 * gamma * norm2)

@@ -66,6 +66,12 @@ def dual_objective(pot, c, gamma: float, mu, nu, norm2=None) -> float:
     if norm2 is None:
         plan = recover_plan(pot, c, gamma)
         norm2 = vdot(plan, plan)
+    return _dual_objective(pot, gamma, mu, nu, norm2)
+
+
+def _dual_objective(pot, gamma: float, mu, nu, norm2) -> float:
+    """:func:`dual_objective` without its checks: ``mu`` and ``nu`` are
+    float arrays and ``norm2`` is given."""
     alpha, beta = pot
     return float(0.5 * gamma * gamma * norm2 - gamma * vdot(alpha, mu) - gamma * vdot(beta, nu))
 
@@ -79,6 +85,11 @@ def dual_gradients(pot, c, gamma: float, mu, nu):
 def dual_value(pot, c, gamma: float, mu, nu, norm2=None) -> float:
     """Dual lower bound ``-F / gamma = <alpha, mu> + <beta, nu> - (gamma / 2) ||pi||^2``."""
     return -dual_objective(pot, c, gamma, mu, nu, norm2) / gamma
+
+
+def _dual_value(pot, gamma: float, mu, nu, norm2) -> float:
+    """:func:`dual_value` without its checks, as :func:`_dual_objective`."""
+    return -_dual_objective(pot, gamma, mu, nu, norm2) / gamma
 
 
 def duality_gap(pot, pi, c, gamma: float, mu, nu) -> float:

@@ -19,22 +19,24 @@ descent also takes ``tau``); only Nesterov carries a state.
 
 :func:`solve` wraps any of them (or Sinkhorn) with the common stopping rule
 "maximal marginal violation <= tol" and optional per-iteration history.
-Each method builds its own run, ``(advance, bounds)``: ``advance(plan_due)``
-takes one iteration and returns ``(potentials, plan, violation)``, and
-``bounds(pot, plan)`` gives the ``(dual, primal)`` pair of a history row.
-The returned plan is the current one when ``plan_due`` is set or the
-violation is at most the tolerance; in between it may be stale.  The run's
-state and buffers live in the builder, so the loop of :func:`solve` never
-asks which method it drives.
+Each method builds its own run, ``(advance, bounds, plan)``:
+``advance(plan_due)`` takes one iteration and returns ``(potentials,
+violation)``, ``bounds(pot)`` gives the ``(dual, primal)`` pair of a history
+row, and ``plan()`` the final plan.  Only Sinkhorn reads ``plan_due``: it
+builds its plan for a history row and the last iteration.  The run's state
+and buffers live in the builder, so the loop of :func:`solve` never asks
+which method it drives.
 
 Quadratic regularization makes the plan sparse, and a dual run recovers it
 only on a certified band of cells that can be positive, writing the band's
-values into the plan only where a plan is returned.  The plan and its
+values into the plan once, when the solve returns it.  The plan and its
 column sums are bit for bit those of a dense recovery, and its row sums
 within the rounding of a sum in another order; :class:`_SupportBand` states
-the rules.  A history row sums over the band's values too, so its
-objectives are within the rounding of a sum in another order of those over
-the whole plan, and may differ from them in the last digits.
+the rules.  A history row sums over the band's values through unchecked
+forms of :func:`~qrot.dual.dual_value` and
+:func:`~qrot.core.primal_objective`, so its objectives are within the
+rounding of a sum in another order of those over the whole plan, and may
+differ from them in the last digits.
 """
 
 from __future__ import annotations
@@ -52,14 +54,14 @@ from .core import (
     HistoryEntry,
     SolverConfig,
     _check_weights,
+    _primal_objective,
     as_weights,
     check_mass_balance,
     marginals,
     max_violation,
-    primal_objective,
     vdot,
 )
-from .dual import dual_gradients, dual_value, preconditioner_apply, recover_plan
+from .dual import _dual_value, dual_gradients, preconditioner_apply, recover_plan
 
 __all__ = [
     "DivergenceError",
@@ -75,14 +77,18 @@ __all__ = [
 
 
 class DivergenceError(RuntimeError):
-    """Raised when an iterate stops being finite."""
+    """Raised when an iterate stops being finite.
+
+    The message suggests a smaller stepsize only to the methods that take
+    one, gradient descent and Nesterov."""
 
     def __init__(self, algorithm: Algorithm, iteration: int):
         self.algorithm = algorithm
         self.iteration = iteration
+        has_tau = algorithm in (Algorithm.DUAL_GRADIENT, Algorithm.NESTEROV)
         super().__init__(
             f"{algorithm.value} produced a non-finite iterate at iteration {iteration}; "
-            "try a smaller stepsize or larger gamma"
+            f"try {'a smaller stepsize or ' if has_tau else 'a '}larger gamma"
         )
 
     def __reduce__(self):
@@ -234,30 +240,33 @@ class _SupportBand:
     returns the residuals ``(f, g)`` of ``marginal_residuals(pi, mu, nu)``.
     A dense recovery writes ``pi`` into ``plan``, the band's C-contiguous
     ``(N, M)`` buffer.  A banded one leaves ``plan`` as it is and keeps the
-    band's values; ``write()`` scatters them into ``plan``.  So ``plan`` is
-    ``pi`` after a dense call, and after ``write()`` following any call; in
-    between, its band cells are stale.  ``values`` and ``values_cost`` are
-    the last call's values and their costs: the band's after a banded call,
-    the whole of ``plan`` and ``c`` after a dense one.  Either way they hold
-    every nonzero of ``pi``.  ``g`` and the written ``plan`` are bit for bit
-    those of the dense calls, whichever path a call takes, and so is ``f``
-    after a dense recovery; a banded ``f`` is within the bound below.  The
-    residuals are the two halves ``f, g`` of one buffer ``res``, which the
-    next call overwrites, so a caller can take their largest magnitude in
-    one pass.
+    band's values; ``write()`` scatters them into ``plan``, and a run calls
+    it once, where it returns its plan.  So ``plan`` is ``pi`` after a dense
+    call, and after ``write()`` following any call; in between, its band
+    cells are stale.  ``values`` and ``values_cost`` are the last call's
+    values and their costs: the band's after a banded call, the whole of
+    ``plan`` and ``c`` after a dense one.  Either way they hold every
+    nonzero of ``pi``.  ``g`` and the written ``plan`` are bit for bit those
+    of the dense calls, whichever path a call takes, and so is ``f`` after a
+    dense recovery; a banded ``f`` is within the bound below.  The residuals
+    are the two halves ``f, g`` of one buffer ``res``, which the next call
+    overwrites, so a caller can take their largest magnitude in one pass.
 
     The band is the cells with ``alpha (+) beta - c > -theta`` at its base
-    potentials, as the dense recovery rounds them, stored in row-major order
-    as flat indices, column indices and costs.  While a band is live, the
-    off-band cells of ``plan`` are zero: the band is selected from the dense
-    recovery at its base, which ``plan`` holds, and until the next dense
-    recovery only ``write()`` touches the buffer, at band cells.  A cell off
-    the band stays at zero while the potentials' drift from the base,
-    ``max|d alpha| + max|d beta|``, is at most ``theta - slack`` with
-    ``slack = 8 eps (max|alpha0| + max|beta0| + max|c| + theta)``: the drift
-    lifts the exact value by at most the drift, and the slack covers the
-    rounding of the selection, of the drift and of the recovery, so the
-    rounded value stays negative and its clip is ``+0.0``.
+    potentials, as the dense recovery rounds them, in row-major order: the
+    column of each cell (native ``np.intp`` integers, which ``take`` and
+    ``bincount`` use without converting them), the number of cells in each
+    row, and each cell's cost.  ``write()`` rebuilds the cells' rows from
+    the counts.  While a band is live, the off-band cells of ``plan`` are
+    zero: the band is selected from the dense recovery at its base, which
+    ``plan`` holds, and until the next dense recovery only ``write()``
+    touches the buffer, at band cells.  A cell off the band stays at zero
+    while the potentials' drift from the base, ``max|d alpha| + max|d
+    beta|``, is at most ``theta - slack`` with ``slack = 8 eps (max|alpha0|
+    + max|beta0| + max|c| + theta)``: the drift lifts the exact value by at
+    most the drift, and the slack covers the rounding of the selection, of
+    the drift and of the recovery, so the rounded value stays negative and
+    its clip is ``+0.0``.
 
     Within that budget two rules keep ``plan`` and ``g`` bit for bit those
     of dense recovery.  Band cells follow the dense op order, ``beta[cols] +
@@ -296,7 +305,6 @@ class _SupportBand:
         self.drift = np.empty(n + m)  # scratch for the drift test
         self.row = np.zeros(n)  # the band's row sums, zero in rows without a band cell
         self.plan = np.empty(c.shape)  # the run's one plan buffer
-        self.flat = self.plan.reshape(-1)  # a view of it
         # the plan's values at the last call and their costs: the band's after
         # a banded call, the whole plan buffer and c after a dense one
         self.values, self.values_cost = self.plan, c
@@ -305,7 +313,7 @@ class _SupportBand:
         self.base_flat = None  # the same, end to end
         self.ends = np.array([0, n])  # where alpha and beta start in those
         self.budget = 0.0
-        self.idx = self.cols = self.counts = self.cost = None
+        self.cols = self.counts = self.cost = None
         self.rows = self.starts = None  # the rows with a band cell, and where each starts in the band
 
     def recover(self, pot):
@@ -329,7 +337,7 @@ class _SupportBand:
         """Make ``plan`` the plan of the last call: scatter the band's values
         into it if that call was banded."""
         if self.values is not self.plan:
-            self.flat[self.idx] = self.values
+            self.plan[np.arange(self.plan.shape[0]).repeat(self.counts), self.cols] = self.values
 
     def _dense(self, pot):
         recover_plan(pot, self.c, self.gamma, out=self.plan)
@@ -363,9 +371,9 @@ class _SupportBand:
             return
         c = self.c
         n, m = c.shape
-        self.idx = self.cols = self.counts = self.cost = None  # the old band's storage goes first
+        self.cols = self.counts = self.cost = None  # the old band's storage goes first
         rows = max(1, _BAND_BLOCK_CELLS // m)
-        idx, cols, counts, size = [], [], [], 0
+        cols, counts, cost, size = [], [], [], 0
         for r0 in range(0, n, rows):
             t = np.add(beta, alpha[r0 : r0 + rows, None])  # rounded as recover_plan rounds it
             keep = np.subtract(t, c[r0 : r0 + rows], out=t) > -theta
@@ -373,11 +381,10 @@ class _SupportBand:
             size += int(counts[-1].sum())
             if size > _BAND_MAX_SHARE * n * m:
                 return
-            flat = np.flatnonzero(keep)
-            idx.append(flat + r0 * m)
-            cols.append((flat % m).astype(np.int32))
-        self.idx, self.cols, self.counts = np.concatenate(idx), np.concatenate(cols), np.concatenate(counts)
-        self.cost = np.take(c, self.idx)
+            flat = np.flatnonzero(keep)  # within the block
+            cols.append(flat % m)
+            cost.append(np.take(c[r0 : r0 + rows], flat))
+        self.cols, self.counts, self.cost = np.concatenate(cols), np.concatenate(counts), np.concatenate(cost)
         self.rows = np.flatnonzero(self.counts)
         self.starts = (np.cumsum(self.counts) - self.counts)[self.rows]
         self.row.fill(0.0)
@@ -390,36 +397,37 @@ def _move(p, q) -> float:
     return np.abs(p.alpha - q.alpha).max() + np.abs(p.beta - q.beta).max()
 
 
-def _quadratic_run(alg, c, gamma, mu, nu, tau, tol):
-    """``(advance, bounds)`` of a quadratic dual method started from zero
-    potentials.
+def _quadratic_run(alg, c, gamma, mu, nu, tau):
+    """``(advance, bounds, plan)`` of a quadratic dual method started from
+    zero potentials.
 
     ``advance(plan_due)`` takes one step on the dual, recovers the plan and
     takes its marginal residuals once; the violation it returns (their
     largest magnitude, taken in one pass over the band's residual buffer)
-    and the next step both read them.  It returns ``(potentials, plan,
-    violation)``, where ``plan`` is the run's one plan buffer.  As in
-    :func:`_sinkhorn_run`, that buffer holds the current plan when
-    ``plan_due`` is set or the violation is at most ``tol``: only then does
-    ``advance`` write the band's values into it.  ``bounds(pot, plan)`` is
-    ``(dual_value, primal_objective)`` for a history row, taken over the
-    values of the last recovery and their costs (the band's, or the whole
-    plan and ``c``) with :func:`~qrot.core.vdot`, whose fixed chunks keep
-    the sums independent of the BLAS thread count; the two share one
+    and the next step both read them.  It returns ``(potentials,
+    violation)`` and writes no plan, so it has no use for ``plan_due``.
+    ``bounds(pot)`` is ``(dual_value, primal_objective)`` for a history row,
+    taken over the values of the last recovery and their costs (the band's,
+    or the whole plan and ``c``) by the unchecked helpers of those two
+    functions, whose :func:`~qrot.core.vdot` has fixed chunks that keep the
+    sums independent of the BLAS thread count; the two share one
     ``||pi||^2``.  Over the band they add the plan's nonzeros in another
     order than over the whole plan, so the objectives can differ from the
-    dense sums in the last digits.  The three plain methods share one
-    ``step``, calling their
-    step function with positional arguments (gradient descent's with its
-    ``tau``, whose default ``1 / (M + N)`` is taken once here).  Steps are
-    looked up in this module when the run is built and kernels at call time,
-    so wrappers installed on the module before :func:`solve` see every call.
+    dense sums in the last digits.  ``plan()`` writes the last recovery
+    into the run's one plan buffer and returns it; :func:`solve` calls it
+    once, after its loop, so the band's values are scattered into the
+    buffer once per solve.  The three plain methods share one ``step``,
+    calling their step function with positional arguments (gradient
+    descent's with its ``tau``, whose default ``1 / (M + N)`` is taken once
+    here).  Steps are looked up in this module when the run is built and
+    kernels at call time, so wrappers installed on the module before
+    :func:`solve` see every call.
 
     Every recovery, Nesterov's at its extrapolated potentials included,
     goes through one :class:`_SupportBand`, which owns the plan buffer and
     recovers only a certified band of cells once the plan is sparse.
     Nesterov recovers its extrapolated point first and its current point
-    last, so the values of the last recovery, and the plan ``advance``
+    last, so the values of the last recovery, and the plan ``plan()``
     writes, are those of the current point; the extrapolated plan is never
     written.
     A band that is live after the last recovery proves the potentials
@@ -430,7 +438,6 @@ def _quadratic_run(alg, c, gamma, mu, nu, tau, tol):
     if tau is None:
         tau = 1.0 / (m + n)
     band = _SupportBand(c, gamma, mu, nu)
-    plan = band.plan  # the run's one plan buffer
     pot = DualPotentials(np.zeros(n), np.zeros(m))
     residuals = band.recover(pot)
 
@@ -456,26 +463,27 @@ def _quadratic_run(alg, c, gamma, mu, nu, tau, tol):
         pot = step()
         residuals = band.recover(pot)
         if band.base is None and not (np.isfinite(pot.alpha).all() and np.isfinite(pot.beta).all()):
-            return pot, plan, math.nan
-        violation = float(np.maximum.reduce(np.abs(band.res)))  # NaN if any residual is
-        if plan_due or violation <= tol:
-            band.write()
-        return pot, plan, violation
+            return pot, math.nan
+        return pot, float(np.maximum.reduce(np.abs(band.res)))  # NaN if any residual is
 
-    def bounds(pot, plan):
-        # over the values of the last recovery, which is the plan returned
-        values, cost = band.values, band.values_cost
+    def bounds(pot):
+        # over the values of the last recovery, which hold the plan's nonzeros
+        values = band.values
         norm2 = vdot(values, values)
-        return dual_value(pot, c, gamma, mu, nu, norm2=norm2), primal_objective(values, cost, gamma, norm2)
+        return _dual_value(pot, gamma, mu, nu, norm2), _primal_objective(values, band.values_cost, gamma, norm2)
 
-    return advance, bounds
+    def plan():
+        band.write()
+        return band.plan
+
+    return advance, bounds, plan
 
 
 def _sinkhorn_run(c, gamma, mu, nu, tol):
-    """``(advance, bounds)`` of Sinkhorn started from unit scalings.
+    """``(advance, bounds, plan)`` of Sinkhorn started from unit scalings.
 
     ``advance(plan_due)`` takes one scaling sweep and returns
-    ``(potentials, plan, violation)``.  It tests the scaling vectors rather
+    ``(potentials, violation)``.  It tests the scaling vectors rather
     than the plan: the row marginal ``u * (K v)`` comes from one
     matrix-vector product, whose ``K v`` the next sweep then reuses, so a
     sweep costs two products.  The column marginal is left out: the sweep
@@ -489,13 +497,12 @@ def _sinkhorn_run(c, gamma, mu, nu, tol):
     violation above ``tol``; otherwise, and whenever ``plan_due`` is set,
     the plan is built and :func:`max_violation` decides.  So iteration
     counts are those of testing the plan every iteration.  Plans are built
-    in place into the run's one plan buffer; between builds the returned
-    plan is the last one built (None before the first), and a converged or
-    final iteration always builds it.
+    in place into the run's one plan buffer; ``plan()`` returns the last
+    one built, and a converged or final iteration always builds it.
 
     Potentials that are not finite make the violation NaN.
-    ``bounds(pot, plan)`` is the entropic ``(dual, primal)`` pair of a
-    history row.
+    ``bounds(pot)`` is the entropic ``(dual, primal)`` pair of a history
+    row, over the plan built at that row.
     """
     if (mu <= 0).any() or (nu <= 0).any():
         raise ValueError("Sinkhorn requires strictly positive marginals")
@@ -506,36 +513,39 @@ def _sinkhorn_run(c, gamma, mu, nu, tol):
         raise ValueError("Sinkhorn kernel exp(-c / gamma) overflows; use a larger gamma")
     u, v = np.ones(c.shape[0]), np.ones(c.shape[1])
     Kv = None  # K @ v at the current v, when the stopping test formed it
-    plan = None  # the run's plan buffer once the first plan is built
+    built = None  # the run's plan buffer once the first plan is built
 
     def advance(plan_due):
-        nonlocal u, v, Kv, plan
+        nonlocal u, v, Kv, built
         u, v = sinkhorn_step(u, v, K, mu, nu, Kv=Kv)
         Kv = None
         # Shift log u, log v so the plan is exp((alpha (+) beta - c)/gamma - 1),
         # the maximizer form of the entropic conjugate.
         pot = DualPotentials(gamma * (np.log(u) + 0.5), gamma * (np.log(v) + 0.5))
         if not (np.isfinite(pot.alpha).all() and np.isfinite(pot.beta).all()):
-            return pot, plan, math.nan
+            return pot, math.nan
         if not plan_due:
             Kv = K @ v
             row = u * Kv
             estimate = float(np.abs(row - mu).max())
             margin = 4.0 * (max(K.shape) + 2) * np.finfo(float).eps * row.max()
             if not (estimate <= tol + margin):
-                return pot, plan, estimate
-        plan = sinkhorn_plan(u, v, K, out=plan)
-        return pot, plan, max_violation(plan, mu, nu)
+                return pot, estimate
+        built = sinkhorn_plan(u, v, K, out=built)
+        return pot, max_violation(built, mu, nu)
 
-    def bounds(pot, plan):
+    def bounds(pot):
         # pi = exp((alpha (+) beta - c) / gamma - 1), so the primal value
         # <c, pi> + gamma sum pi log pi equals <alpha, pi 1> + <beta, pi.T 1> - gamma sum pi
         alpha, beta = pot
-        row, col = marginals(plan)
-        mass = gamma * plan.sum()
+        row, col = marginals(built)
+        mass = gamma * built.sum()
         return float(vdot(alpha, mu) + vdot(beta, nu) - mass), float(vdot(alpha, row) + vdot(beta, col) - mass)
 
-    return advance, bounds
+    def plan():
+        return built
+
+    return advance, bounds, plan
 
 
 def solve(mu, nu, c, config: SolverConfig) -> ConvergenceReport:
@@ -566,27 +576,26 @@ def solve(mu, nu, c, config: SolverConfig) -> ConvergenceReport:
     -----
     The algorithm is looked at once, to pick the builder of the run
     (``_quadratic_run`` or ``_sinkhorn_run``); the loop then calls its
-    ``advance(plan_due)`` every iteration and its ``bounds`` for each
-    history row.  ``plan_due`` is set at the last iteration and at each
-    history stride, where the returned plan must be the current one, as it
-    must be at the iteration that converges; in between it may be stale.  The
-    violation ``advance`` returns is not finite whenever the iterate is not,
-    so the loop tests that one number for divergence.  A dual iteration
-    recovers the plan in place and takes its marginal residuals once; the
-    stopping test and the next step both read them.  Once the plan is
-    sparse, the recovery touches only a certified band of cells: the plan
-    and its column sums are bit for bit those of a dense recovery, and each
-    row sum is within ``(M - 1) eps`` times itself of the dense one (see
-    :class:`_SupportBand`).  The band's values are written into the plan
-    only where it is returned.  While a band is live, a history row's
-    objectives are taken over the band's values, so they are within the
-    rounding of a sum taken in another order of those over the whole plan,
-    and may differ from them in the last digits.  Sinkhorn tests its
-    scaling vectors instead of the plan, and the ``K v`` of that test feeds
-    the next sweep, so a sweep costs two matrix-vector products.  It builds
-    the plan, in place into one buffer, only when due and to confirm
-    convergence, so iteration counts are those of testing the plan every
-    iteration.
+    ``advance(plan_due)`` every iteration, its ``bounds`` for each history
+    row and, once after the loop, its ``plan()`` for the final plan.
+    ``plan_due`` is set at the last iteration and at each history stride.
+    The violation ``advance`` returns is not finite whenever the iterate is
+    not, so the loop tests that one number for divergence.  A dual
+    iteration recovers the plan in place and takes its marginal residuals
+    once; the stopping test and the next step both read them.  Once the
+    plan is sparse, the recovery touches only a certified band of cells:
+    the plan and its column sums are bit for bit those of a dense recovery,
+    and each row sum is within ``(M - 1) eps`` times itself of the dense
+    one (see :class:`_SupportBand`).  The band's values are written into
+    the plan once per solve, by ``plan()``.  While a band is live, a
+    history row's objectives are taken over the band's values, so they are
+    within the rounding of a sum taken in another order of those over the
+    whole plan, and may differ from them in the last digits.  Sinkhorn
+    tests its scaling vectors instead of the plan, and the ``K v`` of that
+    test feeds the next sweep, so a sweep costs two matrix-vector products.
+    It builds the plan, in place into one buffer, only when ``plan_due`` is
+    set and to confirm convergence, so iteration counts are those of
+    testing the plan every iteration.
 
     Raises
     ------
@@ -611,9 +620,9 @@ def solve(mu, nu, c, config: SolverConfig) -> ConvergenceReport:
     gamma = config.gamma
     alg = config.algorithm
     if alg is Algorithm.SINKHORN:
-        advance, bounds = _sinkhorn_run(c, gamma, mu, nu, config.tol)
+        advance, bounds, final_plan = _sinkhorn_run(c, gamma, mu, nu, config.tol)
     else:
-        advance, bounds = _quadratic_run(alg, c, gamma, mu, nu, config.tau, config.tol)
+        advance, bounds, final_plan = _quadratic_run(alg, c, gamma, mu, nu, config.tau)
 
     history: list[HistoryEntry] = []
     tol, max_iters, record, stride = config.tol, config.max_iters, config.record_history, config.history_stride
@@ -624,16 +633,16 @@ def solve(mu, nu, c, config: SolverConfig) -> ConvergenceReport:
     # overflow on a diverging run is reported via DivergenceError, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, max_iters + 1):
-            # the plan of the last iteration and of each history row is reported
+            # Sinkhorn builds its plan for the last iteration and each history row
             plan_due = it == max_iters or (record and it % stride == 0)
-            pot, plan, viol = advance(plan_due)
+            pot, viol = advance(plan_due)
             if not math.isfinite(viol):  # also when the potentials are not finite
                 raise DivergenceError(alg, it)
 
             iterations = it
             converged = viol <= tol
             if record and (converged or plan_due):
-                dual, primal = bounds(pot, plan)
+                dual, primal = bounds(pot)
                 history.append(
                     HistoryEntry(it, viol, dual, primal, primal - dual, time.perf_counter() - t0)
                 )
@@ -644,7 +653,7 @@ def solve(mu, nu, c, config: SolverConfig) -> ConvergenceReport:
         algorithm=alg,
         iterations=iterations,
         converged=converged,
-        final_plan=plan,
+        final_plan=final_plan(),
         final_potentials=pot,
         history=tuple(history),
     )

@@ -541,8 +541,18 @@ def test_solve_exit_codes(tmp_path, monkeypatch, capsys):
     # a diverging solve is an error line, and no output directory is left behind
     code = main(["solve", str(problem_path), "--algorithm", "gradient", "--tau", "1e200", "--out", str(tmp_path / "o5")])
     assert code == 1
-    assert "error: dual_gradient produced a non-finite iterate" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: dual_gradient produced a non-finite iterate")
+    assert err.endswith("; try a smaller stepsize or larger gamma\n")
     assert not (tmp_path / "o5").exists()
+
+    # Sinkhorn takes no stepsize, so its divergence suggests none
+    tiny_gamma = tmp_path / "tiny_gamma.json"
+    assert main(["generate", "--n", "8", "--gamma", "1e-6", "--out", str(tiny_gamma)]) == 0
+    capsys.readouterr()
+    assert main(["solve", str(tiny_gamma), "--algorithm", "sinkhorn", "--out", str(tmp_path / "o8")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sinkhorn produced a non-finite iterate") and err.endswith("; try a larger gamma\n")
 
     # an allocation the machine cannot serve (simulated; nothing is allocated)
     def out_of_memory(*args):

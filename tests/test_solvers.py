@@ -31,8 +31,8 @@ from qrot import (
     sinkhorn_step,
     solve,
 )
-from qrot.core import marginal_residuals
-from qrot.dual import dual_value
+from qrot.core import _primal_objective, marginal_residuals, vdot
+from qrot.dual import _dual_objective, _dual_value, dual_objective, dual_value
 from qrot.fileio import ProblemFile, default_problem, realize_problem
 from qrot.solvers import _SupportBand
 
@@ -45,6 +45,9 @@ DUAL_ALGORITHMS = (
     Algorithm.FIXED_POINT,
     Algorithm.NESTEROV,
 )
+
+
+TAU_ALGORITHMS = (Algorithm.DUAL_GRADIENT, Algorithm.NESTEROV)
 
 
 def zeros(n, m):
@@ -305,6 +308,16 @@ def test_solve_divergence_detection():
     assert err.value.iteration >= 1
 
 
+@pytest.mark.parametrize("alg", list(Algorithm))
+def test_divergence_message_suggests_a_stepsize_only_where_there_is_one(alg):
+    # only gradient descent and Nesterov take tau; the message survives the
+    # trip between processes
+    err = DivergenceError(alg, 73)
+    hint = "a smaller stepsize or larger gamma" if alg in TAU_ALGORITHMS else "a larger gamma"
+    assert str(err) == f"{alg.value} produced a non-finite iterate at iteration 73; try {hint}"
+    assert str(pickle.loads(pickle.dumps(err))) == str(err)
+
+
 def test_divergence_error_survives_pickling():
     # a helper process of `qrot compare` sends it back to the CLI process
     err = DivergenceError(Algorithm.NESTEROV, 7)
@@ -316,7 +329,7 @@ def test_divergence_error_survives_pickling():
 def test_solve_takes_fraction_parameters_as_floats():
     mu, nu, c = realize_problem(default_problem("squared", 10.0, n=20))
     for algorithm in Algorithm:
-        with_tau = algorithm in (Algorithm.DUAL_GRADIENT, Algorithm.NESTEROV)
+        with_tau = algorithm in TAU_ALGORITHMS
         exact = SolverConfig(gamma=Fraction(10), algorithm=algorithm, tol=Fraction(1, 10_000),
                              tau=Fraction(1, 40) if with_tau else None)
         rounded = SolverConfig(gamma=10.0, algorithm=algorithm, tol=1e-4, tau=0.025 if with_tau else None)
@@ -526,7 +539,7 @@ def test_solve_with_support_band_matches_reference(monkeypatch):
 
 
 def test_band_writes_the_plan_where_a_run_returns_it(monkeypatch):
-    # a banded recovery leaves the plan buffer stale until a plan is due, so
+    # a banded recovery leaves the plan buffer stale until the run returns it, so
     # a run that converges between history rows, or with history off, must
     # still write its last plan; so must a run that stops at the cap.  None
     # of these runs ends on a history row of stride 7
@@ -541,6 +554,49 @@ def test_band_writes_the_plan_where_a_run_returns_it(monkeypatch):
             assert dense[0] < rep.iterations / 2, (alg, tol, dense[0], rep.iterations)
             assert rep.converged == (tol > 1e-300) and rep.iterations % 7, (alg, rep.iterations)
             assert np.array_equal(rep.final_plan, recover_plan(rep.final_potentials, c, 1.0)), (alg, tol, history)
+
+
+def test_history_rows_scatter_nothing(monkeypatch):
+    # a history row reads the band's values, not the plan buffer, so a run
+    # with a row at every iteration scatters the band into the buffer at most
+    # once, where it returns the plan, and that plan is still the recovery at
+    # the final potentials
+    mu, nu, c = realize_problem(default_problem("squared", 1.0, n=150))
+    dense = count_dense_recoveries(monkeypatch)
+    writes = [0]
+    write = _SupportBand.write
+
+    def counted(band):
+        writes[0] += 1
+        return write(band)
+
+    monkeypatch.setattr(_SupportBand, "write", counted)
+    for alg in DUAL_ALGORITHMS:
+        for tol, max_iters in ((1e-3, 100_000), (1e-300, 60)):  # to tolerance, and at the cap
+            config = SolverConfig(gamma=1.0, algorithm=alg, tol=tol, max_iters=max_iters, history_stride=1)
+            dense[0] = writes[0] = 0
+            rep = solve(mu, nu, c, config)
+            assert rep.converged == (tol > 1e-300) and len(rep.history) == rep.iterations, (alg, tol)
+            assert dense[0] < rep.iterations / 2, (alg, tol, dense[0], rep.iterations)
+            assert writes[0] <= 1, (alg, tol, writes[0])
+            assert np.array_equal(rep.final_plan, recover_plan(rep.final_potentials, c, 1.0)), (alg, tol)
+
+
+def test_unchecked_objectives_are_the_public_ones_bit_for_bit(rng):
+    # history rows call the unchecked helpers of dual_value and
+    # primal_objective; they must give what the public functions give
+    for n, m in ((3, 4), (40, 25), (120, 100)):  # the last plan has more than DOT_CHUNK cells
+        mu, nu, c = random_instance(rng, n, m)
+        gamma = float(rng.uniform(0.1, 10.0))
+        pot = DualPotentials(rng.standard_normal(n), rng.standard_normal(m))
+        plan = recover_plan(pot, c, gamma)
+        norm2 = vdot(plan, plan)
+        assert _dual_objective(pot, gamma, mu, nu, norm2) == dual_objective(pot, c, gamma, mu, nu, norm2=norm2)
+        assert _dual_objective(pot, gamma, mu, nu, norm2) == dual_objective(pot, c, gamma, mu, nu)
+        assert _dual_value(pot, gamma, mu, nu, norm2) == dual_value(pot, c, gamma, mu, nu, norm2=norm2)
+        assert _dual_value(pot, gamma, mu, nu, norm2) == dual_value(pot, c, gamma, mu, nu)
+        assert _primal_objective(plan, c, gamma, norm2) == primal_objective(plan, c, gamma, norm2)
+        assert _primal_objective(plan, c, gamma, norm2) == primal_objective(plan, c, gamma)
 
 
 def test_history_rows_over_a_live_band_do_not_depend_on_the_blas_thread_count():
@@ -583,7 +639,7 @@ def test_bincount_column_sums_are_numpy_axis0_sums(rng):
         n, m = (int(x) for x in rng.integers(50, 400, 2))
         plan = np.where(rng.random((n, m)) < 0.1, rng.lognormal(0.0, 4.0, (n, m)), 0.0)
         idx = np.flatnonzero(plan)
-        cols, vals = (idx % m).astype(np.int32), plan.reshape(-1)[idx]
+        cols, vals = (idx % m).astype(np.intp, copy=False), plan.reshape(-1)[idx]  # as the band keeps them
         assert np.array_equal(np.bincount(cols, weights=vals, minlength=m), plan.sum(axis=0))
     # the check has power: the same terms added bottom-up round differently
     assert not np.array_equal(np.bincount(cols[::-1], weights=vals[::-1], minlength=m), plan.sum(axis=0))
@@ -602,7 +658,7 @@ def banded_plan(rng, n, m):
             band[i, j0 : j0 + int(rng.integers(1, width + 1))] = True
     plan = np.where(band & (rng.random((n, m)) < 0.8), rng.lognormal(0.0, 4.0, (n, m)), 0.0)
     idx = np.flatnonzero(band)
-    return plan, (idx % m).astype(np.int32), band.sum(axis=1)
+    return plan, (idx % m).astype(np.intp, copy=False), band.sum(axis=1)  # columns as the band keeps them
 
 
 def test_reduceat_row_sums_of_banded_plans_are_within_the_bound(rng):
@@ -660,7 +716,7 @@ def test_empty_support_band_gives_a_zero_plan(rng, monkeypatch):
         assert np.array_equal(band.plan, plan) and not plan.any(), k
         assert np.array_equal(f, rf) and np.array_equal(g, rg), k
         assert np.array_equal(f, -mu) and np.array_equal(g, -nu), k
-        assert (band.base is not None) == (k > 0) and (k == 0 or band.idx.size == 0), k
+        assert (band.base is not None) == (k > 0) and (k == 0 or band.cols.size == 0), k
         pot = DualPotentials(pot.alpha + 1e-3 * rng.standard_normal(4), pot.beta + 1e-3 * rng.standard_normal(5))
     assert dense[0] == 2  # the first call, and the second, which selected the band
 
