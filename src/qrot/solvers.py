@@ -22,10 +22,12 @@ descent also takes ``tau``); only Nesterov carries a state.
 Each method builds its own run, ``(advance, bounds, plan)``:
 ``advance(plan_due)`` takes one iteration and returns ``(potentials,
 violation)``, ``bounds(pot)`` gives the ``(dual, primal)`` pair of a history
-row, and ``plan()`` the final plan.  Only Sinkhorn reads ``plan_due``: it
-builds its plan for a history row and the last iteration.  The run's state
-and buffers live in the builder, so the loop of :func:`solve` never asks
-which method it drives.
+row, and ``plan()`` the final plan.  ``plan_due`` is set for a history row
+and the last iteration, where Sinkhorn builds its plan and Nesterov
+recovers its current point; between them both may instead return a
+certified lower bound on a violation above ``tol``.  The run's state and
+buffers live in the builder, so the loop of :func:`solve` never asks which
+method it drives.
 
 Quadratic regularization makes the plan sparse, and a dual run recovers it
 only on a certified band of cells that can be positive, writing the band's
@@ -230,6 +232,7 @@ def sinkhorn_plan(u, v, K, out=None) -> np.ndarray:
 _BAND_REACH = 32.0
 _BAND_MAX_SHARE = 0.25
 _BAND_BLOCK_CELLS = 1 << 16  # cells per block of the pass that selects a band
+_EPS = float(np.finfo(float).eps)
 
 
 class _SupportBand:
@@ -291,15 +294,45 @@ class _SupportBand:
     ``_BAND_MAX_SHARE`` of the cells: the selection pass stops as soon as it
     counts that many.  So a band that is live after a call proves that
     call's potentials finite.
+
+    ``certify(pot, tol)`` stands in for ``recover(pot)`` where the residuals
+    of the last call, a recovery at ``q``, prove the violation at ``pot``
+    above ``tol``.  It returns that proof, a lower bound, and makes ``pot``
+    the last call's potentials, as a banded ``recover(pot)`` would; the
+    band, ``values`` and ``res`` stay as they are, so a second ``certify``
+    returns None until the next ``recover``.  Otherwise it returns None and
+    changes nothing.  It needs a live band and ``pot`` within its budget, so
+    both plans vanish off the band.  With ``V`` the largest residual
+    magnitude at ``q``, ``d = _move(pot, q)`` and ``K = width``, the most
+    band cells in any row or column: the clip is 1-Lipschitz, so each exact
+    value moves by at most ``d / gamma`` and each row or column sum by at
+    most ``K d / gamma``, and the violation at ``pot`` is at least ``V - K d
+    / gamma``.  The margin covers the rounding.  Within the budget
+    ``max|alpha| + max|beta| + max|c|`` is at most ``slack / (8 eps)``, so a
+    recovered value is within ``2 eps`` times that over gamma, ``slack / (4
+    gamma)``, of its exact value, and the at most ``K`` of them in a sum,
+    at both points, move it by at most ``K slack / gamma``.  ``S = V +
+    max(mu, nu) + K d / gamma`` bounds every row and column sum at both
+    points; a sum of at most ``k = max(N, M)`` nonnegative terms and its
+    residual are within ``(k + 1) eps / 2`` times ``S`` of their exact
+    values, and ``d`` and the bound round by a few ``eps S`` more.  So
+    ``margin = K slack / gamma + 2 (k + 4) eps S`` covers both recoveries
+    and both sums with room to spare, and a bound above ``tol`` proves the
+    violation ``recover(pot)`` would compute above ``tol``.  The bound also
+    needs ``2 S`` finite, so no value or sum at ``pot`` overflows and that
+    violation is finite too.  Non-finite potentials fail the drift test,
+    and non-finite residuals the bound.
     """
 
     def __init__(self, c, gamma, mu, nu):
         self.c, self.gamma, self.mu, self.nu = c, gamma, mu, nu
         self.cmax = float(max(c.max(), -c.min()))  # max|c|, without an N x M temporary
         n, m = c.shape
+        self.wmax = float(max(mu.max(), nu.max()))  # the largest marginal weight
         # the small buffers go before the plan buffer: allocated after it, they
         # left the heap one plan larger after a few runs (peak RSS 136 -> 144 MB
-        # on kernel-n1000 with perfbench's allocator settings)
+        # on kernel-n1000 with perfbench's allocator settings); that peak also
+        # flips between 136 and 143 MB with edits that only move code by a line
         self.res = np.empty(n + m)  # the residuals (f, g) of the last call, end to end
         self.f, self.g = self.res[:n], self.res[n:]
         self.drift = np.empty(n + m)  # scratch for the drift test
@@ -309,15 +342,18 @@ class _SupportBand:
         # a banded call, the whole plan buffer and c after a dense one
         self.values, self.values_cost = self.plan, c
         self.last = None  # potentials of the last call
+        self.bounded = False  # the last call was a certify, so res is the call's before
         self.base = None  # potentials of the live band, None when dense
         self.base_flat = None  # the same, end to end
         self.ends = np.array([0, n])  # where alpha and beta start in those
-        self.budget = 0.0
+        self.budget = self.slack = 0.0
+        self.width = 0.0  # the most band cells in any row or column
         self.cols = self.counts = self.cost = None
         self.rows = self.starts = None  # the rows with a band cell, and where each starts in the band
 
     def recover(self, pot):
         last, self.last = self.last, pot
+        self.bounded = False
         if self.base is not None and self._drift(pot) <= self.budget:
             return self._banded(pot)
         residuals = self._dense(pot)
@@ -325,6 +361,22 @@ class _SupportBand:
         if last is not None:
             self._select(pot, _BAND_REACH * _move(pot, last))
         return residuals
+
+    def certify(self, pot, tol):
+        """A lower bound above ``tol`` on the violation ``recover(pot)`` would
+        return, proved from the last call's residuals, or None."""
+        if self.bounded or self.base is None or not self._drift(pot) <= self.budget:
+            return None
+        shift = self.width * _move(pot, self.last) / self.gamma
+        worst = float(np.maximum.reduce(np.abs(self.res, out=self.drift)))
+        sums = worst + self.wmax + shift  # bounds every row and column sum at both points
+        terms = max(self.plan.shape)  # the most terms in a row or column sum
+        margin = self.width * self.slack / self.gamma + 2.0 * (terms + 4) * _EPS * sums
+        bound = worst - shift - margin
+        if not (bound > tol and math.isfinite(2.0 * sums)):  # NaN fails both
+            return None
+        self.last, self.bounded = pot, True
+        return bound
 
     def _drift(self, pot):
         """``_move(pot, self.base)``, on the potentials end to end."""
@@ -366,7 +418,7 @@ class _SupportBand:
     def _select(self, pot, theta):
         """Keep the band of reach ``theta`` at ``pot``, whose dense plan ``plan`` holds."""
         alpha, beta = pot
-        slack = 8.0 * np.finfo(float).eps * (np.abs(alpha).max() + np.abs(beta).max() + self.cmax + theta)
+        slack = 8.0 * _EPS * (np.abs(alpha).max() + np.abs(beta).max() + self.cmax + theta)
         if not (theta - slack > 0.0):  # also refuses a zero or non-finite reach
             return
         c = self.c
@@ -387,8 +439,9 @@ class _SupportBand:
         self.cols, self.counts, self.cost = np.concatenate(cols), np.concatenate(counts), np.concatenate(cost)
         self.rows = np.flatnonzero(self.counts)
         self.starts = (np.cumsum(self.counts) - self.counts)[self.rows]
+        self.width = float(max(self.counts.max(), np.bincount(self.cols, minlength=m).max()))
         self.row.fill(0.0)
-        self.base, self.budget = pot, theta - slack
+        self.base, self.budget, self.slack = pot, theta - slack, slack
         self.base_flat = np.concatenate(pot)
 
 
@@ -397,7 +450,7 @@ def _move(p, q) -> float:
     return np.abs(p.alpha - q.alpha).max() + np.abs(p.beta - q.beta).max()
 
 
-def _quadratic_run(alg, c, gamma, mu, nu, tau):
+def _quadratic_run(alg, c, gamma, mu, nu, tau, tol):
     """``(advance, bounds, plan)`` of a quadratic dual method started from
     zero potentials.
 
@@ -405,7 +458,7 @@ def _quadratic_run(alg, c, gamma, mu, nu, tau):
     takes its marginal residuals once; the violation it returns (their
     largest magnitude, taken in one pass over the band's residual buffer)
     and the next step both read them.  It returns ``(potentials,
-    violation)`` and writes no plan, so it has no use for ``plan_due``.
+    violation)`` and writes no plan.
     ``bounds(pot)`` is ``(dual_value, primal_objective)`` for a history row,
     taken over the values of the last recovery and their costs (the band's,
     or the whole plan and ``c``) by the unchecked helpers of those two
@@ -426,10 +479,18 @@ def _quadratic_run(alg, c, gamma, mu, nu, tau):
     Every recovery, Nesterov's at its extrapolated potentials included,
     goes through one :class:`_SupportBand`, which owns the plan buffer and
     recovers only a certified band of cells once the plan is sparse.
-    Nesterov recovers its extrapolated point first and its current point
-    last, so the values of the last recovery, and the plan ``plan()``
-    writes, are those of the current point; the extrapolated plan is never
-    written.
+    Nesterov's step recovers at its extrapolated point, so its recovery at
+    the current point feeds only the stopping test.  Without ``plan_due``
+    it first asks :meth:`_SupportBand.certify` whether the residuals just
+    taken at the extrapolated point prove the current violation above
+    ``tol``, and returns that lower bound in place of the recovery, as
+    Sinkhorn returns its estimate.  Such an iteration neither converges
+    nor records a history row, and the band rebuilds from the same moves
+    as with the recovery, so iteration counts, plans and potentials are
+    those of recovering every current point.  A history row, the cap and a
+    violation near ``tol`` take the recovery, so the values of the last
+    recovery, and the plan ``plan()`` writes, are those of the current
+    point; the extrapolated plan is never written.
     A band that is live after the last recovery proves the potentials
     finite, so they are tested only when it is not; non-finite potentials
     make the violation NaN, which :func:`solve` reports as divergence.
@@ -441,7 +502,10 @@ def _quadratic_run(alg, c, gamma, mu, nu, tau):
     pot = DualPotentials(np.zeros(n), np.zeros(m))
     residuals = band.recover(pot)
 
-    if alg is Algorithm.NESTEROV:  # carries its previous iterate and counter
+    # Nesterov's next step recovers at its extrapolated point, so the
+    # recovery at its current point feeds only the stopping test
+    certifies = alg is Algorithm.NESTEROV
+    if certifies:  # carries its previous iterate and counter
         state = NesterovState(pot, pot, 0)
 
         def step():
@@ -461,6 +525,10 @@ def _quadratic_run(alg, c, gamma, mu, nu, tau):
     def advance(plan_due):
         nonlocal pot, residuals
         pot = step()
+        if certifies and not plan_due:
+            bound = band.certify(pot, tol)
+            if bound is not None:
+                return pot, bound
         residuals = band.recover(pot)
         if band.base is None and not (np.isfinite(pot.alpha).all() and np.isfinite(pot.beta).all()):
             return pot, math.nan
@@ -528,7 +596,7 @@ def _sinkhorn_run(c, gamma, mu, nu, tol):
             Kv = K @ v
             row = u * Kv
             estimate = float(np.abs(row - mu).max())
-            margin = 4.0 * (max(K.shape) + 2) * np.finfo(float).eps * row.max()
+            margin = 4.0 * (max(K.shape) + 2) * _EPS * row.max()
             if not (estimate <= tol + margin):
                 return pot, estimate
         built = sinkhorn_plan(u, v, K, out=built)
@@ -590,12 +658,17 @@ def solve(mu, nu, c, config: SolverConfig) -> ConvergenceReport:
     the plan once per solve, by ``plan()``.  While a band is live, a
     history row's objectives are taken over the band's values, so they are
     within the rounding of a sum taken in another order of those over the
-    whole plan, and may differ from them in the last digits.  Sinkhorn
-    tests its scaling vectors instead of the plan, and the ``K v`` of that
-    test feeds the next sweep, so a sweep costs two matrix-vector products.
-    It builds the plan, in place into one buffer, only when ``plan_due`` is
-    set and to confirm convergence, so iteration counts are those of
-    testing the plan every iteration.
+    whole plan, and may differ from them in the last digits.  Nesterov
+    takes its gradient at the extrapolated point, and without ``plan_due``
+    it skips the recovery at its current point whenever the residuals at
+    the extrapolated point prove that point's violation above ``tol``; the
+    band bounds how far the plan moved between the two (see
+    :class:`_SupportBand`).  Sinkhorn tests its scaling vectors instead of
+    the plan, and the ``K v`` of that test feeds the next sweep, so a sweep
+    costs two matrix-vector products.  It builds the plan, in place into
+    one buffer, only when ``plan_due`` is set and to confirm convergence.
+    So for both, iteration counts are those of testing the plan every
+    iteration.
 
     Raises
     ------
@@ -622,7 +695,7 @@ def solve(mu, nu, c, config: SolverConfig) -> ConvergenceReport:
     if alg is Algorithm.SINKHORN:
         advance, bounds, final_plan = _sinkhorn_run(c, gamma, mu, nu, config.tol)
     else:
-        advance, bounds, final_plan = _quadratic_run(alg, c, gamma, mu, nu, config.tau)
+        advance, bounds, final_plan = _quadratic_run(alg, c, gamma, mu, nu, config.tau, config.tol)
 
     history: list[HistoryEntry] = []
     tol, max_iters, record, stride = config.tol, config.max_iters, config.record_history, config.history_stride
@@ -633,7 +706,7 @@ def solve(mu, nu, c, config: SolverConfig) -> ConvergenceReport:
     # overflow on a diverging run is reported via DivergenceError, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, max_iters + 1):
-            # Sinkhorn builds its plan for the last iteration and each history row
+            # the last iteration and each history row test the plan itself
             plan_due = it == max_iters or (record and it % stride == 0)
             pot, viol = advance(plan_due)
             if not math.isfinite(viol):  # also when the potentials are not finite

@@ -480,13 +480,161 @@ def test_support_band_matches_dense_recovery_on_random_walks(rng, monkeypatch):
 def test_nesterov_rebuilds_the_band_from_its_last_move(monkeypatch):
     # every dense recovery after the first selects a band of reach 32 times
     # the move from the previous call, so on the stock n=100 problem
-    # Nesterov recovers densely 156 times
+    # Nesterov recovers densely 156 times.  An iteration that certifies its
+    # violation instead of recovering its current point still makes that
+    # point the last call's, so history off, where most iterations do,
+    # rebuilds exactly as history at every iteration, where none does
     mu, nu, c = realize_problem(default_problem("squared", 10.0, 100))
     dense = count_dense_recoveries(monkeypatch)
+    counts = []
+    for record in (False, True):
+        dense[0] = 0
+        rep = solve(mu, nu, c, SolverConfig(gamma=10.0, algorithm=Algorithm.NESTEROV, tol=1e-5,
+                                            record_history=record, history_stride=1))
+        assert (rep.iterations, rep.converged) == (1165, True)
+        counts.append(dense[0])
+    assert counts == [156, 156], counts
+
+
+def count_band_recoveries(monkeypatch):
+    """Route ``_SupportBand.recover`` through a counter; returns the
+    one-element list that holds the count."""
+    count = [0]
+    recover = _SupportBand.recover
+
+    def counted(band, pot):
+        count[0] += 1
+        return recover(band, pot)
+
+    monkeypatch.setattr(_SupportBand, "recover", counted)
+    return count
+
+
+@pytest.mark.parametrize("gamma, n, tol, max_iters", [
+    (1.0, 150, 1e-3, 100_000),  # to tolerance
+    (1.0, 150, 1e-300, 60),  # at the cap
+    (2.0, 300, 1e-3, 100_000),  # the band live on most iterations
+    (10.0, 100, 1e-5, 100_000),  # the stock problem, 1,165 iterations
+])
+def test_nesterov_certified_iterations_change_nothing(gamma, n, tol, max_iters, monkeypatch):
+    # history at every iteration recovers every current point; with history
+    # off most iterations certify their violation instead, and the solve
+    # must stop at the same iteration with the same plan and potentials
+    mu, nu, c = realize_problem(default_problem("squared", gamma, n))
+    recoveries = count_band_recoveries(monkeypatch)
+    reps, counts = [], []
+    for record in (False, True):
+        recoveries[0] = 0
+        reps.append(solve(mu, nu, c, SolverConfig(gamma=gamma, algorithm=Algorithm.NESTEROV, tol=tol,
+                                                  max_iters=max_iters, record_history=record, history_stride=1)))
+        counts.append(recoveries[0])
+    off, every = reps
+    assert (off.iterations, off.converged) == (every.iterations, every.converged)
+    assert off.converged == (tol > 1e-300) and len(every.history) == every.iterations
+    assert np.array_equal(off.final_plan, every.final_plan)
+    assert np.array_equal(off.final_potentials.alpha, every.final_potentials.alpha)
+    assert np.array_equal(off.final_potentials.beta, every.final_potentials.beta)
+    # two recoveries per iteration, and the one at zero, where every point is recovered
+    assert counts[1] == 2 * every.iterations + 1, counts
+
+
+def test_nesterov_recovers_its_current_point_only_where_needed(monkeypatch):
+    # with history off, the recovery at the current point is left out
+    # wherever the extrapolated point's residuals certify a violation above
+    # tol: on the stock n=100 problem about 1.1 recoveries an iteration
+    # remain, against 2 when every current point is recovered
+    mu, nu, c = realize_problem(default_problem("squared", 10.0, 100))
+    recoveries = count_band_recoveries(monkeypatch)
     rep = solve(mu, nu, c, SolverConfig(gamma=10.0, algorithm=Algorithm.NESTEROV, tol=1e-5,
                                         record_history=False))
-    assert (rep.iterations, rep.converged) == (1165, True)
-    assert dense[0] <= 200, dense[0]
+    assert rep.iterations == 1165
+    assert recoveries[0] <= 1.15 * rep.iterations, recoveries[0]
+
+
+def test_certified_violation_bounds_the_recovered_one(rng):
+    # random walks on a live band: recover at q, then certify a nearby p
+    # against tolerances around the violation at p.  Any bound returned
+    # must be at most the violation the recovery at p computes and above
+    # tol, so the dense violation at p is above tol too; and moves of
+    # every size, the zero move included, must each leave some tol that
+    # the bound proves
+    mu, nu, c = realize_problem(default_problem("squared", 10.0, n=60))
+    mu, nu = mu.w, nu.w
+    start = solve(mu, nu, c, SolverConfig(gamma=10.0, algorithm=Algorithm.NESTEROV, tol=1e-3,
+                                          record_history=False)).final_potentials
+    steps = (0.0, 1e-12, 1e-9, 1e-7, 1e-6)
+    shifts = (-0.5, -1e-2, -1e-4, -1e-6, -1e-9, -1e-12, 1e-12, 1e-9, 1e-6, 1e-3)
+    proved = dict.fromkeys(steps, 0)
+    for walk in range(3):
+        band = _SupportBand(c, 10.0, mu, nu)
+        q = start
+        for k in range(60):
+            q = DualPotentials(q.alpha + 1e-6 * rng.standard_normal(q.alpha.size),
+                               q.beta + 1e-6 * rng.standard_normal(q.beta.size))
+            band.recover(q)
+            if band.base is None:
+                continue
+            step = steps[k % len(steps)]
+            p = DualPotentials(q.alpha + step * rng.standard_normal(q.alpha.size),
+                               q.beta + step * rng.standard_normal(q.beta.size))
+            dense = max_violation(recover_plan(p, c, 10.0), mu, nu)
+            base, budget, bounds = band.base, band.budget, []
+            for shift in shifts:
+                tol = dense * (1.0 + shift)
+                bound = band.certify(p, tol)
+                if bound is not None:
+                    assert bound > tol and dense > tol, (walk, k, shift)
+                    assert band.last is p and band.certify(p, 0.0) is None, (walk, k)  # res is q's
+                    bounds.append(bound)
+                    proved[step] += 1
+                    band.recover(q)
+                assert band.base is base and band.budget == budget, (walk, k)
+            band.recover(p)  # banded: certify held p within the budget
+            if bounds:
+                assert band.base is base and max(bounds) <= np.abs(band.res).max(), (walk, k)
+    assert all(proved.values()), proved
+
+    # potentials that are not finite never certify, nor change the band
+    band = _SupportBand(c, 10.0, mu, nu)
+    band.recover(start)
+    band.recover(DualPotentials(start.alpha + 1e-7, start.beta))
+    assert band.base is not None
+    last = band.last
+    for bad in (np.nan, np.inf, -np.inf):
+        alpha = start.alpha.copy()
+        alpha[3] = bad
+        with np.errstate(invalid="ignore"):
+            assert band.certify(DualPotentials(alpha, start.beta), 0.0) is None, bad
+        assert band.last is last, bad
+
+
+def test_certified_violation_is_tight_where_every_cell_moves_by_the_full_drift():
+    # the band is the four 2 x 2 diagonal blocks of an 8 x 8 cost, so each
+    # row and column holds K = 2 band cells, all positive.  Lowering every
+    # alpha by d lowers each band cell by d / gamma and each row and column
+    # sum by K d / gamma, the most the bound allows: a bound half as wide
+    # would certify a tol that the violation at p stays below
+    n, gamma, d = 8, 1.0, 0.1
+    block = np.arange(n) // 2
+    c = np.where(block[:, None] == block[None, :], 0.0, 100.0)
+    mu = nu = np.ones(n)
+    band = _SupportBand(c, gamma, mu, nu)
+    band.recover(DualPotentials(np.full(n, 0.49), np.full(n, 0.5)))
+    band.recover(DualPotentials(np.full(n, 0.5), np.full(n, 0.5)))  # selects the band, of reach 0.32
+    assert band.base is not None and band.cols.size == 16 and band.width == 2.0
+    assert np.abs(band.res).max() == 1.0  # rows and columns sum to 2
+    # past the drift budget a recovery would rebuild the band, so no bound
+    # stands in for it, sound as it would be
+    assert band.certify(DualPotentials(np.full(n, 0.1), np.full(n, 0.5)), 0.1) is None
+    p = DualPotentials(np.full(n, 0.5 - d), np.full(n, 0.5))
+    violation = 1.0 - 2.0 * d  # rows and columns sum to 2 (1 - d)
+    assert band.certify(p, violation * (1.0 + 1e-12)) is None
+    bound = band.certify(p, violation * (1.0 - 1e-12))
+    assert bound is not None and violation * (1.0 - 1e-12) < bound <= violation
+    band.recover(p)
+    assert np.abs(band.res).max() == pytest.approx(violation, rel=1e-15)
+    assert np.array_equal(recover_plan(p, c, gamma), np.where(c == 0.0, 1.0 - d, 0.0))
+
 
 
 def test_nesterov_peak_memory_is_one_plan_buffer():
@@ -737,15 +885,20 @@ def test_divergence_with_support_band_live_matches_reference(monkeypatch):
     nu[:b] = mu[b - 1 :: -1]
     dense = count_dense_recoveries(monkeypatch)
     for alg, tau in ((Algorithm.DUAL_GRADIENT, 0.12), (Algorithm.NESTEROV, 0.1)):
-        def config(max_iters):
+        def config(max_iters, record=False):
             return SolverConfig(gamma=scale, algorithm=alg, tol=1e-300, max_iters=max_iters, tau=tau,
-                                record_history=False)
+                                record_history=record)
 
         dense[0] = 0
         with pytest.raises(DivergenceError) as err:
             solve(mu, nu, c, config(1000))
         it = err.value.iteration
         assert 10 < it < 1000 and dense[0] < it / 2, (alg, it, dense[0])
+        # with history at every iteration, where Nesterov recovers every
+        # current point, each method diverges at the same iteration
+        with pytest.raises(DivergenceError) as err:
+            solve(mu, nu, c, config(1000, record=True))
+        assert err.value.iteration == it, (alg, err.value.iteration, it)
 
         rep = solve(mu, nu, c, config(it - 1))  # no non-finite iterate masked, none reported early
         pot = rep.final_potentials
