@@ -31,28 +31,58 @@ __all__ = [
 
 # Materializing the Hessian is a test/diagnostic utility only.
 HESSIAN_SIZE_LIMIT = 200
+# cells per block of recover_plan's sweep: a block is finished while it sits
+# in cache, and a selection tests one block at a time
+_BLOCK_CELLS = 1 << 16
 
 
-def recover_plan(pot, c, gamma: float, out=None) -> np.ndarray:
+def recover_plan(pot, c, gamma: float, out=None, *, reach=None, limit=None):
     """Plan induced by potentials: ``max(alpha[i] + beta[j] - c[i, j], 0) / gamma``.
 
     ``out`` may pass a float ``(N, M)`` array to hold the plan; it is
     overwritten and returned, and no other ``N x M`` array is allocated.
     The result is bit for bit the same with or without ``out``.
+
+    The plan is recovered in one sweep over blocks of rows of about 2**16
+    cells (one row where ``M`` is larger), each finished before the next
+    is read.  With ``reach=theta`` the sweep also selects cells and returns
+    ``(plan, cells)``: ``cells`` holds the flat row-major indices, in
+    increasing order, of the cells whose value before the clip,
+    ``alpha[i] + beta[j] - c[i, j]`` as the plan rounds it, exceeds
+    ``-theta``.  With ``limit`` as well the sweep stops selecting in the
+    block where the cells it has gathered first number more than
+    ``limit``; ``cells`` then holds those of the blocks up to that one,
+    more than ``limit`` of them, and the plan is finished all the same.
     """
     if not (gamma > 0):
         raise ValueError("gamma must be positive")
     c = np.asarray(c, dtype=float)
     alpha, beta = (np.asarray(x, dtype=float) for x in pot)
+    n, m = alpha.size, beta.size
+    if c.shape != (n, m):  # the blocks slice rows of c, so broadcast it first; raises where it does not fit
+        c = np.broadcast_to(c, (n, m))
     if out is None:
-        out = np.empty((alpha.size, beta.size))
-    # beta[j] + alpha[i] is alpha[i] + beta[j] bit for bit, and this order
-    # runs faster than np.add.outer
-    np.copyto(out, beta)
-    np.add(out, alpha[:, None], out=out)
-    np.subtract(out, c, out=out)
-    np.maximum(out, 0.0, out=out)
-    return np.divide(out, gamma, out=out)
+        out = np.empty((n, m))
+    rows = max(1, _BLOCK_CELLS // max(m, 1))
+    parts, size = [], 0
+    for r0 in range(0, n, rows):
+        r1 = r0 + rows
+        block = out[r0:r1]
+        # beta[j] + alpha[i] is alpha[i] + beta[j] bit for bit, and this order
+        # runs faster than np.add.outer
+        np.copyto(block, beta)
+        np.add(block, alpha[r0:r1, None], out=block)
+        np.subtract(block, c[r0:r1], out=block)
+        if reach is not None and (limit is None or size <= limit):
+            cells = np.flatnonzero(block > -reach)
+            cells += r0 * m
+            parts.append(cells)
+            size += cells.size
+        np.maximum(block, 0.0, out=block)
+        np.divide(block, gamma, out=block)
+    if reach is None:
+        return out
+    return out, np.concatenate(parts) if parts else np.empty(0, dtype=np.intp)
 
 
 def dual_objective(pot, c, gamma: float, mu, nu, norm2=None) -> float:

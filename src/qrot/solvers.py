@@ -31,7 +31,10 @@ method it drives.
 
 Quadratic regularization makes the plan sparse, and a dual run recovers it
 only on a certified band of cells that can be positive, writing the band's
-values into the plan once, when the solve returns it.  The plan and its
+values into the plan once, when the solve returns it.  A dense recovery
+rebuilds the band, selecting its cells in the same one sweep over the plan
+(:func:`~qrot.dual.recover_plan` with ``reach``), and a recovery at the
+potentials the last one recovered densely is not repeated.  The plan and its
 column sums are bit for bit those of a dense recovery, and its row sums
 within the rounding of a sum in another order; :class:`_SupportBand` states
 the rules.  A history row sums over the band's values through unchecked
@@ -231,7 +234,6 @@ def sinkhorn_plan(u, v, K, out=None) -> np.ndarray:
 # is not kept.
 _BAND_REACH = 32.0
 _BAND_MAX_SHARE = 0.25
-_BAND_BLOCK_CELLS = 1 << 16  # cells per block of the pass that selects a band
 _EPS = float(np.finfo(float).eps)
 
 
@@ -285,15 +287,24 @@ class _SupportBand:
     and ``f`` from the dense row residual by as much.
 
     Past the budget, or with non-finite potentials (a NaN or infinite drift
-    fails the test), one dense recovery through the module's
-    ``recover_plan`` rebuilds the band by one rule: every dense recovery but
+    fails the test), one dense recovery, one call of the module's
+    ``recover_plan``, rebuilds the band by one rule: every dense recovery but
     the first selects the band at its potentials with ``theta =
-    _BAND_REACH`` times their move from the previous call's.  No band is
-    kept when that move is zero or not finite, at non-finite potentials
-    (their slack is not finite), or when the band would hold more than
-    ``_BAND_MAX_SHARE`` of the cells: the selection pass stops as soon as it
-    counts that many.  So a band that is live after a call proves that
-    call's potentials finite.
+    _BAND_REACH`` times their move from the previous call's.  The recovery
+    selects it in the same sweep over the plan, ``reach=theta``, which
+    gathers the band's flat indices block by block as it forms each
+    block's ``beta + alpha - c``; the band is built from those indices
+    alone.  No band is kept when that move is zero or not finite, at
+    non-finite potentials (their slack is not finite), or when the band
+    would hold more than ``_BAND_MAX_SHARE`` of the cells: the sweep stops
+    gathering indices in the block where they first number more than that,
+    and only finishes the plan.  So a band that is live after a call proves
+    that call's potentials finite.  A call at the last call's potentials (a
+    zero move) that finds no live band follows a dense recovery that kept
+    none, as at Nesterov's first extrapolated point, which is its start.
+    It recovers nothing and returns the residuals in ``res``, which are
+    that recovery's, as ``plan`` and ``values`` still are.  The rule does
+    not apply after a ``certify``, whose ``res`` is the call's before it.
 
     ``certify(pot, tol)`` stands in for ``recover(pot)`` where the residuals
     of the last call, a recovery at ``q``, prove the violation at ``pot``
@@ -353,14 +364,16 @@ class _SupportBand:
 
     def recover(self, pot):
         last, self.last = self.last, pot
-        self.bounded = False
+        bounded, self.bounded = self.bounded, False
         if self.base is not None and self._drift(pot) <= self.budget:
             return self._banded(pot)
-        residuals = self._dense(pot)
         self.base = None
-        if last is not None:
-            self._select(pot, _BAND_REACH * _move(pot, last))
-        return residuals
+        if last is None:
+            return self._dense(pot, 0.0)
+        move = _move(pot, last)
+        if move == 0.0 and not bounded:  # the last call recovered these potentials densely
+            return self.f, self.g
+        return self._dense(pot, _BAND_REACH * move)
 
     def certify(self, pot, tol):
         """A lower bound above ``tol`` on the violation ``recover(pot)`` would
@@ -391,8 +404,20 @@ class _SupportBand:
         if self.values is not self.plan:
             self.plan[np.arange(self.plan.shape[0]).repeat(self.counts), self.cols] = self.values
 
-    def _dense(self, pot):
-        recover_plan(pot, self.c, self.gamma, out=self.plan)
+    def _dense(self, pot, theta):
+        """Recover ``pot`` densely into ``plan``, and keep the band of reach
+        ``theta`` at ``pot`` that the same sweep selects, if one is due."""
+        alpha, beta = pot
+        slack = 8.0 * _EPS * (np.abs(alpha).max() + np.abs(beta).max() + self.cmax + theta)
+        if theta - slack > 0.0:  # also refuses a zero or non-finite reach
+            self.cols = self.counts = self.cost = None  # the old band's storage goes first
+            n, m = self.plan.shape
+            limit = int(_BAND_MAX_SHARE * n * m)
+            cells = recover_plan(pot, self.c, self.gamma, out=self.plan, reach=theta, limit=limit)[1]
+            if cells.size <= limit:
+                self._keep(pot, cells, theta, slack)
+        else:
+            recover_plan(pot, self.c, self.gamma, out=self.plan)
         self.values, self.values_cost = self.plan, self.c
         return self._residuals(*marginals(self.plan))
 
@@ -415,28 +440,13 @@ class _SupportBand:
         col = np.bincount(self.cols, weights=vals, minlength=self.plan.shape[1])
         return self._residuals(self.row, col)
 
-    def _select(self, pot, theta):
-        """Keep the band of reach ``theta`` at ``pot``, whose dense plan ``plan`` holds."""
-        alpha, beta = pot
-        slack = 8.0 * _EPS * (np.abs(alpha).max() + np.abs(beta).max() + self.cmax + theta)
-        if not (theta - slack > 0.0):  # also refuses a zero or non-finite reach
-            return
-        c = self.c
-        n, m = c.shape
-        self.cols = self.counts = self.cost = None  # the old band's storage goes first
-        rows = max(1, _BAND_BLOCK_CELLS // m)
-        cols, counts, cost, size = [], [], [], 0
-        for r0 in range(0, n, rows):
-            t = np.add(beta, alpha[r0 : r0 + rows, None])  # rounded as recover_plan rounds it
-            keep = np.subtract(t, c[r0 : r0 + rows], out=t) > -theta
-            counts.append(np.count_nonzero(keep, axis=1))  # before the indices, so a band too wide costs less
-            size += int(counts[-1].sum())
-            if size > _BAND_MAX_SHARE * n * m:
-                return
-            flat = np.flatnonzero(keep)  # within the block
-            cols.append(flat % m)
-            cost.append(np.take(c[r0 : r0 + rows], flat))
-        self.cols, self.counts, self.cost = np.concatenate(cols), np.concatenate(counts), np.concatenate(cost)
+    def _keep(self, pot, cells, theta, slack):
+        """Make the band the ``cells`` (flat indices, in increasing order) of
+        reach ``theta`` at ``pot``."""
+        n, m = self.plan.shape
+        row_of, self.cols = np.divmod(cells, m)
+        self.counts = np.bincount(row_of, minlength=n)
+        self.cost = self.c.take(cells)
         self.rows = np.flatnonzero(self.counts)
         self.starts = (np.cumsum(self.counts) - self.counts)[self.rows]
         self.width = float(max(self.counts.max(), np.bincount(self.cols, minlength=m).max()))

@@ -23,9 +23,9 @@ def count_dense_recoveries(monkeypatch):
 
     count = [0]
 
-    def counted(pot, c, gamma, out=None):
+    def counted(pot, c, gamma, out=None, **kwargs):
         count[0] += 1
-        return recover_plan(pot, c, gamma, out=out)
+        return recover_plan(pot, c, gamma, out=out, **kwargs)
 
     monkeypatch.setattr("qrot.solvers.recover_plan", counted)
     return count

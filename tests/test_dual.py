@@ -19,6 +19,7 @@ from qrot import (
     support_mask,
 )
 from qrot.core import DOT_CHUNK, vdot
+from qrot.dual import _BLOCK_CELLS
 
 C2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 HALF = np.array([0.5, 0.5])
@@ -33,6 +34,10 @@ def test_recover_plan_examples():
     # diagonal 1/2 - 0 survives, off-diagonal 1/2 - 1 is clipped
     assert np.allclose(recover_plan(pot([0.25, 0.25], [0.25, 0.25]), C2, 1.0), 0.5 * np.eye(2))
     assert np.all(recover_plan(pot([-1.0, -1.0], [-1.0, -1.0]), C2, 1.0) == 0.0)
+    # a cost that broadcasts to (N, M) is taken as its broadcast, and one that does not is refused
+    assert np.array_equal(recover_plan(pot([1.0, 2.0], [0.0]), 0.5, 1.0), [[0.5], [1.5]])
+    with pytest.raises(ValueError):
+        recover_plan(pot([0.0, 0.0], [0.0, 0.0]), np.zeros((3, 2)), 1.0)
 
 
 def test_recover_plan_into_buffer(rng):
@@ -42,6 +47,47 @@ def test_recover_plan_into_buffer(rng):
     assert recover_plan(p, c, 0.7, out=buf) is buf
     assert np.array_equal(buf, recover_plan(p, c, 0.7))
     assert np.array_equal(buf, np.maximum(p.alpha[:, None] + p.beta[None, :] - c, 0.0) / 0.7)
+
+
+@pytest.mark.parametrize("n, m, theta", [
+    (2 * (_BLOCK_CELLS // 700) + 5, 700, 0.3),  # a last block of 5 rows, shorter than the others
+    (1, 900, 0.3),  # a single row
+    (3, _BLOCK_CELLS + 7, 0.3),  # a row longer than a block: one row per block
+    (40, 50, -2.0),  # every value is at most 1, so no cell passes -theta = 2
+])
+def test_recover_plan_selects_the_cells_within_reach(rng, n, m, theta):
+    # the sweep that selects cells leaves the plan bit for bit as it is, and
+    # gathers every cell whose value before the clip, rounded as the plan
+    # rounds it, exceeds -theta, in row-major order
+    c = rng.uniform(0.0, 1.0, (n, m))
+    p = pot(rng.uniform(-0.5, 0.5, n), rng.uniform(-0.5, 0.5, m))
+    plan = recover_plan(p, c, 0.7)
+    buf = np.full((n, m), np.nan)
+    got, cells = recover_plan(p, c, 0.7, out=buf, reach=theta)
+    assert got is buf and np.array_equal(buf, plan)
+    expected = np.flatnonzero((p.beta + p.alpha[:, None]) - c > -theta)
+    assert cells.dtype == np.intp and np.array_equal(cells, expected)
+    assert (cells.size == 0) == (theta < 0)
+    # a limit the cells stay within changes nothing
+    got, within = recover_plan(p, c, 0.7, reach=theta, limit=expected.size)
+    assert np.array_equal(got, plan) and np.array_equal(within, expected)
+
+
+def test_recover_plan_stops_selecting_past_its_limit(rng):
+    # rows 0-9 hold no cell within reach and every later row is all within
+    # it, so the selection passes the limit in the second block.  The sweep
+    # keeps the cells of the blocks up to that one, more than the limit,
+    # gathers none of the third, and still finishes the whole plan
+    m = 1000
+    rows = _BLOCK_CELLS // m  # rows per block
+    n = 3 * rows
+    c = rng.uniform(0.0, 0.1, (n, m))
+    p = pot(np.where(np.arange(n) < 10, -5.0, 0.0), np.zeros(m))
+    limit = rows * m
+    plan, cells = recover_plan(p, c, 0.5, reach=1.0, limit=limit)
+    assert np.array_equal(plan, recover_plan(p, c, 0.5))
+    assert cells.size == (2 * rows - 10) * m > limit
+    assert np.array_equal(cells, np.arange(10 * m, 2 * rows * m))
 
 
 def test_recover_plan_scales_with_gamma(rng):

@@ -479,8 +479,9 @@ def test_support_band_matches_dense_recovery_on_random_walks(rng, monkeypatch):
 
 def test_nesterov_rebuilds_the_band_from_its_last_move(monkeypatch):
     # every dense recovery after the first selects a band of reach 32 times
-    # the move from the previous call, so on the stock n=100 problem
-    # Nesterov recovers densely 156 times.  An iteration that certifies its
+    # the move from the previous call, and a call at the last call's
+    # potentials recovers nothing, so on the stock n=100 problem Nesterov
+    # recovers densely 155 times.  An iteration that certifies its
     # violation instead of recovering its current point still makes that
     # point the last call's, so history off, where most iterations do,
     # rebuilds exactly as history at every iteration, where none does
@@ -493,7 +494,77 @@ def test_nesterov_rebuilds_the_band_from_its_last_move(monkeypatch):
                                             record_history=record, history_stride=1))
         assert (rep.iterations, rep.converged) == (1165, True)
         counts.append(dense[0])
-    assert counts == [156, 156], counts
+    assert counts == [155, 155], counts
+
+
+def test_nesterov_recovers_its_zero_start_once(monkeypatch):
+    # Nesterov's first extrapolated point is its start, and the band returns
+    # the residuals it took there instead of recovering it again: one
+    # iteration recovers densely at the start and at the new point only.
+    # The run is bit for bit the plain loop's
+    mu, nu, c = realize_problem(default_problem("squared", 10.0, 100))
+    dense = count_dense_recoveries(monkeypatch)
+    config = SolverConfig(gamma=10.0, algorithm=Algorithm.NESTEROV, tol=1e-300, max_iters=1, history_stride=1)
+    rep = solve(mu, nu, c, config)
+    assert dense[0] == 2 and rep.iterations == 1
+    monkeypatch.undo()
+    iters, converged, plan, pot, rows = reference_dual_solve(mu, nu, c, config)
+    assert np.array_equal(rep.final_plan, plan)
+    assert np.array_equal(rep.final_potentials.alpha, pot.alpha)
+    assert np.array_equal(rep.final_potentials.beta, pot.beta)
+    assert [tuple(r)[:2] + (r.dual_objective, r.primal_objective) for r in rep.history] == rows
+
+
+def test_zero_move_returns_the_last_dense_residuals(rng, monkeypatch):
+    # a call at the potentials of a dense call that kept no band, the same
+    # arrays or equal new ones, recovers nothing and returns that call's
+    # residuals, and the plan stays that call's
+    mu, nu, c = realize_problem(default_problem("squared", 10.0, n=60))
+    mu, nu = mu.w, nu.w
+    dense = count_dense_recoveries(monkeypatch)
+    band = _SupportBand(c, 10.0, mu, nu)
+    p = DualPotentials(rng.uniform(0.0, 0.01, 60), rng.uniform(0.0, 0.01, 60))
+    f, g = (x.copy() for x in band.recover(p))
+    assert dense[0] == 1 and band.base is None
+    for again in (p, DualPotentials(p.alpha.copy(), p.beta.copy())):
+        rf, rg = band.recover(again)
+        assert dense[0] == 1 and band.base is None and band.last is again
+        assert np.array_equal(rf, f) and np.array_equal(rg, g)
+    band.write()
+    assert np.array_equal(band.plan, recover_plan(p, c, 10.0))
+
+
+def test_band_past_its_share_is_not_kept(rng, monkeypatch):
+    # a move whose reach takes in every cell of rows 100 on: the selection
+    # passes _BAND_MAX_SHARE in the sweep's second block, so no band is
+    # kept, the sweep gathers no cell of the third, and the plan and the
+    # residuals are the dense ones bit for bit
+    from qrot import dual, solvers
+
+    m = 400
+    rows = dual._BLOCK_CELLS // m  # rows per block
+    n = 3 * rows
+    mu, nu = np.full(n, 1.0 / n), np.full(m, 1.0 / m)
+    c = rng.uniform(0.0, 0.1, (n, m))
+    band = _SupportBand(c, 1.0, mu, nu)
+    far = np.where(np.arange(n) < 100, -100.0, 0.0)
+    band.recover(DualPotentials(far, np.zeros(m)))
+    gathered = []
+
+    def recorded(*args, **kwargs):
+        result = recover_plan(*args, **kwargs)
+        gathered.append(result[1].size)
+        return result
+
+    monkeypatch.setattr(solvers, "recover_plan", recorded)
+    p = DualPotentials(far + 0.01, np.zeros(m))  # a reach of 0.32: all of rows 100 on, none before
+    f, g = band.recover(p)
+    assert band.base is None and band.values is band.plan
+    assert gathered == [(2 * rows - 100) * m]  # the first two blocks' cells, none of the third
+    assert (rows - 100) * m <= solvers._BAND_MAX_SHARE * n * m < gathered[0]
+    plan = recover_plan(p, c, 1.0)
+    rf, rg = marginal_residuals(plan, mu, nu)
+    assert np.array_equal(band.plan, plan) and np.array_equal(f, rf) and np.array_equal(g, rg)
 
 
 def count_band_recoveries(monkeypatch):
