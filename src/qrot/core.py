@@ -293,20 +293,15 @@ def vdot(a, b):
     return total
 
 
-def primal_objective(pi, c, gamma: float, norm2=None) -> float:
-    """Transport cost plus quadratic penalty: ``<c, pi> + (gamma/2) ||pi||_F^2``.
-
-    ``norm2`` may pass in ``||pi||_F^2`` as ``vdot(pi, pi)`` gives it.
-    """
+def primal_objective(pi, c, gamma: float) -> float:
+    """Transport cost plus quadratic penalty: ``<c, pi> + (gamma/2) ||pi||_F^2``."""
     pi = np.asarray(pi, dtype=float)
     c = np.asarray(c, dtype=float)
     if pi.shape != c.shape:
         raise ValueError(f"plan shape {pi.shape} does not match cost shape {c.shape}")
     if not (gamma > 0):
         raise ValueError("gamma must be positive")
-    if norm2 is None:
-        norm2 = vdot(pi, pi)
-    return _primal_objective(pi, c, gamma, norm2)
+    return _primal_objective(pi, c, gamma, vdot(pi, pi))
 
 
 def _primal_objective(pi, c, gamma: float, norm2) -> float:

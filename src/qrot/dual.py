@@ -85,23 +85,21 @@ def recover_plan(pot, c, gamma: float, out=None, *, reach=None, limit=None):
     return out, np.concatenate(parts) if parts else np.empty(0, dtype=np.intp)
 
 
-def dual_objective(pot, c, gamma: float, mu, nu, norm2=None) -> float:
+def dual_objective(pot, c, gamma: float, mu, nu) -> float:
     """Value of F at the given potentials (the function the solvers descend).
 
     ``F = (gamma^2 / 2) ||pi||^2 - gamma <alpha, mu> - gamma <beta, nu>`` with
-    ``pi = recover_plan(pot, c, gamma)``; ``norm2`` may pass in its
-    ``||pi||^2`` as :func:`qrot.core.vdot` gives it.
+    ``pi = recover_plan(pot, c, gamma)``.
     """
     mu, nu = as_weights(mu), as_weights(nu)
-    if norm2 is None:
-        plan = recover_plan(pot, c, gamma)
-        norm2 = vdot(plan, plan)
-    return _dual_objective(pot, gamma, mu, nu, norm2)
+    plan = recover_plan(pot, c, gamma)
+    return _dual_objective(pot, gamma, mu, nu, vdot(plan, plan))
 
 
 def _dual_objective(pot, gamma: float, mu, nu, norm2) -> float:
     """:func:`dual_objective` without its checks: ``mu`` and ``nu`` are
-    float arrays and ``norm2`` is given."""
+    float arrays and ``norm2`` is ``||pi||^2`` as :func:`qrot.core.vdot`
+    gives it."""
     alpha, beta = pot
     return float(0.5 * gamma * gamma * norm2 - gamma * vdot(alpha, mu) - gamma * vdot(beta, nu))
 
@@ -112,14 +110,9 @@ def dual_gradients(pot, c, gamma: float, mu, nu):
     return gamma * f, gamma * g
 
 
-def dual_value(pot, c, gamma: float, mu, nu, norm2=None) -> float:
+def dual_value(pot, c, gamma: float, mu, nu) -> float:
     """Dual lower bound ``-F / gamma = <alpha, mu> + <beta, nu> - (gamma / 2) ||pi||^2``."""
-    return -dual_objective(pot, c, gamma, mu, nu, norm2) / gamma
-
-
-def _dual_value(pot, gamma: float, mu, nu, norm2) -> float:
-    """:func:`dual_value` without its checks, as :func:`_dual_objective`."""
-    return -_dual_objective(pot, gamma, mu, nu, norm2) / gamma
+    return -dual_objective(pot, c, gamma, mu, nu) / gamma
 
 
 def duality_gap(pot, pi, c, gamma: float, mu, nu) -> float:

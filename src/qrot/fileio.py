@@ -191,19 +191,19 @@ def write_matrix(path, arr) -> None:
     Every value is written as its ``repr``, by :func:`qrot.rowtext.lines`.
 
     A matrix with at least ``PARALLEL_MIN_REPRS`` values to ``repr``, the
-    cells of its rows' spans (see :func:`_spans`), is written on every CPU
-    this process may use, when there is more than one: its rows are cut
-    into that many contiguous parts with about equal numbers of such
-    values.  This process formats the first part from the array itself
-    while helper processes running :mod:`qrot.rowtext` format the others
-    from their bytes; the parts are then written in order, so the file is
-    byte for byte the one-process one.  Every helper is stopped and reaped
-    before this returns or raises, and a helper that fails raises
+    cells of its rows' spans (see :func:`qrot.rowtext.spans`), is written
+    on every CPU this process may use, when there is more than one: its
+    rows are cut into that many contiguous parts with about equal numbers
+    of such values.  This process formats the first part from the array
+    itself while helper processes running :mod:`qrot.rowtext` format the
+    others from their bytes; the parts are then written in order, so the
+    file is byte for byte the one-process one.  Every helper is stopped and
+    reaped before this returns or raises, and a helper that fails raises
     RuntimeError.
     """
     arr = np.ascontiguousarray(arr, dtype=float)
     n, m = arr.shape
-    reprs = _spans(arr)
+    reprs = np.fromiter((stop - start for start, stop in rowtext.spans(arr, n, m)), dtype=np.intp, count=n)
     cpus = usable_cpus() if reprs.sum() >= PARALLEL_MIN_REPRS and sys.executable else 1
     bounds = _row_bounds(reprs, cpus)
     own, parts = bounds[1], list(zip(bounds[1:-1], bounds[2:]))  # this process's rows, then the helpers'
@@ -239,20 +239,6 @@ def write_matrix(path, arr) -> None:
 # 2**14 values, 81 vs 83 ms at 2**16 (the break-even), 145 vs 131 ms at
 # 2**17 and 344 vs 228 ms at 2**18.
 PARALLEL_MIN_REPRS = 1 << 17
-
-
-def _spans(arr) -> np.ndarray:
-    """The values :func:`qrot.rowtext.lines` ``repr``s in each row of the
-    C-contiguous float64 ``arr``: its span, from its first to its last cell
-    that is not ``+0.0``, and one cell in a row of ``+0.0`` alone.  This is
-    the rule :func:`qrot.rowtext.lines` applies to a row's bytes, which has
-    to stay free of numpy; a change to one goes to the other."""
-    n, m = arr.shape
-    if not m:
-        return np.zeros(n, dtype=np.intp)
-    cells = arr.view(np.int64) != 0  # +0.0 is the one float whose bits are all zero
-    first, stop = cells.argmax(axis=1), m - cells[:, ::-1].argmax(axis=1)
-    return np.where(cells.any(axis=1), stop - first, 1)
 
 
 def _row_bounds(reprs, parts) -> list:

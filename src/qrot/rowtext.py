@@ -18,25 +18,39 @@ import os
 import signal
 import sys
 
+_NONZERO = bytes([0] + [1] * 255)  # a translate table: 1 for each byte that is not zero
+
+
+def spans(data, n, m):
+    """``(start, stop)`` of the span of each of the ``n`` rows of ``m``
+    float64 values in ``data``, any C-contiguous buffer of them: the cells
+    from the row's first to its last that is not ``+0.0``, its last cell
+    alone in a row of ``+0.0`` only, and ``(0, 0)`` with no columns.
+
+    :func:`lines` ``repr``s exactly these cells, and
+    :func:`qrot.fileio.write_matrix` shares rows out among helpers by
+    their number."""
+    if not n * m:  # memoryview.cast refuses a zero in the shape
+        yield from [(0, 0)] * n
+        return
+    raw = memoryview(data).cast("B")
+    width = 8 * m
+    for i in range(n):
+        # +0.0 is the one float whose bytes are all zero.  find and rfind run
+        # at memchr speed, where stripping zero bytes tests them one by one
+        flags = bytes(raw[i * width:(i + 1) * width]).translate(_NONZERO)
+        first = flags.find(1)
+        yield (first // 8, flags.rfind(1) // 8 + 1) if first >= 0 else (m - 1, m)
+
 
 def lines(data, n, m):
     """The text line of each of the ``n`` rows of ``m`` float64 values in
-    ``data``, any C-contiguous buffer of them.
-
-    :func:`qrot.fileio._spans` counts the same spans with numpy, to share
-    rows out among helpers; a change to the span rule here goes there too."""
+    ``data``, any C-contiguous buffer of them."""
     if not n * m:  # memoryview.cast refuses a zero in the shape
         yield from ["\n"] * n
         return
-    raw = memoryview(data).cast("B")
-    values = raw.cast("d")
-    width = 8 * m
-    for i in range(n):
-        row = bytes(raw[i * width:(i + 1) * width])
-        # +0.0 is the one float whose bytes are all zero; a row of +0.0
-        # alone keeps its last cell as its span
-        start = min((width - len(row.lstrip(b"\0"))) // 8, m - 1)
-        stop = max((len(row.rstrip(b"\0")) + 7) // 8, start + 1)
+    values = memoryview(data).cast("B").cast("d")
+    for i, (start, stop) in enumerate(spans(data, n, m)):
         span = values[i * m + start:i * m + stop].tolist()
         yield "0.0 " * start + " ".join(map(repr, span)) + " 0.0" * (m - stop) + "\n"
 

@@ -29,19 +29,10 @@ certified lower bound on a violation above ``tol``.  The run's state and
 buffers live in the builder, so the loop of :func:`solve` never asks which
 method it drives.
 
-Quadratic regularization makes the plan sparse, and a dual run recovers it
-only on a certified band of cells that can be positive, writing the band's
-values into the plan once, when the solve returns it.  A dense recovery
-rebuilds the band, selecting its cells in the same one sweep over the plan
-(:func:`~qrot.dual.recover_plan` with ``reach``), and a recovery at the
-potentials the last one recovered densely is not repeated.  The plan and its
-column sums are bit for bit those of a dense recovery, and its row sums
-within the rounding of a sum in another order; :class:`_SupportBand` states
-the rules.  A history row sums over the band's values through unchecked
-forms of :func:`~qrot.dual.dual_value` and
-:func:`~qrot.core.primal_objective`, so its objectives are within the
-rounding of a sum in another order of those over the whole plan, and may
-differ from them in the last digits.
+Quadratic regularization makes the plan sparse, and every dual run
+recovers it through one :class:`_SupportBand`, which touches only a
+certified band of cells that can be positive and states the rules that keep
+the run bit for bit that of dense recovery.
 """
 
 from __future__ import annotations
@@ -66,7 +57,7 @@ from .core import (
     max_violation,
     vdot,
 )
-from .dual import _dual_value, dual_gradients, preconditioner_apply, recover_plan
+from .dual import _dual_objective, dual_gradients, preconditioner_apply, recover_plan
 
 __all__ = [
     "DivergenceError",
@@ -288,23 +279,18 @@ class _SupportBand:
 
     Past the budget, or with non-finite potentials (a NaN or infinite drift
     fails the test), one dense recovery, one call of the module's
-    ``recover_plan``, rebuilds the band by one rule: every dense recovery but
-    the first selects the band at its potentials with ``theta =
-    _BAND_REACH`` times their move from the previous call's.  The recovery
-    selects it in the same sweep over the plan, ``reach=theta``, which
-    gathers the band's flat indices block by block as it forms each
+    ``recover_plan``, rebuilds the band by one rule: it selects the band at
+    its potentials with ``theta = _BAND_REACH`` times their move from the
+    last call's, which before the first call are the run's ``start``.  The
+    recovery selects it in the same sweep over the plan, ``reach=theta``,
+    which gathers the band's flat indices block by block as it forms each
     block's ``beta + alpha - c``; the band is built from those indices
-    alone.  No band is kept when that move is zero or not finite, at
-    non-finite potentials (their slack is not finite), or when the band
-    would hold more than ``_BAND_MAX_SHARE`` of the cells: the sweep stops
-    gathering indices in the block where they first number more than that,
-    and only finishes the plan.  So a band that is live after a call proves
-    that call's potentials finite.  A call at the last call's potentials (a
-    zero move) that finds no live band follows a dense recovery that kept
-    none, as at Nesterov's first extrapolated point, which is its start.
-    It recovers nothing and returns the residuals in ``res``, which are
-    that recovery's, as ``plan`` and ``values`` still are.  The rule does
-    not apply after a ``certify``, whose ``res`` is the call's before it.
+    alone.  No band is kept when that move is zero or not finite (so none
+    at a first call at ``start``), at non-finite potentials (their slack is
+    not finite), or when the band would hold more than ``_BAND_MAX_SHARE``
+    of the cells: the sweep stops gathering indices in the block where they
+    first number more than that, and only finishes the plan.  So a band
+    that is live after a call proves that call's potentials finite.
 
     ``certify(pot, tol)`` stands in for ``recover(pot)`` where the residuals
     of the last call, a recovery at ``q``, prove the violation at ``pot``
@@ -335,7 +321,7 @@ class _SupportBand:
     and non-finite residuals the bound.
     """
 
-    def __init__(self, c, gamma, mu, nu):
+    def __init__(self, c, gamma, mu, nu, start):
         self.c, self.gamma, self.mu, self.nu = c, gamma, mu, nu
         self.cmax = float(max(c.max(), -c.min()))  # max|c|, without an N x M temporary
         n, m = c.shape
@@ -352,7 +338,7 @@ class _SupportBand:
         # the plan's values at the last call and their costs: the band's after
         # a banded call, the whole plan buffer and c after a dense one
         self.values, self.values_cost = self.plan, c
-        self.last = None  # potentials of the last call
+        self.last = start  # potentials of the last call, the run's start before the first
         self.bounded = False  # the last call was a certify, so res is the call's before
         self.base = None  # potentials of the live band, None when dense
         self.base_flat = None  # the same, end to end
@@ -364,16 +350,11 @@ class _SupportBand:
 
     def recover(self, pot):
         last, self.last = self.last, pot
-        bounded, self.bounded = self.bounded, False
+        self.bounded = False
         if self.base is not None and self._drift(pot) <= self.budget:
             return self._banded(pot)
         self.base = None
-        if last is None:
-            return self._dense(pot, 0.0)
-        move = _move(pot, last)
-        if move == 0.0 and not bounded:  # the last call recovered these potentials densely
-            return self.f, self.g
-        return self._dense(pot, _BAND_REACH * move)
+        return self._dense(pot, _BAND_REACH * _move(pot, last))
 
     def certify(self, pot, tol):
         """A lower bound above ``tol`` on the violation ``recover(pot)`` would
@@ -471,33 +452,29 @@ def _quadratic_run(alg, c, gamma, mu, nu, tau, tol):
     violation)`` and writes no plan.
     ``bounds(pot)`` is ``(dual_value, primal_objective)`` for a history row,
     taken over the values of the last recovery and their costs (the band's,
-    or the whole plan and ``c``) by the unchecked helpers of those two
+    or the whole plan and ``c``) by the unchecked forms of those two
     functions, whose :func:`~qrot.core.vdot` has fixed chunks that keep the
     sums independent of the BLAS thread count; the two share one
-    ``||pi||^2``.  Over the band they add the plan's nonzeros in another
-    order than over the whole plan, so the objectives can differ from the
-    dense sums in the last digits.  ``plan()`` writes the last recovery
-    into the run's one plan buffer and returns it; :func:`solve` calls it
-    once, after its loop, so the band's values are scattered into the
-    buffer once per solve.  The three plain methods share one ``step``,
-    calling their step function with positional arguments (gradient
-    descent's with its ``tau``, whose default ``1 / (M + N)`` is taken once
-    here).  Steps are looked up in this module when the run is built and
-    kernels at call time, so wrappers installed on the module before
-    :func:`solve` see every call.
+    ``||pi||^2``.  ``plan()`` writes the last recovery into the run's one
+    plan buffer and returns it; :func:`solve` calls it once, after its
+    loop.  The three plain methods share one ``step``, calling their step
+    function with positional arguments (gradient descent's with its
+    ``tau``, whose default ``1 / (M + N)`` is taken once here), and recover
+    the start for their first step.  Steps are looked up in this module
+    when the run is built and kernels at call time, so wrappers installed
+    on the module before :func:`solve` see every call.
 
-    Every recovery, Nesterov's at its extrapolated potentials included,
-    goes through one :class:`_SupportBand`, which owns the plan buffer and
-    recovers only a certified band of cells once the plan is sparse.
-    Nesterov's step recovers at its extrapolated point, so its recovery at
-    the current point feeds only the stopping test.  Without ``plan_due``
-    it first asks :meth:`_SupportBand.certify` whether the residuals just
-    taken at the extrapolated point prove the current violation above
-    ``tol``, and returns that lower bound in place of the recovery, as
-    Sinkhorn returns its estimate.  Such an iteration neither converges
-    nor records a history row, and the band rebuilds from the same moves
-    as with the recovery, so iteration counts, plans and potentials are
-    those of recovering every current point.  A history row, the cap and a
+    Every recovery goes through one :class:`_SupportBand`, which owns the
+    plan buffer.  Nesterov's step recovers at its extrapolated point, the
+    first one being its start, so its recovery at the current point feeds
+    only the stopping test.  Without ``plan_due`` it first asks
+    :meth:`_SupportBand.certify` whether the residuals just taken at the
+    extrapolated point prove the current violation above ``tol``, and
+    returns that lower bound in place of the recovery, as Sinkhorn returns
+    its estimate.  Such an iteration neither converges nor records a
+    history row, and the band rebuilds from the same moves as with the
+    recovery, so iteration counts, plans and potentials are those of
+    recovering every current point.  A history row, the cap and a
     violation near ``tol`` take the recovery, so the values of the last
     recovery, and the plan ``plan()`` writes, are those of the current
     point; the extrapolated plan is never written.
@@ -508,12 +485,12 @@ def _quadratic_run(alg, c, gamma, mu, nu, tau, tol):
     n, m = c.shape
     if tau is None:
         tau = 1.0 / (m + n)
-    band = _SupportBand(c, gamma, mu, nu)
     pot = DualPotentials(np.zeros(n), np.zeros(m))
-    residuals = band.recover(pot)
+    band = _SupportBand(c, gamma, mu, nu, pot)
 
-    # Nesterov's next step recovers at its extrapolated point, so the
-    # recovery at its current point feeds only the stopping test
+    # Nesterov's steps recover at its extrapolated points, the first of
+    # which is its start, so the recovery at its current point feeds only
+    # the stopping test
     certifies = alg is Algorithm.NESTEROV
     if certifies:  # carries its previous iterate and counter
         state = NesterovState(pot, pot, 0)
@@ -528,6 +505,7 @@ def _quadratic_run(alg, c, gamma, mu, nu, tau, tol):
             Algorithm.DUAL_GRADIENT: (gradient_step, (tau,)),
             Algorithm.FIXED_POINT: (fixed_point_step, ()),
         }[alg]
+        residuals = band.recover(pot)  # the first step reads the start's residuals
 
         def step():
             return plain(pot, c, gamma, mu, nu, *args, residuals)
@@ -548,7 +526,8 @@ def _quadratic_run(alg, c, gamma, mu, nu, tau, tol):
         # over the values of the last recovery, which hold the plan's nonzeros
         values = band.values
         norm2 = vdot(values, values)
-        return _dual_value(pot, gamma, mu, nu, norm2), _primal_objective(values, band.values_cost, gamma, norm2)
+        dual = -_dual_objective(pot, gamma, mu, nu, norm2) / gamma  # dual_value's expression
+        return dual, _primal_objective(values, band.values_cost, gamma, norm2)
 
     def plan():
         band.write()
@@ -634,8 +613,8 @@ def solve(mu, nu, c, config: SolverConfig) -> ConvergenceReport:
     Parameters
     ----------
     mu, nu : DiscreteMeasure or array-like
-        Marginals: one-dimensional, finite and nonnegative weights with
-        equal total mass (strictly positive for the Sinkhorn baseline).
+        Marginals: one-dimensional, nonempty, finite and nonnegative weights
+        with equal total mass (strictly positive for the Sinkhorn baseline).
     c : array-like, shape (N, M)
         Cost matrix, finite entries.
     config : SolverConfig
@@ -661,24 +640,18 @@ def solve(mu, nu, c, config: SolverConfig) -> ConvergenceReport:
     not, so the loop tests that one number for divergence.  A dual
     iteration recovers the plan in place and takes its marginal residuals
     once; the stopping test and the next step both read them.  Once the
-    plan is sparse, the recovery touches only a certified band of cells:
-    the plan and its column sums are bit for bit those of a dense recovery,
-    and each row sum is within ``(M - 1) eps`` times itself of the dense
-    one (see :class:`_SupportBand`).  The band's values are written into
-    the plan once per solve, by ``plan()``.  While a band is live, a
-    history row's objectives are taken over the band's values, so they are
-    within the rounding of a sum taken in another order of those over the
-    whole plan, and may differ from them in the last digits.  Nesterov
-    takes its gradient at the extrapolated point, and without ``plan_due``
-    it skips the recovery at its current point whenever the residuals at
-    the extrapolated point prove that point's violation above ``tol``; the
-    band bounds how far the plan moved between the two (see
-    :class:`_SupportBand`).  Sinkhorn tests its scaling vectors instead of
-    the plan, and the ``K v`` of that test feeds the next sweep, so a sweep
-    costs two matrix-vector products.  It builds the plan, in place into
-    one buffer, only when ``plan_due`` is set and to confirm convergence.
-    So for both, iteration counts are those of testing the plan every
-    iteration.
+    plan is sparse the recovery touches only a certified band of cells (see
+    :class:`_SupportBand`): the plan and its column sums are bit for bit
+    those of a dense recovery, each row sum is within ``(M - 1) eps`` times
+    itself of the dense one, and a history row's objectives may differ
+    from the dense sums in the last digits.  Without ``plan_due`` Nesterov
+    skips the recovery at its current point where the residuals at its
+    extrapolated point prove that point's violation above ``tol``.
+    Sinkhorn tests its scaling vectors instead of the plan, and the ``K v``
+    of that test feeds the next sweep, so a sweep costs two matrix-vector
+    products.  It builds the plan, in place into one buffer, only when
+    ``plan_due`` is set and to confirm convergence.  So for both, iteration
+    counts are those of testing the plan every iteration.
 
     Raises
     ------
@@ -692,6 +665,8 @@ def solve(mu, nu, c, config: SolverConfig) -> ConvergenceReport:
     for name, w in (("mu", mu), ("nu", nu)):
         if w.ndim != 1:
             raise ValueError(f"marginal {name} must be one-dimensional, got shape {w.shape}")
+        if not w.size:
+            raise ValueError(f"marginal {name} must not be empty")
         _check_weights(w, f"marginal {name}")
     c = np.asarray(c, dtype=float)
     if c.ndim != 2 or c.shape != (mu.size, nu.size):

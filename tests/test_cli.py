@@ -43,7 +43,6 @@ from qrot.fileio import (
     write_matrix,
     write_vector,
     _row_bounds,
-    _spans,
 )
 from qrot.pool import _helper
 from qrot.problems import COST_KINDS
@@ -228,12 +227,17 @@ def reprs_per_row(rows, monkeypatch):
     return counts
 
 
+def span_lengths(rows):
+    """The number of cells in each span ``rowtext.spans`` gives for ``rows``."""
+    return [stop - start for start, stop in rowtext.spans(rows, *rows.shape)]
+
+
 def test_write_matrix_is_byte_identical_to_plain_repr_rows(tmp_path, rng, monkeypatch):
     # the writer formats only each row's span, from the first to the last cell
     # that is not +0.0, found from the row's bytes; its bytes must be those of
     # a repr on every cell, and the same from the array as from raw bytes.
-    # fileio._spans, which shares the rows out among helpers, must count the
-    # values lines() reprs in each row
+    # rowtext.spans, by which write_matrix shares the rows out among
+    # helpers, must hold the values lines() reprs in each row
     def plain(arr):
         return f"# {arr.shape[0]} {arr.shape[1]}\n" + "".join(" ".join(map(repr, row)) + "\n" for row in arr.tolist())
 
@@ -269,7 +273,7 @@ def test_write_matrix_is_byte_identical_to_plain_repr_rows(tmp_path, rng, monkey
         assert (tmp_path / "m.txt").read_bytes() == plain(arr).encode(), name
         rows = np.ascontiguousarray(arr)
         assert list(rowtext.lines(rows.tobytes(), *arr.shape)) == list(rowtext.lines(rows, *arr.shape)), name
-        assert _spans(rows).tolist() == reprs_per_row(rows, monkeypatch), name
+        assert span_lengths(rows) == reprs_per_row(rows, monkeypatch), name
 
 
 def plain_matrix(arr):
@@ -355,7 +359,7 @@ def test_write_matrix_counts_the_spans_it_reprs(tmp_path, monkeypatch, cpus):
     # though only 2,000 cells are nonzero
     arr = np.zeros((1000, 300))
     arr[:, 0], arr[:, -1] = 0.25, -3.5
-    assert _spans(arr).tolist() == [300] * 1000
+    assert list(rowtext.spans(arr, *arr.shape)) == [(0, 300)] * 1000
     assert arr.size > PARALLEL_MIN_REPRS > np.count_nonzero(arr)
     monkeypatch.setattr("qrot.fileio.usable_cpus", lambda: cpus)
     started = record_processes(monkeypatch)
@@ -364,8 +368,9 @@ def test_write_matrix_counts_the_spans_it_reprs(tmp_path, monkeypatch, cpus):
     assert len(started) == cpus - 1 and all(p.returncode == 0 for p in started)
     # a row of +0.0 alone is one value, its last; -0.0 is not +0.0
     edges = np.array([[0.0, 0.0, 0.0], [0.0, -0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 3.0]])
-    assert _spans(edges).tolist() == [1, 1, 1, 2]
-    assert _spans(np.zeros((2, 0))).tolist() == [0, 0]
+    assert list(rowtext.spans(edges, *edges.shape)) == [(2, 3), (1, 2), (0, 1), (1, 3)]
+    assert span_lengths(edges) == [1, 1, 1, 2]
+    assert list(rowtext.spans(np.zeros((2, 0)), 2, 0)) == [(0, 0), (0, 0)]
 
 
 @pytest.mark.parametrize("helper, how", [

@@ -32,7 +32,7 @@ from qrot import (
     solve,
 )
 from qrot.core import _primal_objective, marginal_residuals, vdot
-from qrot.dual import _dual_objective, _dual_value, dual_objective, dual_value
+from qrot.dual import _dual_objective, dual_objective, dual_value
 from qrot.fileio import ProblemFile, default_problem, realize_problem
 from qrot.solvers import _SupportBand
 
@@ -295,6 +295,19 @@ def test_solve_rejects_bad_marginal_arrays(alg, mu, nu, match):
         solve(mu, nu, C2, SolverConfig(gamma=1.0, algorithm=alg, max_iters=50))
 
 
+@pytest.mark.parametrize("alg", list(Algorithm))
+def test_solve_rejects_empty_marginals(alg):
+    # an empty marginal is named before any step divides by N + M or
+    # reduces an empty kernel; the oracle inherits the check
+    config = SolverConfig(gamma=1.0, algorithm=alg)
+    with pytest.raises(ValueError, match="marginal mu must not be empty"):
+        solve([], [], np.zeros((0, 0)), config)
+    with pytest.raises(ValueError, match="marginal nu must not be empty"):
+        solve([1.0], [], np.zeros((1, 0)), config)
+    with pytest.raises(ValueError, match="marginal mu must not be empty"):
+        exact_solve([], [], np.zeros((0, 0)), 1.0)
+
+
 def test_sinkhorn_kernel_overflow_is_a_value_error():
     # exp(10 / 0.01) overflows; the error names it, and no warning escapes
     with pytest.raises(ValueError, match="overflows"):
@@ -451,7 +464,7 @@ def test_support_band_matches_dense_recovery_on_random_walks(rng, monkeypatch):
     start = solve(mu, nu, c, SolverConfig(gamma=10.0, algorithm=Algorithm.NESTEROV, tol=1e-3,
                                           record_history=False)).final_potentials
     for walk in range(3):
-        band = _SupportBand(c, 10.0, mu, nu)
+        band = _SupportBand(c, 10.0, mu, nu, start)
         alpha, beta = start.alpha.copy(), start.beta.copy()
         dense[0] = 0
         calls = 0
@@ -478,13 +491,13 @@ def test_support_band_matches_dense_recovery_on_random_walks(rng, monkeypatch):
 
 
 def test_nesterov_rebuilds_the_band_from_its_last_move(monkeypatch):
-    # every dense recovery after the first selects a band of reach 32 times
-    # the move from the previous call, and a call at the last call's
-    # potentials recovers nothing, so on the stock n=100 problem Nesterov
-    # recovers densely 155 times.  An iteration that certifies its
-    # violation instead of recovering its current point still makes that
-    # point the last call's, so history off, where most iterations do,
-    # rebuilds exactly as history at every iteration, where none does
+    # every dense recovery selects a band of reach 32 times the move from
+    # the last call's potentials, the start's at the first call (a zero
+    # move, so no band), so on the stock n=100 problem Nesterov recovers
+    # densely 155 times.  An iteration that certifies its violation instead
+    # of recovering its current point still makes that point the last
+    # call's, so history off, where most iterations do, rebuilds exactly as
+    # history at every iteration, where none does
     mu, nu, c = realize_problem(default_problem("squared", 10.0, 100))
     dense = count_dense_recoveries(monkeypatch)
     counts = []
@@ -498,9 +511,9 @@ def test_nesterov_rebuilds_the_band_from_its_last_move(monkeypatch):
 
 
 def test_nesterov_recovers_its_zero_start_once(monkeypatch):
-    # Nesterov's first extrapolated point is its start, and the band returns
-    # the residuals it took there instead of recovering it again: one
-    # iteration recovers densely at the start and at the new point only.
+    # the run does not recover Nesterov's start before its first step, which
+    # recovers its first extrapolated point, the start: one iteration
+    # recovers densely at the start and at the new point only.
     # The run is bit for bit the plain loop's
     mu, nu, c = realize_problem(default_problem("squared", 10.0, 100))
     dense = count_dense_recoveries(monkeypatch)
@@ -515,23 +528,36 @@ def test_nesterov_recovers_its_zero_start_once(monkeypatch):
     assert [tuple(r)[:2] + (r.dual_objective, r.primal_objective) for r in rep.history] == rows
 
 
-def test_zero_move_returns_the_last_dense_residuals(rng, monkeypatch):
-    # a call at the potentials of a dense call that kept no band, the same
-    # arrays or equal new ones, recovers nothing and returns that call's
-    # residuals, and the plan stays that call's
+def test_a_first_call_rebuilds_by_the_one_rule_from_the_start(rng, monkeypatch):
+    # a band's first call rebuilds as every later one does, from the move
+    # away from the band's start: a small one selects the cells within
+    # _BAND_REACH times it, as the dense recovery rounds them; one that
+    # takes in more than _BAND_MAX_SHARE of the cells keeps no band, and
+    # so does a call at the start, a zero move.  Each is one dense
+    # recovery, with the dense plan and residuals bit for bit
+    from qrot import solvers
+
     mu, nu, c = realize_problem(default_problem("squared", 10.0, n=60))
     mu, nu = mu.w, nu.w
+    start = solve(mu, nu, c, SolverConfig(gamma=10.0, algorithm=Algorithm.NESTEROV, tol=1e-3,
+                                          record_history=False)).final_potentials
     dense = count_dense_recoveries(monkeypatch)
-    band = _SupportBand(c, 10.0, mu, nu)
-    p = DualPotentials(rng.uniform(0.0, 0.01, 60), rng.uniform(0.0, 0.01, 60))
-    f, g = (x.copy() for x in band.recover(p))
-    assert dense[0] == 1 and band.base is None
-    for again in (p, DualPotentials(p.alpha.copy(), p.beta.copy())):
-        rf, rg = band.recover(again)
-        assert dense[0] == 1 and band.base is None and band.last is again
-        assert np.array_equal(rf, f) and np.array_equal(rg, g)
-    band.write()
-    assert np.array_equal(band.plan, recover_plan(p, c, 10.0))
+    for step, kept in ((0.0, False), (1e-6, True), (1.0, False)):
+        p = DualPotentials(start.alpha + step * rng.standard_normal(60), start.beta + step * rng.standard_normal(60))
+        band = _SupportBand(c, 10.0, mu, nu, start)
+        dense[0] = 0
+        f, g = band.recover(p)
+        assert dense[0] == 1 and band.last is p and (band.base is p) == kept, step
+        cells = np.flatnonzero(p.beta + p.alpha[:, None] - c > -solvers._BAND_REACH * solvers._move(p, start))
+        if kept:
+            assert cells.size <= solvers._BAND_MAX_SHARE * c.size
+            assert np.array_equal(np.arange(60).repeat(band.counts) * 60 + band.cols, cells)
+        elif step:
+            assert cells.size > solvers._BAND_MAX_SHARE * c.size
+        band.write()
+        plan = recover_plan(p, c, 10.0)
+        rf, rg = marginal_residuals(plan, mu, nu)
+        assert np.array_equal(band.plan, plan) and np.array_equal(f, rf) and np.array_equal(g, rg), step
 
 
 def test_band_past_its_share_is_not_kept(rng, monkeypatch):
@@ -546,9 +572,9 @@ def test_band_past_its_share_is_not_kept(rng, monkeypatch):
     n = 3 * rows
     mu, nu = np.full(n, 1.0 / n), np.full(m, 1.0 / m)
     c = rng.uniform(0.0, 0.1, (n, m))
-    band = _SupportBand(c, 1.0, mu, nu)
-    far = np.where(np.arange(n) < 100, -100.0, 0.0)
-    band.recover(DualPotentials(far, np.zeros(m)))
+    far = DualPotentials(np.where(np.arange(n) < 100, -100.0, 0.0), np.zeros(m))
+    band = _SupportBand(c, 1.0, mu, nu, far)
+    band.recover(far)
     gathered = []
 
     def recorded(*args, **kwargs):
@@ -557,7 +583,7 @@ def test_band_past_its_share_is_not_kept(rng, monkeypatch):
         return result
 
     monkeypatch.setattr(solvers, "recover_plan", recorded)
-    p = DualPotentials(far + 0.01, np.zeros(m))  # a reach of 0.32: all of rows 100 on, none before
+    p = DualPotentials(far.alpha + 0.01, far.beta)  # a reach of 0.32: all of rows 100 on, none before
     f, g = band.recover(p)
     assert band.base is None and band.values is band.plan
     assert gathered == [(2 * rows - 100) * m]  # the first two blocks' cells, none of the third
@@ -605,8 +631,9 @@ def test_nesterov_certified_iterations_change_nothing(gamma, n, tol, max_iters, 
     assert np.array_equal(off.final_plan, every.final_plan)
     assert np.array_equal(off.final_potentials.alpha, every.final_potentials.alpha)
     assert np.array_equal(off.final_potentials.beta, every.final_potentials.beta)
-    # two recoveries per iteration, and the one at zero, where every point is recovered
-    assert counts[1] == 2 * every.iterations + 1, counts
+    # where every point is recovered, two recoveries per iteration: the
+    # extrapolated point (the start at the first) and the current one
+    assert counts[1] == 2 * every.iterations, counts
 
 
 def test_nesterov_recovers_its_current_point_only_where_needed(monkeypatch):
@@ -637,7 +664,7 @@ def test_certified_violation_bounds_the_recovered_one(rng):
     shifts = (-0.5, -1e-2, -1e-4, -1e-6, -1e-9, -1e-12, 1e-12, 1e-9, 1e-6, 1e-3)
     proved = dict.fromkeys(steps, 0)
     for walk in range(3):
-        band = _SupportBand(c, 10.0, mu, nu)
+        band = _SupportBand(c, 10.0, mu, nu, start)
         q = start
         for k in range(60):
             q = DualPotentials(q.alpha + 1e-6 * rng.standard_normal(q.alpha.size),
@@ -666,7 +693,7 @@ def test_certified_violation_bounds_the_recovered_one(rng):
     assert all(proved.values()), proved
 
     # potentials that are not finite never certify, nor change the band
-    band = _SupportBand(c, 10.0, mu, nu)
+    band = _SupportBand(c, 10.0, mu, nu, start)
     band.recover(start)
     band.recover(DualPotentials(start.alpha + 1e-7, start.beta))
     assert band.base is not None
@@ -689,8 +716,9 @@ def test_certified_violation_is_tight_where_every_cell_moves_by_the_full_drift()
     block = np.arange(n) // 2
     c = np.where(block[:, None] == block[None, :], 0.0, 100.0)
     mu = nu = np.ones(n)
-    band = _SupportBand(c, gamma, mu, nu)
-    band.recover(DualPotentials(np.full(n, 0.49), np.full(n, 0.5)))
+    start = DualPotentials(np.full(n, 0.49), np.full(n, 0.5))
+    band = _SupportBand(c, gamma, mu, nu, start)
+    band.recover(start)
     band.recover(DualPotentials(np.full(n, 0.5), np.full(n, 0.5)))  # selects the band, of reach 0.32
     assert band.base is not None and band.cols.size == 16 and band.width == 2.0
     assert np.abs(band.res).max() == 1.0  # rows and columns sum to 2
@@ -802,19 +830,17 @@ def test_history_rows_scatter_nothing(monkeypatch):
 
 
 def test_unchecked_objectives_are_the_public_ones_bit_for_bit(rng):
-    # history rows call the unchecked helpers of dual_value and
-    # primal_objective; they must give what the public functions give
+    # history rows call the unchecked helpers of dual_objective (as
+    # dual_value does) and primal_objective; they must give what the public
+    # functions give
     for n, m in ((3, 4), (40, 25), (120, 100)):  # the last plan has more than DOT_CHUNK cells
         mu, nu, c = random_instance(rng, n, m)
         gamma = float(rng.uniform(0.1, 10.0))
         pot = DualPotentials(rng.standard_normal(n), rng.standard_normal(m))
         plan = recover_plan(pot, c, gamma)
         norm2 = vdot(plan, plan)
-        assert _dual_objective(pot, gamma, mu, nu, norm2) == dual_objective(pot, c, gamma, mu, nu, norm2=norm2)
         assert _dual_objective(pot, gamma, mu, nu, norm2) == dual_objective(pot, c, gamma, mu, nu)
-        assert _dual_value(pot, gamma, mu, nu, norm2) == dual_value(pot, c, gamma, mu, nu, norm2=norm2)
-        assert _dual_value(pot, gamma, mu, nu, norm2) == dual_value(pot, c, gamma, mu, nu)
-        assert _primal_objective(plan, c, gamma, norm2) == primal_objective(plan, c, gamma, norm2)
+        assert -_dual_objective(pot, gamma, mu, nu, norm2) / gamma == dual_value(pot, c, gamma, mu, nu)
         assert _primal_objective(plan, c, gamma, norm2) == primal_objective(plan, c, gamma)
 
 
@@ -925,8 +951,8 @@ def test_empty_support_band_gives_a_zero_plan(rng, monkeypatch):
     mu, nu, c = realize_problem(problem)
     mu, nu = mu.w, nu.w
     dense = count_dense_recoveries(monkeypatch)
-    band = _SupportBand(c, 1.0, mu, nu)
     pot = zeros(4, 5)
+    band = _SupportBand(c, 1.0, mu, nu, pot)
     for k in range(6):
         f, g = band.recover(pot)
         plan = recover_plan(pot, c, 1.0)
