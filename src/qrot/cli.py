@@ -10,9 +10,10 @@ helpers started with ``spawn`` once it has been solving for half a second
 (see :mod:`qrot.pool`).  Its artifacts, output and exit code are those of
 solving the four one after another, apart from the ``elapsed_ms`` column.
 ``compare`` on one CPU uses this process alone.  ``solve`` solves in this
-process, and writes a plan with at least 2**17 values that are not +0.0 on
-every usable CPU: this process and one helper per further CPU, each running
-the standard library alone (see :func:`qrot.fileio.write_matrix`).  The
+process, and writes a plan with at least 2**17 values to ``repr`` (the cells
+of its rows' spans) on every usable CPU: this process and one helper per
+further CPU, each running the standard library alone and reading its rows
+from an unnamed temporary file (see :func:`qrot.fileio.write_matrix`).  The
 plan file is byte for byte the one this process would write alone.
 
 Exit codes: 0 success / converged, 2 iteration cap or failed check,

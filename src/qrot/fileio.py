@@ -196,24 +196,26 @@ def write_matrix(path, arr) -> None:
     rows are cut into that many contiguous parts with about equal numbers
     of such values.  This process formats the first part from the array
     itself while helper processes running :mod:`qrot.rowtext` format the
-    others from their bytes; the parts are then written in order, so the
-    file is byte for byte the one-process one.  Every helper is stopped and
-    reaped before this returns or raises, and a helper that fails raises
-    RuntimeError.
+    others from their bytes, which each reads from an unnamed temporary
+    file; the parts are then written in order, so the file is byte for byte
+    the one-process one.  Each row's span is found once in this process.
+    Every helper is stopped and reaped before this returns or raises, and a
+    helper that fails raises RuntimeError.
     """
     arr = np.ascontiguousarray(arr, dtype=float)
     n, m = arr.shape
-    reprs = np.fromiter((stop - start for start, stop in rowtext.spans(arr, n, m)), dtype=np.intp, count=n)
+    spans = list(rowtext.spans(arr, n, m))
+    reprs = np.fromiter((stop - start for start, stop in spans), dtype=np.intp, count=n)
     cpus = usable_cpus() if reprs.sum() >= PARALLEL_MIN_REPRS and sys.executable else 1
     bounds = _row_bounds(reprs, cpus)
     own, parts = bounds[1], list(zip(bounds[1:-1], bounds[2:]))  # this process's rows, then the helpers'
-    helpers, senders = [], []
+    helpers = []
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# {n} {m}\n")
         try:
             for start, stop in parts:
-                _start_helper(arr[start:stop], helpers, senders)
-            fh.writelines(rowtext.lines(arr[:own], own, m))
+                helpers.append(_start_helper(arr[start:stop]))
+            fh.writelines(rowtext.lines(arr[:own], m, spans[:own]))
             fh.flush()
             for helper, (start, stop) in zip(helpers, parts):
                 while text := helper.stdout.read(1 << 20):
@@ -225,19 +227,16 @@ def write_matrix(path, arr) -> None:
         finally:
             for helper in helpers:
                 helper.kill()  # a no-op once it has been reaped
-            for sender in senders:
-                sender.join()
-            for helper in helpers:
-                helper.stdin.close()
                 helper.stdout.close()
                 helper.wait()
 
 
-# A helper costs about 30 ms (its start and its rows through a pipe) against
-# 1-1.2 us per value to repr.  On a 2-vCPU host (numpy 2.4.6, medians of 9
-# alternating runs on dense rows) one process and two took 27 vs 43 ms at
-# 2**14 values, 81 vs 83 ms at 2**16 (the break-even), 145 vs 131 ms at
-# 2**17 and 344 vs 228 ms at 2**18.
+# A helper costs 10-15 ms (its start and exit, and its rows through a
+# temporary file) against about 0.43 us per value to repr.  On a 2-vCPU
+# host (numpy 2.4.6, medians of 27 writes in 9 alternating runs on dense
+# rows) one process and two took 7.5 vs 18.6 ms at 2**14 values, 29 vs
+# 40 ms at 2**16, 57 vs 43 ms at 2**17 and 113 vs 73 ms at 2**18: the
+# break-even lies between 2**16 and 2**17.
 PARALLEL_MIN_REPRS = 1 << 17
 
 
@@ -253,25 +252,18 @@ def _row_bounds(reprs, parts) -> list:
     return sorted({0, n, *cuts.tolist()})
 
 
-def _send(pipe, rows) -> None:
-    """Write ``rows`` to a helper's stdin and close it."""
-    try:
-        with pipe:
-            pipe.write(rows)
-    except OSError:  # the helper died or was stopped; its exit status says which
-        pass
-
-
-def _start_helper(rows, helpers, senders) -> None:
-    """Start a helper process formatting the C-contiguous ``rows``, and a
-    thread sending them to its stdin; each goes on its list as it starts."""
+def _start_helper(rows):
+    """A helper process formatting the C-contiguous ``rows``, which it reads
+    from an unnamed temporary file: once this returns, the helper holds the
+    file's only descriptor, and the file goes when the helper exits."""
     import subprocess
-    import threading
+    import tempfile
 
-    helpers.append(subprocess.Popen([sys.executable, "-I", "-S", rowtext.__file__, *map(str, rows.shape)],
-                                    stdin=subprocess.PIPE, stdout=subprocess.PIPE))
-    senders.append(threading.Thread(target=_send, args=(helpers[-1].stdin, rows)))
-    senders[-1].start()
+    with tempfile.TemporaryFile() as feed:
+        feed.write(rows)
+        feed.seek(0)
+        return subprocess.Popen([sys.executable, "-I", "-S", rowtext.__file__, *map(str, rows.shape)],
+                                stdin=feed, stdout=subprocess.PIPE)
 
 
 def write_vector(path, vec) -> None:

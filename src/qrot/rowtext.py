@@ -10,8 +10,10 @@ outside it get the literal ``0.0``, which is ``repr(0.0)``.
 byte order, rows one after another) on stdin and writes their N lines to
 stdout.  It imports neither numpy nor qrot, so a helper starts in about
 20 ms rather than 0.2 s.  A helper ignores Ctrl-C, which its parent handles.
-If the parent dies, the helper's stdin ends early or its stdout has no
-reader, and it exits with status 1 and prints nothing.
+Its parent writes all the rows to a file before starting it, and that file
+is its stdin, so the rows are there in full; it still refuses input that is
+not N rows of M values.  Then, and when its stdout has no reader because the
+parent died, it exits with status 1 and prints nothing.
 """
 
 import os
@@ -28,8 +30,8 @@ def spans(data, n, m):
     alone in a row of ``+0.0`` only, and ``(0, 0)`` with no columns.
 
     :func:`lines` ``repr``s exactly these cells, and
-    :func:`qrot.fileio.write_matrix` shares rows out among helpers by
-    their number."""
+    :func:`qrot.fileio.write_matrix` finds them once, to share rows out
+    among helpers by their number and to format its own rows."""
     if not n * m:  # memoryview.cast refuses a zero in the shape
         yield from [(0, 0)] * n
         return
@@ -43,14 +45,15 @@ def spans(data, n, m):
         yield (first // 8, flags.rfind(1) // 8 + 1) if first >= 0 else (m - 1, m)
 
 
-def lines(data, n, m):
-    """The text line of each of the ``n`` rows of ``m`` float64 values in
-    ``data``, any C-contiguous buffer of them."""
-    if not n * m:  # memoryview.cast refuses a zero in the shape
-        yield from ["\n"] * n
+def lines(data, m, spans):
+    """The text line of each row of ``m`` float64 values in ``data``, any
+    C-contiguous buffer of them: one line for each ``(start, stop)`` in
+    ``spans``, what :func:`spans` gives for those rows."""
+    if not memoryview(data).nbytes:  # memoryview.cast refuses a zero in the shape
+        yield from ("\n" for _ in spans)
         return
     values = memoryview(data).cast("B").cast("d")
-    for i, (start, stop) in enumerate(spans(data, n, m)):
+    for i, (start, stop) in enumerate(spans):
         span = values[i * m + start:i * m + stop].tolist()
         yield "0.0 " * start + " ".join(map(repr, span)) + " 0.0" * (m - stop) + "\n"
 
@@ -59,11 +62,11 @@ def main(argv) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     n, m = int(argv[1]), int(argv[2])
     data = sys.stdin.buffer.read()
-    if len(data) != 8 * n * m:  # the parent died while sending the rows
+    if len(data) != 8 * n * m:  # not the rows it was started for
         os._exit(1)
     # All of it before the first write: the parent reads it only after
     # writing its own rows, and a pipe holds far less.
-    text = [line.encode("ascii") for line in lines(data, n, m)]
+    text = [line.encode("ascii") for line in lines(data, m, spans(data, n, m))]
     try:
         sys.stdout.buffer.writelines(text)
         sys.stdout.buffer.flush()

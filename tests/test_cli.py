@@ -7,6 +7,7 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from fractions import Fraction
@@ -221,7 +222,7 @@ def reprs_per_row(rows, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(rowtext, "repr", lambda x: calls.append(x) or repr(x), raising=False)
         counts = []
-        for _ in rowtext.lines(rows, *rows.shape):
+        for _ in rowtext.lines(rows, rows.shape[1], rowtext.spans(rows, *rows.shape)):
             counts.append(len(calls))
             calls.clear()
     return counts
@@ -272,7 +273,9 @@ def test_write_matrix_is_byte_identical_to_plain_repr_rows(tmp_path, rng, monkey
         write_matrix(tmp_path / "m.txt", arr)
         assert (tmp_path / "m.txt").read_bytes() == plain(arr).encode(), name
         rows = np.ascontiguousarray(arr)
-        assert list(rowtext.lines(rows.tobytes(), *arr.shape)) == list(rowtext.lines(rows, *arr.shape)), name
+        raw = rows.tobytes()
+        assert (list(rowtext.lines(raw, arr.shape[1], rowtext.spans(raw, *arr.shape)))
+                == list(rowtext.lines(rows, arr.shape[1], rowtext.spans(rows, *arr.shape)))), name
         assert span_lengths(rows) == reprs_per_row(rows, monkeypatch), name
 
 
@@ -300,11 +303,22 @@ def share_writes(monkeypatch, cpus):
     monkeypatch.setattr("qrot.fileio.usable_cpus", lambda: cpus)
 
 
+def private_tempdir(tmp_path, monkeypatch):
+    """A new empty directory, where tempfile makes its files from now on."""
+    path = tmp_path / "tempdir"
+    path.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(path))
+    return path
+
+
 @pytest.mark.parametrize("cpus", [2, 3])
 def test_write_matrix_through_helper_processes_is_byte_identical(tmp_path, rng, monkeypatch, cpus):
     # every case of the one-process test again, with rows cut into parts, so
     # that part boundaries fall on a 1-row matrix, 3x0, a transposed plan and
-    # inf/nan/-0.0/5e-324 cells; then 1000 rows of sparse and dense blocks
+    # inf/nan/-0.0/5e-324 cells; then 1000 rows of sparse and dense blocks.
+    # No thread starts: each helper reads its rows from an unnamed temporary
+    # file, which it holds alone, so nothing is left in tempfile's directory.
+    # This process finds every row's span once, for the cut and its own rows
     share_writes(monkeypatch, cpus)
     started = record_processes(monkeypatch)
     threads = threading.active_count()
@@ -315,11 +329,25 @@ def test_write_matrix_through_helper_processes_is_byte_identical(tmp_path, rng, 
     mixed = np.where((np.arange(1000) // 7 % 3 == 0)[:, None] | (rng.random((1000, 300)) < 0.1), dense, 0.0)
     mixed[::11, ::13] = -0.0
     started.clear()
+    threads_started, feeds, walked = [], [], []
+    real_start, real_feed, real_spans = threading.Thread.start, tempfile.TemporaryFile, rowtext.spans
+    monkeypatch.setattr(threading.Thread, "start", lambda self: threads_started.append(self) or real_start(self))
+    monkeypatch.setattr(tempfile, "TemporaryFile", lambda *args: feeds.append(args) or real_feed(*args))
+
+    def spans(data, n, m):
+        for span in real_spans(data, n, m):
+            walked.append(span)
+            yield span
+
+    monkeypatch.setattr(rowtext, "spans", spans)
+    tempdir = private_tempdir(tmp_path, monkeypatch)
     write_matrix(tmp_path / "m.txt", mixed)
     assert (tmp_path / "m.txt").read_bytes() == plain_matrix(mixed)
-    assert len(started) == cpus - 1
+    assert len(started) == len(feeds) == cpus - 1
     assert all(p.returncode == 0 for p in started)
     assert threading.active_count() == threads
+    assert threads_started == [] and len(walked) == 1000
+    assert list(tempdir.iterdir()) == []
 
 
 def test_row_parts_carry_about_equal_numbers_of_values():
@@ -387,6 +415,7 @@ def test_failed_helper_is_an_error_and_leaves_no_process(tmp_path, monkeypatch, 
     monkeypatch.setattr("qrot.rowtext.__file__", str(script))
     share_writes(monkeypatch, 2)
     started = record_processes(monkeypatch)
+    tempdir = private_tempdir(tmp_path, monkeypatch)
     threads = threading.active_count()
     out = tmp_path / "out"
     capsys.readouterr()
@@ -395,6 +424,7 @@ def test_failed_helper_is_an_error_and_leaves_no_process(tmp_path, monkeypatch, 
     assert capsys.readouterr().err == f"error: the helper process writing rows 3-5 of {plan} {how}\n"
     assert len(started) == 1 and started[0].returncode is not None
     assert threading.active_count() == threads
+    assert list(tempdir.iterdir()) == []
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -407,19 +437,23 @@ def test_failed_write_in_this_process_reaps_the_helpers(tmp_path, monkeypatch, c
     (out / "plan_nesterov.txt").symlink_to("/dev/full")
     share_writes(monkeypatch, 3)
     started = record_processes(monkeypatch)
+    tempdir = private_tempdir(tmp_path, monkeypatch)
     threads = threading.active_count()
     capsys.readouterr()
     assert main(["solve", str(problem_path), "--algorithm", "nesterov", "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
     assert len(started) == 2 and all(p.returncode is not None for p in started)
     assert threading.active_count() == threads
+    assert list(tempdir.iterdir()) == []
 
 
 def test_row_helper_fed_short_exits_without_a_word():
-    # a parent that dies while sending the rows leaves the helper a short read
-    helper = subprocess.run([sys.executable, "-I", "-S", rowtext.__file__, "2", "3"], input=b"\0" * 47,
-                            capture_output=True)
-    assert (helper.returncode, helper.stdout, helper.stderr) == (1, b"", b"")
+    # write_matrix gives a helper all its rows in a file before it starts, but
+    # the helper still refuses input that is not the rows it was started for
+    for size in (47, 49):
+        helper = subprocess.run([sys.executable, "-I", "-S", rowtext.__file__, "2", "3"], input=b"\0" * size,
+                                capture_output=True)
+        assert (helper.returncode, helper.stdout, helper.stderr) == (1, b"", b""), size
     helper = subprocess.run([sys.executable, "-I", "-S", rowtext.__file__, "2", "3"], input=b"\0" * 48,
                             capture_output=True)
     assert (helper.returncode, helper.stdout, helper.stderr) == (0, b"0.0 0.0 0.0\n0.0 0.0 0.0\n", b"")
@@ -429,10 +463,13 @@ def test_row_helper_fed_short_exits_without_a_word():
 def test_solve_killed_mid_write_leaves_no_helper_running(tmp_path, killed):
     # the helpers inherit the killed process's stderr, so it reads to its end
     # only once they have exited too, and a helper's traceback would show there.
-    # A dense 300x300 plan gives each helper more text than a pipe holds.
+    # A dense 300x300 plan gives each helper more text than a pipe holds.  The
+    # files the helpers read their rows from have no name, so none is left.
     problem_path = tmp_path / "problem.json"
     save_problem(small_problem(300, 300), problem_path)
     pids = tmp_path / "pids"
+    tempdir = tmp_path / "tempdir"
+    tempdir.mkdir()
     script = (
         "import os, signal, subprocess, time\n"
         "import qrot.fileio as fileio\n"
@@ -456,7 +493,8 @@ def test_solve_killed_mid_write_leaves_no_helper_running(tmp_path, killed):
         f"main(['solve', {str(problem_path)!r}, '--algorithm', 'sinkhorn', '--max-iters', '3',\n"
         f"      '--out', {str(tmp_path / 'o')!r}])\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]),
+               TMPDIR=str(tempdir))
     parent = subprocess.Popen([sys.executable, "-c", script], env=env, stdout=subprocess.PIPE,
                               stderr=subprocess.PIPE, text=True)
     try:
@@ -468,6 +506,7 @@ def test_solve_killed_mid_write_leaves_no_helper_running(tmp_path, killed):
     assert parent.returncode == -signal.SIGKILL
     assert (out, err) == ("", "")
     assert len(pids.read_text().split()) == (1 if killed == "while starting its helpers" else 2)
+    assert list(tempdir.iterdir()) == []
 
 
 def test_generate_then_solve_converges(tmp_path):
