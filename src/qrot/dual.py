@@ -36,7 +36,7 @@ HESSIAN_SIZE_LIMIT = 200
 _BLOCK_CELLS = 1 << 16
 
 
-def recover_plan(pot, c, gamma: float, out=None, *, reach=None, limit=None):
+def recover_plan(pot, c, gamma: float, out=None, *, reach=None, limit=None, sums=None):
     """Plan induced by potentials: ``max(alpha[i] + beta[j] - c[i, j], 0) / gamma``.
 
     ``out`` may pass a float ``(N, M)`` array to hold the plan; it is
@@ -53,6 +53,15 @@ def recover_plan(pot, c, gamma: float, out=None, *, reach=None, limit=None):
     block where the cells it has gathered first number more than
     ``limit``; ``cells`` then holds those of the blocks up to that one,
     more than ``limit`` of them, and the plan is finished all the same.
+
+    With ``sums=(row, col)``, two float arrays of ``N`` and ``M`` values,
+    the sweep also writes the plan's row and column sums into them, bit for
+    bit those of :func:`qrot.core.marginals`, while each block sits in
+    cache.  A row sum reduces its row alone, as ``plan.sum(axis=1)`` does.
+    ``plan.sum(axis=0)`` adds the rows of the C-contiguous plan one after
+    another, so each block's column sums continue the running ones: the
+    block's first row is added to ``col`` through the finished row above
+    it, which holds ``col`` for the one reduction and is then restored.
     """
     if not (gamma > 0):
         raise ValueError("gamma must be positive")
@@ -64,6 +73,9 @@ def recover_plan(pot, c, gamma: float, out=None, *, reach=None, limit=None):
     if out is None:
         out = np.empty((n, m))
     rows = max(1, _BLOCK_CELLS // max(m, 1))
+    if sums is not None:
+        row, col = sums
+        carried = np.empty(m) if n > rows else None  # the row above a block, while it holds col
     parts, size = [], 0
     for r0 in range(0, n, rows):
         r1 = r0 + rows
@@ -80,6 +92,16 @@ def recover_plan(pot, c, gamma: float, out=None, *, reach=None, limit=None):
             size += cells.size
         np.maximum(block, 0.0, out=block)
         np.divide(block, gamma, out=block)
+        if sums is not None:
+            np.add.reduce(block, axis=1, out=row[r0:r1])
+            if r0:
+                above = out[r0 - 1]
+                np.copyto(carried, above)
+                np.copyto(above, col)
+                np.add.reduce(out[r0 - 1 : r1], axis=0, out=col)
+                np.copyto(above, carried)
+            else:
+                np.add.reduce(block, axis=0, out=col)
     if reach is None:
         return out
     return out, np.concatenate(parts) if parts else np.empty(0, dtype=np.intp)

@@ -241,12 +241,16 @@ class _SupportBand:
     call, and after ``write()`` following any call; in between, its band
     cells are stale.  ``values`` and ``values_cost`` are the last call's
     values and their costs: the band's after a banded call, the whole of
-    ``plan`` and ``c`` after a dense one.  Either way they hold every
-    nonzero of ``pi``.  ``g`` and the written ``plan`` are bit for bit those
-    of the dense calls, whichever path a call takes, and so is ``f`` after a
-    dense recovery; a banded ``f`` is within the bound below.  The residuals
-    are the two halves ``f, g`` of one buffer ``res``, which the next call
-    overwrites, so a caller can take their largest magnitude in one pass.
+    ``plan`` and ``c`` after a dense one, and empty after a call whose plan
+    is zero (below).  Each time they hold every nonzero of ``pi``.  ``g``
+    and the written ``plan`` are bit for bit those of the dense calls,
+    whichever path a call takes, and so is ``f`` after a dense recovery; a
+    banded ``f`` is within the bound below.  A dense recovery takes the
+    plan's row and column sums in its own sweep (``recover_plan(...,
+    sums=)``), bit for bit ``core.marginals``, straight into the residual
+    buffer ``res``.  The residuals are its two halves ``f, g``, which the
+    next call overwrites, so a caller can take their largest magnitude in
+    one pass.
 
     The band is the cells with ``alpha (+) beta - c > -theta`` at its base
     potentials, as the dense recovery rounds them, in row-major order: the
@@ -292,6 +296,20 @@ class _SupportBand:
     first number more than that, and only finishes the plan.  So a band
     that is live after a call proves that call's potentials finite.
 
+    A call that keeps no band recovers nothing where ``max alpha + max
+    beta <= min c`` as floats: its plan is ``+0.0`` in every cell.
+    Rounding is monotone, so each rounded ``beta[j] + alpha[i]`` is at most
+    ``max alpha + max beta``, hence at most ``c[i, j]``; the rounded
+    difference is then at most 0, and its clip ``np.maximum(x, 0.0)`` is
+    ``+0.0``, also at ``x = -0.0``.  The call's residuals are those of zero
+    row and column sums, ``0.0 - mu`` and ``0.0 - nu``, and ``values`` and
+    ``values_cost`` are empty; ``write()`` zeroes ``plan`` if such a call is
+    the last.  That is the call at a run's start on a cost of no negative
+    entry, which is a zero move and keeps no band.  The test reads ``alpha``
+    and ``beta`` once more, and only in a call that keeps no band; ``min
+    c``, like ``max|c|``, is taken once, by the caller.  A NaN in the
+    potentials fails it.
+
     ``certify(pot, tol)`` stands in for ``recover(pot)`` where the residuals
     of the last call, a recovery at ``q``, prove the violation at ``pot``
     above ``tol``.  It returns that proof, a lower bound, and makes ``pot``
@@ -321,9 +339,10 @@ class _SupportBand:
     and non-finite residuals the bound.
     """
 
-    def __init__(self, c, gamma, mu, nu, start):
+    def __init__(self, c, gamma, mu, nu, start, cmin, cmax):
         self.c, self.gamma, self.mu, self.nu = c, gamma, mu, nu
-        self.cmax = float(max(c.max(), -c.min()))  # max|c|, without an N x M temporary
+        self.cmin = cmin  # min c and max|c|, taken by the caller
+        self.cmax = max(cmax, -cmin)
         n, m = c.shape
         self.wmax = float(max(mu.max(), nu.max()))  # the largest marginal weight
         # the small buffers go before the plan buffer: allocated after it, they
@@ -381,26 +400,40 @@ class _SupportBand:
 
     def write(self):
         """Make ``plan`` the plan of the last call: scatter the band's values
-        into it if that call was banded."""
-        if self.values is not self.plan:
+        into it if that call was banded, or zero it if that call's plan was
+        zero."""
+        if self.values is self.plan:
+            return
+        if self.base is None:
+            self.plan.fill(0.0)
+        else:
             self.plan[np.arange(self.plan.shape[0]).repeat(self.counts), self.cols] = self.values
 
     def _dense(self, pot, theta):
         """Recover ``pot`` densely into ``plan``, and keep the band of reach
-        ``theta`` at ``pot`` that the same sweep selects, if one is due."""
+        ``theta`` at ``pot`` that the same sweep selects, if one is due;
+        where none is and the plan is provably zero, recover nothing."""
         alpha, beta = pot
         slack = 8.0 * _EPS * (np.abs(alpha).max() + np.abs(beta).max() + self.cmax + theta)
+        sums = self.f, self.g  # the plan's row and column sums, made residuals below
         if theta - slack > 0.0:  # also refuses a zero or non-finite reach
             self.cols = self.counts = self.cost = None  # the old band's storage goes first
             n, m = self.plan.shape
             limit = int(_BAND_MAX_SHARE * n * m)
-            cells = recover_plan(pot, self.c, self.gamma, out=self.plan, reach=theta, limit=limit)[1]
+            cells = recover_plan(pot, self.c, self.gamma, out=self.plan, reach=theta, limit=limit, sums=sums)[1]
             if cells.size <= limit:
                 self._keep(pot, cells, theta, slack)
+        elif alpha.max() + beta.max() <= self.cmin:  # False at a NaN
+            # every value before the clip rounds to at most 0, so the plan is
+            # +0.0 throughout, with no value to keep, and its sums are 0.0;
+            # plan is left as it is
+            self.res.fill(0.0)
+            self.values = self.values_cost = self.res[:0]
+            return self._residuals(*sums)
         else:
-            recover_plan(pot, self.c, self.gamma, out=self.plan)
+            recover_plan(pot, self.c, self.gamma, out=self.plan, sums=sums)
         self.values, self.values_cost = self.plan, self.c
-        return self._residuals(*marginals(self.plan))
+        return self._residuals(*sums)
 
     def _residuals(self, row, col):
         """``(row - mu, col - nu)``, written into ``res``."""
@@ -441,9 +474,10 @@ def _move(p, q) -> float:
     return np.abs(p.alpha - q.alpha).max() + np.abs(p.beta - q.beta).max()
 
 
-def _quadratic_run(alg, c, gamma, mu, nu, tau, tol):
+def _quadratic_run(alg, c, gamma, mu, nu, tau, tol, cmin, cmax):
     """``(advance, bounds, plan)`` of a quadratic dual method started from
-    zero potentials.
+    zero potentials; ``cmin`` and ``cmax`` are the least and greatest
+    entries of ``c``.
 
     ``advance(plan_due)`` takes one step on the dual, recovers the plan and
     takes its marginal residuals once; the violation it returns (their
@@ -460,7 +494,8 @@ def _quadratic_run(alg, c, gamma, mu, nu, tau, tol):
     loop.  The three plain methods share one ``step``, calling their step
     function with positional arguments (gradient descent's with its
     ``tau``, whose default ``1 / (M + N)`` is taken once here), and recover
-    the start for their first step.  Steps are looked up in this module
+    the start for their first step (on a nonnegative cost its plan is zero
+    and costs no dense recovery).  Steps are looked up in this module
     when the run is built and kernels at call time, so wrappers installed
     on the module before :func:`solve` see every call.
 
@@ -486,7 +521,7 @@ def _quadratic_run(alg, c, gamma, mu, nu, tau, tol):
     if tau is None:
         tau = 1.0 / (m + n)
     pot = DualPotentials(np.zeros(n), np.zeros(m))
-    band = _SupportBand(c, gamma, mu, nu, pot)
+    band = _SupportBand(c, gamma, mu, nu, pot, cmin, cmax)
 
     # Nesterov's steps recover at its extrapolated points, the first of
     # which is its start, so the recovery at its current point feeds only
@@ -653,6 +688,12 @@ def solve(mu, nu, c, config: SolverConfig) -> ConvergenceReport:
     ``plan_due`` is set and to confirm convergence.  So for both, iteration
     counts are those of testing the plan every iteration.
 
+    A dense recovery takes the marginal residuals in the same sweep over
+    the plan, and a recovery whose plan is provably zero, such as the
+    start's on a nonnegative cost, reads no ``N x M`` array.  The cost is
+    checked by its least and greatest entries, which propagate a NaN, and
+    a dual run's support band reuses both.
+
     Raises
     ------
     ValueError
@@ -671,7 +712,8 @@ def solve(mu, nu, c, config: SolverConfig) -> ConvergenceReport:
     c = np.asarray(c, dtype=float)
     if c.ndim != 2 or c.shape != (mu.size, nu.size):
         raise ValueError(f"cost shape {c.shape} does not match marginals ({mu.size}, {nu.size})")
-    if not np.isfinite(c).all():
+    cmin, cmax = float(c.min()), float(c.max())  # NaN if any entry is
+    if not (math.isfinite(cmin) and math.isfinite(cmax)):
         raise ValueError("cost matrix must be finite")
     check_mass_balance(mu, nu)
 
@@ -680,7 +722,7 @@ def solve(mu, nu, c, config: SolverConfig) -> ConvergenceReport:
     if alg is Algorithm.SINKHORN:
         advance, bounds, final_plan = _sinkhorn_run(c, gamma, mu, nu, config.tol)
     else:
-        advance, bounds, final_plan = _quadratic_run(alg, c, gamma, mu, nu, config.tau, config.tol)
+        advance, bounds, final_plan = _quadratic_run(alg, c, gamma, mu, nu, config.tau, config.tol, cmin, cmax)
 
     history: list[HistoryEntry] = []
     tol, max_iters, record, stride = config.tol, config.max_iters, config.record_history, config.history_stride

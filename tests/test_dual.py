@@ -18,7 +18,7 @@ from qrot import (
     recover_plan,
     support_mask,
 )
-from qrot.core import DOT_CHUNK, vdot
+from qrot.core import DOT_CHUNK, marginals, vdot
 from qrot.dual import _BLOCK_CELLS
 
 C2 = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -88,6 +88,30 @@ def test_recover_plan_stops_selecting_past_its_limit(rng):
     assert np.array_equal(plan, recover_plan(p, c, 0.5))
     assert cells.size == (2 * rows - 10) * m > limit
     assert np.array_equal(cells, np.arange(10 * m, 2 * rows * m))
+
+
+@pytest.mark.parametrize("n, m", [
+    (40, 50),  # one block
+    (2 * (_BLOCK_CELLS // 700) + 5, 700),  # several blocks, the last of 5 rows
+    (3, _BLOCK_CELLS + 7),  # a row longer than a block: one row per block
+    (1, 900),  # a single row
+])
+@pytest.mark.parametrize("select", [None, "reach", "limit"])
+def test_recover_plan_sums_are_the_marginals_bit_for_bit(rng, n, m, select):
+    # the sweep's row sums reduce each row alone, and its column sums carry
+    # the running sums through the row above each block, so both are
+    # core.marginals of the plan bit for bit, whether the sweep selects
+    # cells or not, and the carried row is restored
+    c = rng.uniform(0.0, 1.0, (n, m))
+    p = pot(rng.uniform(-0.5, 0.5, n), rng.lognormal(-1.0, 2.0, m) - 0.4)  # terms of many magnitudes
+    plan = recover_plan(p, c, 0.7)
+    assert 0 < np.count_nonzero(plan) < plan.size
+    kwargs = {"reach": 0.2, "limit": None if select == "reach" else n * m // 10} if select else {}
+    row, col = np.full(n, np.nan), np.full(m, np.nan)
+    got = recover_plan(p, c, 0.7, out=np.full((n, m), np.nan), sums=(row, col), **kwargs)
+    assert np.array_equal(got[0] if select else got, plan)
+    want_row, want_col = marginals(plan)
+    assert np.array_equal(row, want_row) and np.array_equal(col, want_col), (n, m, select)
 
 
 def test_recover_plan_scales_with_gamma(rng):

@@ -446,6 +446,12 @@ def test_solve_is_bit_identical_to_reference_dual_loop(rng):
                     assert [tuple(r)[:2] + (r.dual_objective, r.primal_objective) for r in rep.history] == rows
 
 
+def support_band(c, gamma, mu, nu, start):
+    """The band :func:`solve` builds for ``c``, which passes it the cost's
+    least and greatest entries."""
+    return _SupportBand(c, gamma, mu, nu, start, float(c.min()), float(c.max()))
+
+
 def row_sum_bound(plan):
     """How far a row sum of ``plan`` taken in another order may be from
     ``plan.sum(axis=1)``: ``(M - 1) eps`` times the row sum."""
@@ -464,7 +470,7 @@ def test_support_band_matches_dense_recovery_on_random_walks(rng, monkeypatch):
     start = solve(mu, nu, c, SolverConfig(gamma=10.0, algorithm=Algorithm.NESTEROV, tol=1e-3,
                                           record_history=False)).final_potentials
     for walk in range(3):
-        band = _SupportBand(c, 10.0, mu, nu, start)
+        band = support_band(c, 10.0, mu, nu, start)
         alpha, beta = start.alpha.copy(), start.beta.copy()
         dense[0] = 0
         calls = 0
@@ -493,11 +499,12 @@ def test_support_band_matches_dense_recovery_on_random_walks(rng, monkeypatch):
 def test_nesterov_rebuilds_the_band_from_its_last_move(monkeypatch):
     # every dense recovery selects a band of reach 32 times the move from
     # the last call's potentials, the start's at the first call (a zero
-    # move, so no band), so on the stock n=100 problem Nesterov recovers
-    # densely 155 times.  An iteration that certifies its violation instead
-    # of recovering its current point still makes that point the last
-    # call's, so history off, where most iterations do, rebuilds exactly as
-    # history at every iteration, where none does
+    # move, so no band; the start's plan is zero and needs no recovery), so
+    # on the stock n=100 problem Nesterov recovers densely 154 times.  An
+    # iteration that certifies its violation instead of recovering its
+    # current point still makes that point the last call's, so history off,
+    # where most iterations do, rebuilds exactly as history at every
+    # iteration, where none does
     mu, nu, c = realize_problem(default_problem("squared", 10.0, 100))
     dense = count_dense_recoveries(monkeypatch)
     counts = []
@@ -507,25 +514,119 @@ def test_nesterov_rebuilds_the_band_from_its_last_move(monkeypatch):
                                             record_history=record, history_stride=1))
         assert (rep.iterations, rep.converged) == (1165, True)
         counts.append(dense[0])
-    assert counts == [155, 155], counts
+    assert counts == [154, 154], counts
 
 
 def test_nesterov_recovers_its_zero_start_once(monkeypatch):
     # the run does not recover Nesterov's start before its first step, which
-    # recovers its first extrapolated point, the start: one iteration
-    # recovers densely at the start and at the new point only.
+    # recovers its first extrapolated point, the start.  Its plan is zero on
+    # this nonnegative cost, so that call makes no dense recovery, and one
+    # iteration recovers densely at the new point only.
     # The run is bit for bit the plain loop's
     mu, nu, c = realize_problem(default_problem("squared", 10.0, 100))
     dense = count_dense_recoveries(monkeypatch)
     config = SolverConfig(gamma=10.0, algorithm=Algorithm.NESTEROV, tol=1e-300, max_iters=1, history_stride=1)
     rep = solve(mu, nu, c, config)
-    assert dense[0] == 2 and rep.iterations == 1
+    assert dense[0] == 1 and rep.iterations == 1
     monkeypatch.undo()
     iters, converged, plan, pot, rows = reference_dual_solve(mu, nu, c, config)
     assert np.array_equal(rep.final_plan, plan)
     assert np.array_equal(rep.final_potentials.alpha, pot.alpha)
     assert np.array_equal(rep.final_potentials.beta, pot.beta)
     assert [tuple(r)[:2] + (r.dual_objective, r.primal_objective) for r in rep.history] == rows
+
+
+def count_band_calls(monkeypatch):
+    """Route ``_SupportBand._dense``, the band's calls that keep no band
+    live from before, through a counter; returns the one-element list that
+    holds the count."""
+    dense = _SupportBand._dense
+    count = [0]
+
+    def counted(self, pot, theta):
+        count[0] += 1
+        return dense(self, pot, theta)
+
+    monkeypatch.setattr(_SupportBand, "_dense", counted)
+    return count
+
+
+@pytest.mark.parametrize("alg", DUAL_ALGORITHMS)
+@pytest.mark.parametrize("shift, skipped", [(0.0, 1), (-0.5, 0)])
+def test_a_zero_start_makes_no_dense_recovery(alg, shift, skipped, monkeypatch):
+    # at zero potentials the plan is max(-c, 0) / gamma: zero on the stock
+    # cost, which is nonnegative, so the start's call makes no dense
+    # recovery and every other call without a live band makes one.  On
+    # c - 0.5 the start's plan is not zero, and it is recovered densely.
+    # Either way the run is bit for bit the plain loop's over these 20
+    # iterations, before a band's row sum in another order tells them apart
+    mu, nu, c = realize_problem(default_problem("squared", 10.0, 100))
+    c = c + shift
+    config = SolverConfig(gamma=10.0, algorithm=alg, tol=1e-300, max_iters=20, history_stride=3)
+    calls, dense = count_band_calls(monkeypatch), count_dense_recoveries(monkeypatch)
+    rep = solve(mu, nu, c, config)
+    assert dense[0] == calls[0] - skipped and calls[0] > 1, (alg, shift, dense[0], calls[0])
+    monkeypatch.undo()
+    iters, converged, plan, pot, rows = reference_dual_solve(mu, nu, c, config)
+    assert (rep.iterations, rep.converged) == (iters, converged), alg
+    assert np.array_equal(rep.final_plan, plan), alg
+    assert np.array_equal(rep.final_potentials.alpha, pot.alpha), alg
+    assert np.array_equal(rep.final_potentials.beta, pot.beta), alg
+    assert [tuple(r)[:2] + (r.dual_objective, r.primal_objective) for r in rep.history] == rows, alg
+
+
+@pytest.mark.parametrize("alg", DUAL_ALGORITHMS)
+def test_zero_marginals_converge_at_once_to_a_zero_plan(alg, monkeypatch):
+    # with mu = nu = 0 every residual at zero potentials is 0.0, so no step
+    # moves them: each call's plan is zero, none recovers densely, and the
+    # run converges at its first iteration with a plan of +0.0 throughout,
+    # written into a buffer that no recovery filled
+    _, _, c = realize_problem(default_problem("squared", 10.0, 30))
+    mu, nu = np.zeros(30), np.zeros(30)
+    dense = count_dense_recoveries(monkeypatch)
+    config = SolverConfig(gamma=10.0, algorithm=alg, history_stride=1)
+    rep = solve(mu, nu, c, config)
+    assert (rep.iterations, rep.converged, dense[0]) == (1, True, 0), alg
+    plan = rep.final_plan
+    assert plan.shape == c.shape and not plan.any() and not np.signbit(plan).any(), alg
+    monkeypatch.undo()
+    iters, converged, ref_plan, pot, rows = reference_dual_solve(mu, nu, c, config)
+    assert (iters, converged) == (1, True) and np.array_equal(plan, ref_plan), alg
+    assert not rep.final_potentials.alpha.any() and not rep.final_potentials.beta.any(), alg
+    assert [tuple(r)[:2] + (r.dual_objective, r.primal_objective) for r in rep.history] == rows, alg
+
+
+def test_a_zero_plan_call_zeroes_a_stale_plan_buffer(rng, monkeypatch):
+    # a call at non-finite potentials fills the buffer densely with NaN;
+    # its move to the next call is not finite, so that call keeps no band,
+    # and at potentials whose every value before the clip is at most 0 it
+    # takes the plan as zero without a recovery.  Its residuals are those
+    # of zero sums, not of any earlier call, and write() zeroes the buffer
+    mu, nu, c = realize_problem(default_problem("squared", 10.0, n=20))
+    mu, nu = mu.w, nu.w
+    start = zeros(20, 20)
+    band = support_band(c, 10.0, mu, nu, start)
+    dense = count_dense_recoveries(monkeypatch)
+    with np.errstate(invalid="ignore"):
+        band.recover(DualPotentials(np.full(20, np.nan), start.beta))
+    band.write()
+    assert dense[0] == 1 and np.isnan(band.plan).all()
+    low = DualPotentials(-rng.uniform(0.0, 1.0, 20), -rng.uniform(0.0, 1.0, 20))
+    f, g = band.recover(low)
+    assert dense[0] == 1 and band.base is None and band.values.size == 0
+    assert np.array_equal(f, 0.0 - mu) and np.array_equal(g, 0.0 - nu)
+    band.write()
+    assert not band.plan.any() and not np.signbit(band.plan).any()
+    assert np.array_equal(band.plan, recover_plan(low, c, 10.0))
+
+
+@pytest.mark.parametrize("alg", list(Algorithm))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solve_rejects_a_cost_that_is_not_finite(alg, bad):
+    c = np.array([[0.0, 1.0], [1.0, 0.0]])
+    c[1, 0] = bad
+    with pytest.raises(ValueError, match="^cost matrix must be finite$"):
+        solve(HALF, HALF, c, SolverConfig(gamma=1.0, algorithm=alg))
 
 
 def test_a_first_call_rebuilds_by_the_one_rule_from_the_start(rng, monkeypatch):
@@ -544,7 +645,7 @@ def test_a_first_call_rebuilds_by_the_one_rule_from_the_start(rng, monkeypatch):
     dense = count_dense_recoveries(monkeypatch)
     for step, kept in ((0.0, False), (1e-6, True), (1.0, False)):
         p = DualPotentials(start.alpha + step * rng.standard_normal(60), start.beta + step * rng.standard_normal(60))
-        band = _SupportBand(c, 10.0, mu, nu, start)
+        band = support_band(c, 10.0, mu, nu, start)
         dense[0] = 0
         f, g = band.recover(p)
         assert dense[0] == 1 and band.last is p and (band.base is p) == kept, step
@@ -573,7 +674,7 @@ def test_band_past_its_share_is_not_kept(rng, monkeypatch):
     mu, nu = np.full(n, 1.0 / n), np.full(m, 1.0 / m)
     c = rng.uniform(0.0, 0.1, (n, m))
     far = DualPotentials(np.where(np.arange(n) < 100, -100.0, 0.0), np.zeros(m))
-    band = _SupportBand(c, 1.0, mu, nu, far)
+    band = support_band(c, 1.0, mu, nu, far)
     band.recover(far)
     gathered = []
 
@@ -664,7 +765,7 @@ def test_certified_violation_bounds_the_recovered_one(rng):
     shifts = (-0.5, -1e-2, -1e-4, -1e-6, -1e-9, -1e-12, 1e-12, 1e-9, 1e-6, 1e-3)
     proved = dict.fromkeys(steps, 0)
     for walk in range(3):
-        band = _SupportBand(c, 10.0, mu, nu, start)
+        band = support_band(c, 10.0, mu, nu, start)
         q = start
         for k in range(60):
             q = DualPotentials(q.alpha + 1e-6 * rng.standard_normal(q.alpha.size),
@@ -693,7 +794,7 @@ def test_certified_violation_bounds_the_recovered_one(rng):
     assert all(proved.values()), proved
 
     # potentials that are not finite never certify, nor change the band
-    band = _SupportBand(c, 10.0, mu, nu, start)
+    band = support_band(c, 10.0, mu, nu, start)
     band.recover(start)
     band.recover(DualPotentials(start.alpha + 1e-7, start.beta))
     assert band.base is not None
@@ -717,7 +818,7 @@ def test_certified_violation_is_tight_where_every_cell_moves_by_the_full_drift()
     c = np.where(block[:, None] == block[None, :], 0.0, 100.0)
     mu = nu = np.ones(n)
     start = DualPotentials(np.full(n, 0.49), np.full(n, 0.5))
-    band = _SupportBand(c, gamma, mu, nu, start)
+    band = support_band(c, gamma, mu, nu, start)
     band.recover(start)
     band.recover(DualPotentials(np.full(n, 0.5), np.full(n, 0.5)))  # selects the band, of reach 0.32
     assert band.base is not None and band.cols.size == 16 and band.width == 2.0
@@ -939,7 +1040,8 @@ def test_solve_with_band_live_on_most_iterations_matches_reference(monkeypatch):
 def test_empty_support_band_gives_a_zero_plan(rng, monkeypatch):
     # costs near 900 leave no cell within reach of small moves from zero
     # potentials, so the band that goes live holds no cell at all: the plan
-    # is all zero and the residuals are exactly (-mu, -nu), as dense
+    # is all zero and the residuals are exactly (-mu, -nu), as dense.  The
+    # first call, at zero, knows its plan zero from min c and recovers none
     problem = ProblemFile(
         grid1=Grid1D(4, 0.0, 1.0),
         grid2=Grid1D(5, 30.0, 31.0),
@@ -952,7 +1054,7 @@ def test_empty_support_band_gives_a_zero_plan(rng, monkeypatch):
     mu, nu = mu.w, nu.w
     dense = count_dense_recoveries(monkeypatch)
     pot = zeros(4, 5)
-    band = _SupportBand(c, 1.0, mu, nu, pot)
+    band = support_band(c, 1.0, mu, nu, pot)
     for k in range(6):
         f, g = band.recover(pot)
         plan = recover_plan(pot, c, 1.0)
@@ -963,7 +1065,7 @@ def test_empty_support_band_gives_a_zero_plan(rng, monkeypatch):
         assert np.array_equal(f, -mu) and np.array_equal(g, -nu), k
         assert (band.base is not None) == (k > 0) and (k == 0 or band.cols.size == 0), k
         pot = DualPotentials(pot.alpha + 1e-3 * rng.standard_normal(4), pot.beta + 1e-3 * rng.standard_normal(5))
-    assert dense[0] == 2  # the first call, and the second, which selected the band
+    assert dense[0] == 1  # the second call, which selected the band
 
 
 def test_divergence_with_support_band_live_matches_reference(monkeypatch):
