@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DualPotentials, as_weights, marginal_residuals, primal_objective, vdot
+from .core import as_weights, primal_objective, vdot
 
 __all__ = [
     "build_hessian",
@@ -34,9 +34,31 @@ HESSIAN_SIZE_LIMIT = 200
 # cells per block of recover_plan's sweep: a block is finished while it sits
 # in cache, and a selection tests one block at a time
 _BLOCK_CELLS = 1 << 16
+# columns per tile of the sweep, whose least cost may prove its plan zero
+_TILE_COLS = 64
 
 
-def recover_plan(pot, c, gamma: float, out=None, *, reach=None, limit=None, sums=None):
+def _block_rows(m):
+    """Rows per block of :func:`recover_plan`'s sweep over ``M`` columns."""
+    return max(1, _BLOCK_CELLS // max(m, 1))
+
+
+def _tile_minima(c):
+    """The least cost of each tile of :func:`recover_plan`'s sweep over the
+    ``(N, M)`` cost ``c``: its blocks of rows by ``_TILE_COLS`` columns, as
+    a ``(blocks, tiles)`` array, NaN where a tile holds a NaN.  The least
+    of them all is ``c.min()``."""
+    c = np.asarray(c, dtype=float)
+    n, m = c.shape
+    rows = _block_rows(m)
+    starts = range(0, n, rows)
+    blocks = np.empty((len(starts), m))
+    for k, r0 in enumerate(starts):  # a block at a time runs faster than reduceat over rows
+        np.minimum.reduce(c[r0 : r0 + rows], axis=0, out=blocks[k])
+    return np.minimum.reduceat(blocks, np.arange(0, m, _TILE_COLS), axis=1)
+
+
+def recover_plan(pot, c, gamma: float, out=None, *, reach=None, limit=None, sums=None, tiles=None):
     """Plan induced by potentials: ``max(alpha[i] + beta[j] - c[i, j], 0) / gamma``.
 
     ``out`` may pass a float ``(N, M)`` array to hold the plan; it is
@@ -62,6 +84,31 @@ def recover_plan(pot, c, gamma: float, out=None, *, reach=None, limit=None, sums
     another, so each block's column sums continue the running ones: the
     block's first row is added to ``col`` through the finished row above
     it, which holds ``col`` for the one reduction and is then restored.
+
+    With ``tiles=(least, spans)`` a sweep of more than one block skips the
+    tiles, ``_TILE_COLS`` columns of a block, whose plan is provably zero.
+    ``least`` is :func:`_tile_minima` of ``c``, and ``spans`` a list of one
+    ``(lo, hi)`` per block: outside columns ``lo:hi`` of its block, ``out``
+    holds ``+0.0``, so ``(0, M)`` where its content is not known.  The sweep
+    keeps ``spans`` so for the next call on ``out``; a sweep of one block
+    leaves them as they are, as no sweep of ``out`` reads them.  A tile is
+    dead where ``top = (max beta over the tile + max alpha over the block) -
+    least`` is at most ``-theta`` and at most 0 (at most 0 without a reach).
+    Rounding is monotone, so each rounded ``beta[j] + alpha[i] - c[i, j]``
+    of the tile is at most ``top``: none is selected, and each clips to
+    ``+0.0``, also at ``-0.0``.  A NaN anywhere in ``top`` keeps the tile
+    live.  A block's live span runs from the first column of its first live
+    tile to the last of its last.  A block whose span leaves out at least
+    half its columns is recovered over that span alone, dead tiles inside it
+    included, provided the spans leave out at least half the sweep's cells;
+    every other block is recovered whole, since strided passes over a span
+    cost more per cell.  A block recovered over its span writes ``+0.0``
+    over the rest of its old span and takes its row sums as above, over
+    whole rows; its column sums continue over the span alone, as the rows
+    add ``+0.0`` elsewhere, which leaves every partial sum as it is (no
+    recovered cell is ``-0.0``).  A block with no live tile writes ``0.0``
+    row sums without reading ``out``.  So plan, cells and sums are bit for
+    bit those of the sweep without tiles.
     """
     if not (gamma > 0):
         raise ValueError("gamma must be positive")
@@ -70,41 +117,93 @@ def recover_plan(pot, c, gamma: float, out=None, *, reach=None, limit=None, sums
     n, m = alpha.size, beta.size
     if c.shape != (n, m):  # the blocks slice rows of c, so broadcast it first; raises where it does not fit
         c = np.broadcast_to(c, (n, m))
+    rows = _block_rows(m)
+    starts = range(0, n, rows)
     if out is None:
         out = np.empty((n, m))
-    rows = max(1, _BLOCK_CELLS // max(m, 1))
+        if tiles is not None:
+            tiles[1][:] = [(0, m)] * len(starts)
+    if tiles is None or n <= rows:  # one block has no tile to skip, and leaves spans as they are
+        live = spans = None
+    else:
+        spans = tiles[1]
+        live = _live_spans(alpha, beta, tiles[0], rows, reach)
     if sums is not None:
         row, col = sums
         carried = np.empty(m) if n > rows else None  # the row above a block, while it holds col
     parts, size = [], 0
-    for r0 in range(0, n, rows):
+    for b, r0 in enumerate(starts):
         r1 = r0 + rows
         block = out[r0:r1]
-        # beta[j] + alpha[i] is alpha[i] + beta[j] bit for bit, and this order
-        # runs faster than np.add.outer
-        np.copyto(block, beta)
-        np.add(block, alpha[r0:r1, None], out=block)
-        np.subtract(block, c[r0:r1], out=block)
-        if reach is not None and (limit is None or size <= limit):
-            cells = np.flatnonzero(block > -reach)
-            cells += r0 * m
-            parts.append(cells)
-            size += cells.size
-        np.maximum(block, 0.0, out=block)
-        np.divide(block, gamma, out=block)
-        if sums is not None:
+        if live is None:
+            a, z = 0, m
+        else:  # +0.0 over the old span's columns the live span leaves out
+            a, z = live[b]
+            lo, hi = spans[b]
+            if lo < min(hi, a):
+                block[:, lo : min(hi, a)] = 0.0
+            if max(lo, z) < hi:
+                block[:, max(lo, z) : hi] = 0.0
+            spans[b] = a, z
+        span = block[:, a:z]
+        if z > a:
+            # beta[j] + alpha[i] is alpha[i] + beta[j] bit for bit, and this
+            # order runs faster than np.add.outer
+            np.copyto(span, beta[a:z])
+            np.add(span, alpha[r0:r1, None], out=span)
+            np.subtract(span, c[r0:r1, a:z], out=span)
+            if reach is not None and (limit is None or size <= limit):
+                cells = np.flatnonzero(span > -reach)
+                if z - a < m:  # from the span's flat indices to the plan's
+                    cells += (cells // (z - a)) * (m - z + a)
+                cells += r0 * m + a
+                parts.append(cells)
+                size += cells.size
+            np.maximum(span, 0.0, out=span)
+            np.divide(span, gamma, out=span)
+        if sums is None:
+            continue
+        if z > a:
             np.add.reduce(block, axis=1, out=row[r0:r1])
-            if r0:
-                above = out[r0 - 1]
-                np.copyto(carried, above)
-                np.copyto(above, col)
-                np.add.reduce(out[r0 - 1 : r1], axis=0, out=col)
-                np.copyto(above, carried)
-            else:
-                np.add.reduce(block, axis=0, out=col)
+        else:
+            row[r0:r1] = 0.0
+        if not r0:
+            if z - a < m:
+                col.fill(0.0)
+            np.add.reduce(span, axis=0, out=col[a:z])
+        elif z > a:
+            above = out[r0 - 1, a:z]
+            held = carried[: z - a]
+            np.copyto(held, above)
+            np.copyto(above, col[a:z])
+            np.add.reduce(out[r0 - 1 : r1, a:z], axis=0, out=col[a:z])
+            np.copyto(above, held)
     if reach is None:
         return out
     return out, np.concatenate(parts) if parts else np.empty(0, dtype=np.intp)
+
+
+def _live_spans(alpha, beta, least, rows, reach):
+    """Each block's live span ``(a, z)`` for :func:`recover_plan`'s tiles:
+    ``(0, 0)`` where no tile is live, and ``(0, M)`` where the span leaves
+    out less than half the columns, or every block's where the spans leave
+    out less than half the sweep's cells."""
+    n, m = alpha.size, beta.size
+    top = np.add.outer(np.maximum.reduceat(alpha, np.arange(0, n, rows)), np.maximum.reduceat(beta, np.arange(0, m, _TILE_COLS)))
+    np.subtract(top, least, out=top)
+    dead = top <= (0.0 if reach is None else min(-reach, 0.0))  # False at a NaN
+    spans, swept = [], 0
+    for r0, flags in zip(range(0, n, rows), dead.tolist()):
+        if False not in flags:
+            spans.append((0, 0))
+            continue
+        a = flags.index(False) * _TILE_COLS
+        z = min((len(flags) - flags[::-1].index(False)) * _TILE_COLS, m)
+        if 2 * (z - a) > m:
+            a, z = 0, m
+        spans.append((a, z))
+        swept += (z - a) * min(rows, n - r0)
+    return spans if 2 * swept <= n * m else [(0, m)] * len(spans)
 
 
 def dual_objective(pot, c, gamma: float, mu, nu) -> float:
@@ -127,9 +226,14 @@ def _dual_objective(pot, gamma: float, mu, nu, norm2) -> float:
 
 
 def dual_gradients(pot, c, gamma: float, mu, nu):
-    """Gradients of F: ``(gamma (pi 1 - mu), gamma (pi.T 1 - nu))``."""
-    f, g = marginal_residuals(recover_plan(pot, c, gamma), mu, nu)
-    return gamma * f, gamma * g
+    """Gradients of F: ``(gamma (pi 1 - mu), gamma (pi.T 1 - nu))``.
+
+    The plan's sums are taken in its recovery's sweep, bit for bit those of
+    :func:`qrot.core.marginal_residuals`."""
+    alpha, beta = (np.asarray(x, dtype=float) for x in pot)
+    row, col = np.empty(alpha.size), np.empty(beta.size)
+    recover_plan((alpha, beta), c, gamma, sums=(row, col))
+    return gamma * (row - as_weights(mu)), gamma * (col - as_weights(nu))
 
 
 def dual_value(pot, c, gamma: float, mu, nu) -> float:

@@ -57,7 +57,7 @@ from .core import (
     max_violation,
     vdot,
 )
-from .dual import _dual_objective, dual_gradients, preconditioner_apply, recover_plan
+from .dual import _dual_objective, _tile_minima, dual_gradients, preconditioner_apply, recover_plan
 
 __all__ = [
     "DivergenceError",
@@ -296,19 +296,31 @@ class _SupportBand:
     first number more than that, and only finishes the plan.  So a band
     that is live after a call proves that call's potentials finite.
 
+    A dense recovery skips the tiles of its sweep whose plan is provably
+    zero.  The caller takes the least cost of each tile once, as ``least``
+    (:func:`~qrot.dual._tile_minima`, whose least is ``min c``), and each
+    recovery passes it with ``spans``, the columns of each block that
+    ``plan`` may hold nonzero, as ``recover_plan(..., tiles=)``.  A tile is
+    skipped where ``max beta`` over its columns plus ``max alpha`` over its
+    rows, less its least cost, is at most ``-theta`` and at most 0.
+    Rounding is monotone, so each rounded ``beta[j] + alpha[i] - c[i, j]``
+    in it is at most that: no cell is selected, and each clips to ``+0.0``
+    (``np.maximum(x, 0.0)`` is ``+0.0`` also at ``x = -0.0``).  Plans,
+    cells and sums are bit for bit those of the whole sweep.  Band cells
+    lie in live tiles, so ``write()`` keeps ``spans`` true.
+
     A call that keeps no band recovers nothing where ``max alpha + max
-    beta <= min c`` as floats: its plan is ``+0.0`` in every cell.
-    Rounding is monotone, so each rounded ``beta[j] + alpha[i]`` is at most
-    ``max alpha + max beta``, hence at most ``c[i, j]``; the rounded
-    difference is then at most 0, and its clip ``np.maximum(x, 0.0)`` is
-    ``+0.0``, also at ``x = -0.0``.  The call's residuals are those of zero
+    beta <= min c`` as floats, the same test over all tiles at once: its
+    plan is ``+0.0`` in every cell.  The call's residuals are those of zero
     row and column sums, ``0.0 - mu`` and ``0.0 - nu``, and ``values`` and
     ``values_cost`` are empty; ``write()`` zeroes ``plan`` if such a call is
     the last.  That is the call at a run's start on a cost of no negative
     entry, which is a zero move and keeps no band.  The test reads ``alpha``
-    and ``beta`` once more, and only in a call that keeps no band; ``min
-    c``, like ``max|c|``, is taken once, by the caller.  A NaN in the
-    potentials fails it.
+    and ``beta`` once more, and only in a call that keeps no band.  A NaN
+    in the potentials fails it.  It stays apart from the sweep: a sweep
+    whose tiles are all dead would still count as a dense recovery, would
+    write ``+0.0`` over ``plan``'s old spans (all of a new buffer), and on a
+    sweep of one block, which has no tiles, would recover every cell.
 
     ``certify(pot, tol)`` stands in for ``recover(pot)`` where the residuals
     of the last call, a recovery at ``q``, prove the violation at ``pot``
@@ -339,11 +351,16 @@ class _SupportBand:
     and non-finite residuals the bound.
     """
 
-    def __init__(self, c, gamma, mu, nu, start, cmin, cmax):
+    def __init__(self, c, gamma, mu, nu, start, least, cmax):
         self.c, self.gamma, self.mu, self.nu = c, gamma, mu, nu
-        self.cmin = cmin  # min c and max|c|, taken by the caller
-        self.cmax = max(cmax, -cmin)
+        self.cmin = float(least.min())  # min c and max|c|; the caller reads c for least and cmax
+        self.cmax = max(cmax, -self.cmin)
         n, m = c.shape
+        # the least cost of each tile of the dense sweep, and the columns of
+        # each of its blocks outside which plan is +0.0: one attribute, since
+        # CPython 3.11 reads every attribute of an instance with 30 or more
+        # about 10% more slowly
+        self.tiles = least, [(0, m)] * len(least)
         self.wmax = float(max(mu.max(), nu.max()))  # the largest marginal weight
         # the small buffers go before the plan buffer: allocated after it, they
         # left the heap one plan larger after a few runs (peak RSS 136 -> 144 MB
@@ -416,11 +433,12 @@ class _SupportBand:
         alpha, beta = pot
         slack = 8.0 * _EPS * (np.abs(alpha).max() + np.abs(beta).max() + self.cmax + theta)
         sums = self.f, self.g  # the plan's row and column sums, made residuals below
+        tiles = self.tiles
         if theta - slack > 0.0:  # also refuses a zero or non-finite reach
             self.cols = self.counts = self.cost = None  # the old band's storage goes first
             n, m = self.plan.shape
             limit = int(_BAND_MAX_SHARE * n * m)
-            cells = recover_plan(pot, self.c, self.gamma, out=self.plan, reach=theta, limit=limit, sums=sums)[1]
+            cells = recover_plan(pot, self.c, self.gamma, out=self.plan, reach=theta, limit=limit, sums=sums, tiles=tiles)[1]
             if cells.size <= limit:
                 self._keep(pot, cells, theta, slack)
         elif alpha.max() + beta.max() <= self.cmin:  # False at a NaN
@@ -431,7 +449,7 @@ class _SupportBand:
             self.values = self.values_cost = self.res[:0]
             return self._residuals(*sums)
         else:
-            recover_plan(pot, self.c, self.gamma, out=self.plan, sums=sums)
+            recover_plan(pot, self.c, self.gamma, out=self.plan, sums=sums, tiles=tiles)
         self.values, self.values_cost = self.plan, self.c
         return self._residuals(*sums)
 
@@ -474,10 +492,10 @@ def _move(p, q) -> float:
     return np.abs(p.alpha - q.alpha).max() + np.abs(p.beta - q.beta).max()
 
 
-def _quadratic_run(alg, c, gamma, mu, nu, tau, tol, cmin, cmax):
+def _quadratic_run(alg, c, gamma, mu, nu, tau, tol, least, cmax):
     """``(advance, bounds, plan)`` of a quadratic dual method started from
-    zero potentials; ``cmin`` and ``cmax`` are the least and greatest
-    entries of ``c``.
+    zero potentials; ``least`` is :func:`~qrot.dual._tile_minima` of ``c``
+    and ``cmax`` its greatest entry.
 
     ``advance(plan_due)`` takes one step on the dual, recovers the plan and
     takes its marginal residuals once; the violation it returns (their
@@ -521,7 +539,7 @@ def _quadratic_run(alg, c, gamma, mu, nu, tau, tol, cmin, cmax):
     if tau is None:
         tau = 1.0 / (m + n)
     pot = DualPotentials(np.zeros(n), np.zeros(m))
-    band = _SupportBand(c, gamma, mu, nu, pot, cmin, cmax)
+    band = _SupportBand(c, gamma, mu, nu, pot, least, cmax)
 
     # Nesterov's steps recover at its extrapolated points, the first of
     # which is its start, so the recovery at its current point feeds only
@@ -689,10 +707,13 @@ def solve(mu, nu, c, config: SolverConfig) -> ConvergenceReport:
     counts are those of testing the plan every iteration.
 
     A dense recovery takes the marginal residuals in the same sweep over
-    the plan, and a recovery whose plan is provably zero, such as the
-    start's on a nonnegative cost, reads no ``N x M`` array.  The cost is
-    checked by its least and greatest entries, which propagate a NaN, and
-    a dual run's support band reuses both.
+    the plan, and skips each tile of the sweep (a block of rows by 64
+    columns) where the potentials' maxima and the tile's least cost prove
+    its plan zero.  A recovery whose plan is provably zero as a whole, such
+    as the start's on a nonnegative cost, reads no ``N x M`` array.  A dual
+    run checks the cost by the least cost of each tile and by its greatest
+    entry, which propagate a NaN, and its support band reuses both;
+    Sinkhorn checks it by its least and greatest entries.
 
     Raises
     ------
@@ -712,17 +733,20 @@ def solve(mu, nu, c, config: SolverConfig) -> ConvergenceReport:
     c = np.asarray(c, dtype=float)
     if c.ndim != 2 or c.shape != (mu.size, nu.size):
         raise ValueError(f"cost shape {c.shape} does not match marginals ({mu.size}, {nu.size})")
-    cmin, cmax = float(c.min()), float(c.max())  # NaN if any entry is
+    alg = config.algorithm
+    # a dual run's band reads the least cost of each tile of the dense sweep,
+    # whose least is c.min()
+    least = c if alg is Algorithm.SINKHORN else _tile_minima(c)
+    cmin, cmax = float(least.min()), float(c.max())  # NaN if any entry is
     if not (math.isfinite(cmin) and math.isfinite(cmax)):
         raise ValueError("cost matrix must be finite")
     check_mass_balance(mu, nu)
 
     gamma = config.gamma
-    alg = config.algorithm
     if alg is Algorithm.SINKHORN:
         advance, bounds, final_plan = _sinkhorn_run(c, gamma, mu, nu, config.tol)
     else:
-        advance, bounds, final_plan = _quadratic_run(alg, c, gamma, mu, nu, config.tau, config.tol, cmin, cmax)
+        advance, bounds, final_plan = _quadratic_run(alg, c, gamma, mu, nu, config.tau, config.tol, least, cmax)
 
     history: list[HistoryEntry] = []
     tol, max_iters, record, stride = config.tol, config.max_iters, config.record_history, config.history_stride

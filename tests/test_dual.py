@@ -18,8 +18,8 @@ from qrot import (
     recover_plan,
     support_mask,
 )
-from qrot.core import DOT_CHUNK, marginals, vdot
-from qrot.dual import _BLOCK_CELLS
+from qrot.core import DOT_CHUNK, marginal_residuals, marginals, vdot
+from qrot.dual import _BLOCK_CELLS, _TILE_COLS, _block_rows, _tile_minima
 
 C2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 HALF = np.array([0.5, 0.5])
@@ -114,6 +114,138 @@ def test_recover_plan_sums_are_the_marginals_bit_for_bit(rng, n, m, select):
     assert np.array_equal(row, want_row) and np.array_equal(col, want_col), (n, m, select)
 
 
+def banded_case(n, m, width=1e-4):
+    """Squared distances between two grids on [0, 1] and constant
+    potentials that make the plan a band around the diagonal, of cells
+    with ``(x - y)**2 < 2 width``."""
+    x, y = np.linspace(0.0, 1.0, n), np.linspace(0.0, 1.0, m)
+    return pot(np.full(n, width), np.full(m, width)), np.square(x[:, None] - y[None, :])
+
+
+def tile_case(name):
+    """``(potentials, cost, the (N, M) cost its tile minima are taken of,
+    reach, limit)`` of one case of the tiled sweep."""
+    many = 8 * (_BLOCK_CELLS // 700) + 5  # nine blocks, the last of 5 rows
+    if name == "short last block":
+        p, c = banded_case(many, 700)
+        return p, c, c, 0.01, None
+    if name == "one row per block":  # M > 2**16
+        p, c = banded_case(3, _BLOCK_CELLS + 7)
+        return p, c, c, 0.01, None
+    if name == "one row":
+        p, c = banded_case(1, 900)
+        return p, c, c, 0.01, None
+    if name == "dead blocks":  # a block-diagonal cost, and no cell of the middle blocks within reach
+        blocks = np.arange(many) * 4 // many
+        c = np.where(blocks[:, None] == np.arange(700) * 4 // 700, 0.0, 1.0)
+        alpha = np.where((blocks == 1) | (blocks == 2), -1.0, 0.25)
+        return pot(alpha, np.full(700, 0.25)), c, c, 0.5, None
+    if name == "negative costs":
+        p, c = banded_case(many, 700)
+        return pot(p.alpha - 0.5, p.beta), c - 0.5, c - 0.5, 0.01, None
+    if name == "broadcast cost":  # one cost row for every row, and potentials that rise down the rows
+        y = np.linspace(0.0, 1.0, 700)
+        row = np.square(y - 0.5)[None, :]
+        return pot(np.linspace(-0.3, 0.01, many), np.zeros(700)), row, np.broadcast_to(row, (many, 700)), 0.01, None
+    if name == "not finite":
+        p, c = banded_case(many, 700)
+        alpha, beta = p.alpha.copy(), p.beta.copy()
+        alpha[3], alpha[5], alpha[500], beta[650] = np.nan, np.inf, -np.inf, -np.inf
+        return pot(alpha, beta), c, c, 0.01, None
+    if name == "wide band":  # each block skips tiles, but the sweep less than half its cells
+        p, c = banded_case(many, 700, 0.008)
+        return p, c, c, 0.01, None
+    if name == "no reach":
+        p, c = banded_case(many, 700)
+        return p, c, c, None, None
+    if name == "limit trips":  # the selection passes the limit in a middle block
+        p, c = banded_case(many, 700)
+        cells = np.flatnonzero((p.beta + p.alpha[:, None]) - c > -0.01)
+        return p, c, c, 0.01, int(cells.size * 0.4)
+    raise AssertionError(name)
+
+
+def sweep(p, c, gamma, out, reach, limit, tiles=None):
+    """``(plan, cells, row, col)`` of one sweep into ``out``."""
+    n, m = out.shape
+    row, col = np.full(n, np.nan), np.full(m, np.nan)
+    got = recover_plan(p, c, gamma, out=out, reach=reach, limit=limit, sums=(row, col), tiles=tiles)
+    plan, cells = got if reach is not None else (got, None)
+    assert plan is out
+    return plan, cells, row, col
+
+
+def assert_same_bits(got, want):
+    for a, b in zip(got, want):
+        if b is None:
+            assert a is None
+        else:
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+TILE_CASES = ["short last block", "one row per block", "one row", "dead blocks", "negative costs",
+              "broadcast cost", "not finite", "wide band", "no reach", "limit trips"]
+
+
+@pytest.mark.parametrize("name", TILE_CASES)
+def test_tiled_sweep_is_the_untiled_one_bit_for_bit(name):
+    # tiles whose least cost proves their plan zero are skipped, yet the
+    # plan (into a buffer of NaNs), the cells in order and both sums are
+    # those of the sweep without tiles, bit for bit
+    p, c, full, reach, limit = tile_case(name)
+    n, m = full.shape
+    with np.errstate(invalid="ignore"):
+        want = sweep(p, c, 0.7, np.full((n, m), np.nan), reach, limit)
+        blocks = -(-n // _block_rows(m))
+        spans = [(0, m)] * blocks
+        got = sweep(p, c, 0.7, np.full((n, m), np.nan), reach, limit, tiles=(_tile_minima(full), spans))
+    assert_same_bits(got, want)
+    assert 0 < np.count_nonzero(want[0]) < n * m
+    if limit is not None:
+        assert limit < want[1].size < np.count_nonzero((p.beta + p.alpha[:, None]) - c > -reach)
+    # each block records the span it wrote, and most skip some tile, but
+    # not where the sweep has one block or would skip less than half its
+    # cells
+    assert len(spans) == blocks
+    skipped = sum(a > 0 or z < m for a, z in spans)
+    assert skipped == 0 if name in ("one row", "wide band") else skipped > blocks // 2, spans
+    if name == "dead blocks":
+        assert (0, 0) in spans
+
+
+@pytest.mark.parametrize("shift", [0.3, -0.15])
+def test_tiled_sweep_zeroes_the_cells_a_moved_span_leaves(shift):
+    # the second sweep into the same buffer, on a cost whose band lies
+    # shift off the diagonal, writes +0.0 over the columns the first one's
+    # spans left nonzero and its own leave out, also over whole blocks the
+    # band has left
+    n, m = 8 * (_BLOCK_CELLS // 700) + 5, 700
+    p, c = banded_case(n, m)
+    spans = [(0, m)] * -(-n // _block_rows(m))
+    buf = np.full((n, m), np.nan)
+    first = sweep(p, c, 0.7, buf, 0.01, None, tiles=(_tile_minima(c), spans))
+    assert_same_bits(first, sweep(p, c, 0.7, np.empty((n, m)), 0.01, None))
+    x, y = np.linspace(0.0, 1.0, n), np.linspace(0.0, 1.0, m)
+    moved = np.square(x[:, None] - y[None, :] - shift)
+    old = list(spans)
+    got = sweep(p, moved, 0.7, buf, 0.01, None, tiles=(_tile_minima(moved), spans))
+    assert all(new != was for new, was in zip(spans, old)) and (0, 0) in spans, (old, spans)
+    assert_same_bits(got, sweep(p, moved, 0.7, np.full((n, m), np.nan), 0.01, None))
+
+
+def test_tile_minima_are_the_least_cost_of_each_tile(rng):
+    n, m = 2 * (_BLOCK_CELLS // 700) + 5, 700
+    c = rng.normal(size=(n, m))
+    rows = _block_rows(m)
+    least = _tile_minima(c)
+    assert least.shape == (-(-n // rows), -(-m // _TILE_COLS))
+    for b, t in np.ndindex(least.shape):
+        assert least[b, t] == c[b * rows : (b + 1) * rows, t * _TILE_COLS : (t + 1) * _TILE_COLS].min()
+    assert least.min() == c.min()
+    c[5, 600] = np.nan
+    assert np.isnan(_tile_minima(c)[0, 600 // _TILE_COLS]) and np.isnan(_tile_minima(c).min())
+
+
 def test_recover_plan_scales_with_gamma(rng):
     mu, nu, c = random_instance(rng)
     a = rng.normal(size=mu.size)
@@ -136,6 +268,16 @@ def test_dual_gradients_examples():
 
     ga, gb = dual_gradients(pot([1.0], [0.0]), [[0.0]], 1.0, [1.0], [1.0])
     assert np.allclose(ga, [0.0]) and np.allclose(gb, [0.0])
+
+
+def test_dual_gradients_are_the_scaled_marginal_residuals_bit_for_bit(rng):
+    # the sums come from the recovery's sweep, one block and several
+    for n, m in ((6, 7), (2 * (_BLOCK_CELLS // 700) + 5, 700)):
+        mu, nu, c = random_instance(rng, n, m)
+        p = pot(rng.uniform(-0.5, 0.5, n), rng.uniform(-0.5, 0.5, m))
+        ga, gb = dual_gradients(p, c, 0.7, list(mu), nu)
+        f, g = marginal_residuals(recover_plan(p, c, 0.7), mu, nu)
+        assert ga.tobytes() == (0.7 * f).tobytes() and gb.tobytes() == (0.7 * g).tobytes()
 
 
 def test_dual_gradients_vanish_at_oracle_potentials(rng):

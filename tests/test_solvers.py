@@ -32,7 +32,7 @@ from qrot import (
     solve,
 )
 from qrot.core import _primal_objective, marginal_residuals, vdot
-from qrot.dual import _dual_objective, dual_objective, dual_value
+from qrot.dual import _dual_objective, _tile_minima, dual_objective, dual_value
 from qrot.fileio import ProblemFile, default_problem, realize_problem
 from qrot.solvers import _SupportBand
 
@@ -447,9 +447,9 @@ def test_solve_is_bit_identical_to_reference_dual_loop(rng):
 
 
 def support_band(c, gamma, mu, nu, start):
-    """The band :func:`solve` builds for ``c``, which passes it the cost's
-    least and greatest entries."""
-    return _SupportBand(c, gamma, mu, nu, start, float(c.min()), float(c.max()))
+    """The band :func:`solve` builds for ``c``, which passes it the least
+    cost of each tile of the dense sweep and the greatest entry."""
+    return _SupportBand(c, gamma, mu, nu, start, _tile_minima(c), float(c.max()))
 
 
 def row_sum_bound(plan):
@@ -1066,6 +1066,37 @@ def test_empty_support_band_gives_a_zero_plan(rng, monkeypatch):
         assert (band.base is not None) == (k > 0) and (k == 0 or band.cols.size == 0), k
         pot = DualPotentials(pot.alpha + 1e-3 * rng.standard_normal(4), pot.beta + 1e-3 * rng.standard_normal(5))
     assert dense[0] == 1  # the second call, which selected the band
+
+
+@pytest.mark.parametrize("gamma", [0.003, 10.0])
+def test_dual_runs_are_the_same_with_tiles_on_and_off(gamma, monkeypatch):
+    # at n=800 the dense sweep has ten blocks, and every dense recovery of
+    # these runs skips tiles whose least cost proves them zero; taking the
+    # tiles away changes no plan, potentials, history row, iteration count
+    # or number of dense recoveries
+    mu, nu, c = realize_problem(default_problem(cost="squared", gamma=gamma, n=800))
+    runs = {}
+    for on in (True, False):
+        dense, skipping = [0], [0]
+
+        def counted(pot, c, gamma, out=None, tiles=None, **kwargs):
+            dense[0] += 1
+            got = recover_plan(pot, c, gamma, out=out, tiles=tiles if on else None, **kwargs)
+            skipping[0] += on and any(span != (0, c.shape[1]) for span in tiles[1])
+            return got
+
+        monkeypatch.setattr("qrot.solvers.recover_plan", counted)
+        for alg in DUAL_ALGORITHMS:
+            dense[0] = skipping[0] = 0
+            config = SolverConfig(gamma=gamma, algorithm=alg, tol=3e-4, max_iters=700, history_stride=100)
+            rep = solve(mu, nu, c, config)
+            runs[on, alg] = (
+                rep.iterations, rep.converged, rep.final_plan.tobytes(), rep.final_potentials.alpha.tobytes(),
+                rep.final_potentials.beta.tobytes(), [tuple(r)[:5] for r in rep.history], dense[0],
+            )
+            assert skipping[0] == (dense[0] if on else 0) and dense[0] > 10, (alg, dense, skipping)
+    for alg in DUAL_ALGORITHMS:
+        assert runs[True, alg] == runs[False, alg], alg
 
 
 def test_divergence_with_support_band_live_matches_reference(monkeypatch):
