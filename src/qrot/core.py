@@ -282,7 +282,15 @@ def vdot(a, b):
     """``np.vdot(a, b)`` over consecutive chunks of at most ``DOT_CHUNK``
     elements of the flattened arrays, added in order: a result that does not
     depend on the number of BLAS threads.  Up to ``DOT_CHUNK`` elements it is
-    the one ``np.vdot`` call."""
+    the one ``np.vdot`` call.
+
+    OpenBLAS's ``ddot`` orders its sum by the count alone, with unaligned
+    loads, so a half of the potentials end to end (a contiguous view, as
+    the dual runs of :mod:`qrot.solvers` keep them) gives the bits of a
+    separate array of the same values.  For one-dimensional C-contiguous
+    float64 arrays of at most ``DOT_CHUNK`` values, ``a.dot(b)`` calls the
+    same BLAS ``ddot`` on the same memory, bit for bit this, with less
+    dispatch; a dual run's history row takes its dots that way."""
     # an array's own size skips np.size's dispatch, a fifth of a short call
     if (a.size if isinstance(a, np.ndarray) else np.size(a)) <= DOT_CHUNK:
         return np.vdot(a, b)

@@ -15,24 +15,29 @@ The four dual iterations are first-order steps on the smooth dual F of
 
 The three plain steps map potentials to potentials,
 ``step(pot, c, gamma, mu, nu, residuals=None) -> DualPotentials`` (gradient
-descent also takes ``tau``); only Nesterov carries a state.
+descent also takes ``tau``); only Nesterov carries a state.  Each step also
+takes the potentials end to end, one array of ``N + M`` values with alpha
+first (and its residuals in the same form), and then returns a new such
+array; the two forms run one body, bit for bit.
 
 :func:`solve` wraps any of them (or Sinkhorn) with the common stopping rule
 "maximal marginal violation <= tol" and optional per-iteration history.
-Each method builds its own run, ``(advance, bounds, plan)``:
-``advance(plan_due)`` takes one iteration and returns ``(potentials,
-violation)``, ``bounds(pot)`` gives the ``(dual, primal)`` pair of a history
-row, and ``plan()`` the final plan.  ``plan_due`` is set for a history row
-and the last iteration, where Sinkhorn builds its plan and Nesterov
-recovers its current point; between them both may instead return a
-certified lower bound on a violation above ``tol``.  The run's state and
-buffers live in the builder, so the loop of :func:`solve` never asks which
-method it drives.
+Each method builds its own run, ``(advance, bounds, result)``:
+``advance(plan_due)`` takes one iteration and returns its violation,
+``bounds()`` gives the ``(dual, primal)`` pair of a history row at the
+current iterate, and ``result()`` the final plan and potentials.
+``plan_due`` is set for a history row and the last iteration, where
+Sinkhorn builds its plan and Nesterov recovers its current point; between
+them both may instead return a certified lower bound on a violation above
+``tol``.  The run's state and buffers live in the builder, so the loop of
+:func:`solve` never asks which method it drives, nor sees its potentials.
 
-Quadratic regularization makes the plan sparse, and every dual run
-recovers it through one :class:`_SupportBand`, which touches only a
-certified band of cells that can be positive and states the rules that keep
-the run bit for bit that of dense recovery.
+A dual run keeps its potentials end to end, so that each operation of an
+iteration is one numpy call on that array or on the residuals, which its
+:class:`_SupportBand` keeps end to end as well.  Quadratic regularization
+makes the plan sparse, and the band recovers it touching only a certified
+band of cells that can be positive; it states the rules that keep the run
+bit for bit that of dense recovery.
 """
 
 from __future__ import annotations
@@ -46,18 +51,18 @@ import numpy as np
 from .core import (
     Algorithm,
     ConvergenceReport,
+    DOT_CHUNK,
     DualPotentials,
     HistoryEntry,
     SolverConfig,
     _check_weights,
-    _primal_objective,
     as_weights,
     check_mass_balance,
     marginals,
     max_violation,
     vdot,
 )
-from .dual import _dual_objective, _tile_minima, dual_gradients, preconditioner_apply, recover_plan
+from .dual import _scales, _tile_minima, dual_gradients, preconditioner_apply, recover_plan
 
 __all__ = [
     "DivergenceError",
@@ -93,26 +98,37 @@ class DivergenceError(RuntimeError):
 
 
 class NesterovState(NamedTuple):
-    """Current and previous potentials plus the momentum counter n."""
+    """Current and previous potentials plus the momentum counter n: two
+    :class:`DualPotentials`, or two arrays of the potentials end to end."""
 
     current: DualPotentials
     previous: DualPotentials
     n: int
 
 
-def _gradient(pot, c, gamma, mu, nu, residuals):
-    """``grad F(pot) = gamma (f, g)`` with the marginal residuals ``(f, g)``
-    of the plan at ``pot``: :func:`~qrot.dual.dual_gradients` computes it
-    unless ``residuals`` passes ``(f, g)`` in."""
+def _end_to_end(pot, other):
+    """``pot`` and ``other`` (a step's residuals or Nesterov's previous
+    point, or None) end to end: arrays pass as they are, and pairs are
+    joined into new arrays."""
+    if isinstance(pot, np.ndarray):
+        return pot, other
+    return np.concatenate(pot), (None if other is None else np.concatenate(other))
+
+
+def _gradient(x, n, c, gamma, mu, nu, residuals):
+    """``grad F(x) = gamma res`` end to end, a new array, with the marginal
+    residuals ``res`` of the plan at ``x``: :func:`~qrot.dual.dual_gradients`
+    computes it unless ``residuals`` passes ``res`` in."""
     if residuals is None:
-        return dual_gradients(pot, c, gamma, mu, nu)
-    f, g = residuals
-    return gamma * f, gamma * g
+        return np.concatenate(dual_gradients((x[:n], x[n:]), c, gamma, mu, nu))
+    return np.multiply(residuals, gamma)
 
 
-def _descend(pot, da, db) -> DualPotentials:
-    """``pot - (da, db)``, with ``(da, db) = P grad F(pot)``."""
-    return DualPotentials(pot.alpha - da, pot.beta - db)
+def _descended(x, p, n, pair):
+    """``x - p`` for ``p = P grad F(x)``, written into ``p``: the new
+    potentials, as a pair where the step was given one."""
+    y = np.subtract(x, p, out=p)
+    return DualPotentials(y[:n], y[n:]) if pair else y
 
 
 def cyclic_projection_step(
@@ -129,11 +145,15 @@ def cyclic_projection_step(
     so the step never forms ``rho``.  When ``sum(f) = sum(g)`` (equal
     masses) this is :func:`fixed_point_step` followed by the plan-preserving
     gauge shift ``(alpha + s, beta - s)``, ``s = sum(f) / (2 N M)``.
-    ``residuals`` is as in :func:`gradient_step`.
+    ``pot`` and ``residuals`` are as in :func:`gradient_step`.
     """
     n, m = np.shape(c)
-    ga, gb = _gradient(pot, c, gamma, mu, nu, residuals)
-    return _descend(pot, ga / m, gb / n - ga.sum() / (n * m))
+    x, residuals = _end_to_end(pot, residuals)
+    p = _gradient(x, n, c, gamma, mu, nu, residuals)
+    shift = p[:n].sum() / (n * m)
+    np.divide(p, _scales(n, m), out=p)
+    np.subtract(p[n:], shift, out=p[n:])
+    return _descended(x, p, n, x is not pot)
 
 
 def gradient_step(
@@ -145,11 +165,20 @@ def gradient_step(
     beta, with the plan recovered once from the old potentials (or pass its
     marginal residuals ``(pi 1 - mu, pi.T 1 - nu)`` as ``residuals``).
     Default stepsize is ``1 / (M + N)``.
+
+    ``pot`` is a :class:`DualPotentials` pair, and so is the result; or the
+    potentials end to end, one array of ``N + M`` values with ``alpha``
+    first, with ``residuals`` (if given) end to end as well, and the result
+    is a new such array.  Both forms take the same floating-point
+    operations in the same order, bit for bit, and neither writes ``pot``.
     """
+    n, m = np.shape(c)
     if tau is None:
-        tau = 1.0 / sum(np.shape(c))
-    ga, gb = _gradient(pot, c, gamma, mu, nu, residuals)
-    return _descend(pot, tau * ga, tau * gb)
+        tau = 1.0 / (n + m)
+    x, residuals = _end_to_end(pot, residuals)
+    p = _gradient(x, n, c, gamma, mu, nu, residuals)
+    np.multiply(p, tau, out=p)
+    return _descended(x, p, n, x is not pot)
 
 
 def fixed_point_step(
@@ -161,9 +190,14 @@ def fixed_point_step(
     With the residuals ``(f, g) = -grad F`` at the old potentials this is
     ``alpha += (f - sum(f)/(2N)) / M``, ``beta += (g - sum(g)/(2M)) / N``.
     Fixed points have zero residuals, i.e. the recovered plan is feasible
-    and hence optimal.  ``residuals`` is as in :func:`gradient_step`.
+    and hence optimal.  ``pot`` and ``residuals`` are as in
+    :func:`gradient_step`.
     """
-    return _descend(pot, *preconditioner_apply(*_gradient(pot, c, gamma, mu, nu, residuals)))
+    n = np.shape(c)[0]
+    x, residuals = _end_to_end(pot, residuals)
+    p = _gradient(x, n, c, gamma, mu, nu, residuals)
+    preconditioner_apply(p[:n], p[n:], out=p)
+    return _descended(x, p, n, x is not pot)
 
 
 def nesterov_step(state: NesterovState, c, gamma, mu, nu, tau=None, recover=None) -> NesterovState:
@@ -177,16 +211,27 @@ def nesterov_step(state: NesterovState, c, gamma, mu, nu, tau=None, recover=None
     ``recover(bar)`` may take over that recovery: it must return the
     marginal residuals ``(pi 1 - mu, pi.T 1 - nu)`` of
     ``pi = recover_plan(bar, c, gamma)``.  By default the plan is recovered
-    densely into a new array.
+    densely into a new array.  The state's potentials are pairs or end to
+    end as in :func:`gradient_step`, and ``bar`` and the residuals that
+    ``recover`` returns take the same form; the new state keeps it.
     """
-    cur, prev, n = state
-    sigma = n / (n + 3.0)
-    bar = DualPotentials(
-        cur.alpha + sigma * (cur.alpha - prev.alpha),
-        cur.beta + sigma * (cur.beta - prev.beta),
-    )
-    residuals = None if recover is None else recover(bar)
-    return NesterovState(gradient_step(bar, c, gamma, mu, nu, tau, residuals=residuals), cur, n + 1)
+    cur, prev, k = state
+    n, m = np.shape(c)
+    if tau is None:
+        tau = 1.0 / (n + m)
+    x, before = _end_to_end(cur, prev)
+    bar = np.subtract(x, before)
+    np.multiply(bar, k / (k + 3.0), out=bar)
+    np.add(x, bar, out=bar)
+    pair = x is not cur
+    residuals = None
+    if recover is not None:
+        residuals = recover(DualPotentials(bar[:n], bar[n:]) if pair else bar)
+        if pair:
+            residuals = np.concatenate(residuals)
+    p = _gradient(bar, n, c, gamma, mu, nu, residuals)
+    np.multiply(p, tau, out=p)
+    return NesterovState(_descended(bar, p, n, pair), cur, k + 1)
 
 
 def sinkhorn_step(u, v, K, mu, nu, Kv=None):
@@ -232,8 +277,12 @@ class _SupportBand:
     """Plan recovery for the run's one plan buffer, touching only the cells
     that can be positive.
 
-    ``recover(pot)`` recovers ``pi = recover_plan(pot, c, gamma)`` and
-    returns the residuals ``(f, g)`` of ``marginal_residuals(pi, mu, nu)``.
+    The band takes potentials end to end, as one array ``x`` of ``N + M``
+    values with ``alpha = x[:N]`` and ``beta = x[N:]``, and keeps references
+    to the arrays it is given (``last``, ``base``), which the run never
+    writes.  ``recover(x)`` recovers ``pi = recover_plan((alpha, beta), c,
+    gamma)`` and returns the residuals of ``marginal_residuals(pi, mu, nu)``
+    end to end, as the buffer ``res``, with the two halves ``f`` and ``g``.
     A dense recovery writes ``pi`` into ``plan``, the band's C-contiguous
     ``(N, M)`` buffer.  A banded one leaves ``plan`` as it is and keeps the
     band's values; ``write()`` scatters them into ``plan``, and a run calls
@@ -248,9 +297,11 @@ class _SupportBand:
     banded ``f`` is within the bound below.  A dense recovery takes the
     plan's row and column sums in its own sweep (``recover_plan(...,
     sums=)``), bit for bit ``core.marginals``, straight into the residual
-    buffer ``res``.  The residuals are its two halves ``f, g``, which the
-    next call overwrites, so a caller can take their largest magnitude in
-    one pass.
+    buffer ``res``, which the next call overwrites; ``violation()`` takes
+    their largest magnitude in one pass.  The drift test and every move are
+    ``_move``: one subtraction of the two points end to end, into the
+    scratch buffer ``drift``, its magnitudes, and the largest of each half
+    (``np.maximum.reduceat`` at ``ends``).
 
     The band is the cells with ``alpha (+) beta - c > -theta`` at its base
     potentials, as the dense recovery rounds them, in row-major order: the
@@ -322,18 +373,18 @@ class _SupportBand:
     write ``+0.0`` over ``plan``'s old spans (all of a new buffer), and on a
     sweep of one block, which has no tiles, would recover every cell.
 
-    ``certify(pot, tol)`` stands in for ``recover(pot)`` where the residuals
-    of the last call, a recovery at ``q``, prove the violation at ``pot``
-    above ``tol``.  It returns that proof, a lower bound, and makes ``pot``
-    the last call's potentials, as a banded ``recover(pot)`` would; the
+    ``certify(x, tol)`` stands in for ``recover(x)`` where the residuals
+    of the last call, a recovery at ``q``, prove the violation at ``x``
+    above ``tol``.  It returns that proof, a lower bound, and makes ``x``
+    the last call's potentials, as a banded ``recover(x)`` would; the
     band, ``values`` and ``res`` stay as they are, so a second ``certify``
     returns None until the next ``recover``.  Otherwise it returns None and
-    changes nothing.  It needs a live band and ``pot`` within its budget, so
+    changes nothing.  It needs a live band and ``x`` within its budget, so
     both plans vanish off the band.  With ``V`` the largest residual
-    magnitude at ``q``, ``d = _move(pot, q)`` and ``K = width``, the most
+    magnitude at ``q``, ``d = _move(x, q)`` and ``K = width``, the most
     band cells in any row or column: the clip is 1-Lipschitz, so each exact
     value moves by at most ``d / gamma`` and each row or column sum by at
-    most ``K d / gamma``, and the violation at ``pot`` is at least ``V - K d
+    most ``K d / gamma``, and the violation at ``x`` is at least ``V - K d
     / gamma``.  The margin covers the rounding.  Within the budget
     ``max|alpha| + max|beta| + max|c|`` is at most ``slack / (8 eps)``, so a
     recovered value is within ``2 eps`` times that over gamma, ``slack / (4
@@ -345,8 +396,8 @@ class _SupportBand:
     values, and ``d`` and the bound round by a few ``eps S`` more.  So
     ``margin = K slack / gamma + 2 (k + 4) eps S`` covers both recoveries
     and both sums with room to spare, and a bound above ``tol`` proves the
-    violation ``recover(pot)`` would compute above ``tol``.  The bound also
-    needs ``2 S`` finite, so no value or sum at ``pot`` overflows and that
+    violation ``recover(x)`` would compute above ``tol``.  The bound also
+    needs ``2 S`` finite, so no value or sum at ``x`` overflows and that
     violation is finite too.  Non-finite potentials fail the drift test,
     and non-finite residuals the bound.
     """
@@ -368,7 +419,7 @@ class _SupportBand:
         # flips between 136 and 143 MB with edits that only move code by a line
         self.res = np.empty(n + m)  # the residuals (f, g) of the last call, end to end
         self.f, self.g = self.res[:n], self.res[n:]
-        self.drift = np.empty(n + m)  # scratch for the drift test
+        self.drift = np.empty(n + m)  # scratch for the drift test and the violation
         self.row = np.zeros(n)  # the band's row sums, zero in rows without a band cell
         self.plan = np.empty(c.shape)  # the run's one plan buffer
         # the plan's values at the last call and their costs: the band's after
@@ -377,41 +428,45 @@ class _SupportBand:
         self.last = start  # potentials of the last call, the run's start before the first
         self.bounded = False  # the last call was a certify, so res is the call's before
         self.base = None  # potentials of the live band, None when dense
-        self.base_flat = None  # the same, end to end
-        self.ends = np.array([0, n])  # where alpha and beta start in those
+        self.ends = np.array([0, n])  # where alpha and beta start in the potentials
         self.budget = self.slack = 0.0
         self.width = 0.0  # the most band cells in any row or column
         self.cols = self.counts = self.cost = None
         self.rows = self.starts = None  # the rows with a band cell, and where each starts in the band
 
-    def recover(self, pot):
-        last, self.last = self.last, pot
+    def recover(self, x):
+        last, self.last = self.last, x
         self.bounded = False
-        if self.base is not None and self._drift(pot) <= self.budget:
-            return self._banded(pot)
+        if self.base is not None and self._move(x, self.base) <= self.budget:
+            return self._banded(x)
         self.base = None
-        return self._dense(pot, _BAND_REACH * _move(pot, last))
+        return self._dense(x, _BAND_REACH * self._move(x, last))
 
-    def certify(self, pot, tol):
-        """A lower bound above ``tol`` on the violation ``recover(pot)`` would
+    def certify(self, x, tol):
+        """A lower bound above ``tol`` on the violation ``recover(x)`` would
         return, proved from the last call's residuals, or None."""
-        if self.bounded or self.base is None or not self._drift(pot) <= self.budget:
+        if self.bounded or self.base is None or not self._move(x, self.base) <= self.budget:
             return None
-        shift = self.width * _move(pot, self.last) / self.gamma
-        worst = float(np.maximum.reduce(np.abs(self.res, out=self.drift)))
+        shift = self.width * self._move(x, self.last) / self.gamma
+        worst = self.violation()
         sums = worst + self.wmax + shift  # bounds every row and column sum at both points
         terms = max(self.plan.shape)  # the most terms in a row or column sum
         margin = self.width * self.slack / self.gamma + 2.0 * (terms + 4) * _EPS * sums
         bound = worst - shift - margin
         if not (bound > tol and math.isfinite(2.0 * sums)):  # NaN fails both
             return None
-        self.last, self.bounded = pot, True
+        self.last, self.bounded = x, True
         return bound
 
-    def _drift(self, pot):
-        """``_move(pot, self.base)``, on the potentials end to end."""
-        d = np.concatenate(pot, out=self.drift)
-        np.subtract(d, self.base_flat, out=d)
+    def violation(self):
+        """The largest magnitude of the last call's residuals, NaN if any is."""
+        return float(np.maximum.reduce(np.abs(self.res, out=self.drift)))
+
+    def _move(self, p, q):
+        """``max|alpha_p - alpha_q| + max|beta_p - beta_q|`` of two points
+        end to end, NaN where either is not finite; the drift test is
+        ``_move(x, base)``."""
+        d = np.subtract(p, q, out=self.drift)
         da, db = np.maximum.reduceat(np.abs(d, out=d), self.ends).tolist()
         return da + db
 
@@ -426,11 +481,12 @@ class _SupportBand:
         else:
             self.plan[np.arange(self.plan.shape[0]).repeat(self.counts), self.cols] = self.values
 
-    def _dense(self, pot, theta):
-        """Recover ``pot`` densely into ``plan``, and keep the band of reach
-        ``theta`` at ``pot`` that the same sweep selects, if one is due;
+    def _dense(self, x, theta):
+        """Recover ``x`` densely into ``plan``, and keep the band of reach
+        ``theta`` at ``x`` that the same sweep selects, if one is due;
         where none is and the plan is provably zero, recover nothing."""
-        alpha, beta = pot
+        n = self.f.size
+        pot = alpha, beta = x[:n], x[n:]
         slack = 8.0 * _EPS * (np.abs(alpha).max() + np.abs(beta).max() + self.cmax + theta)
         sums = self.f, self.g  # the plan's row and column sums, made residuals below
         tiles = self.tiles
@@ -440,7 +496,7 @@ class _SupportBand:
             limit = int(_BAND_MAX_SHARE * n * m)
             cells = recover_plan(pot, self.c, self.gamma, out=self.plan, reach=theta, limit=limit, sums=sums, tiles=tiles)[1]
             if cells.size <= limit:
-                self._keep(pot, cells, theta, slack)
+                self._keep(x, cells, theta, slack)
         elif alpha.max() + beta.max() <= self.cmin:  # False at a NaN
             # every value before the clip rounds to at most 0, so the plan is
             # +0.0 throughout, with no value to keep, and its sums are 0.0;
@@ -454,15 +510,15 @@ class _SupportBand:
         return self._residuals(*sums)
 
     def _residuals(self, row, col):
-        """``(row - mu, col - nu)``, written into ``res``."""
+        """``(row - mu, col - nu)``, written into ``res`` end to end, and ``res``."""
         np.subtract(row, self.mu, out=self.f)
         np.subtract(col, self.nu, out=self.g)
-        return self.f, self.g
+        return self.res
 
-    def _banded(self, pot):
-        alpha, beta = pot
-        vals = beta.take(self.cols)
-        np.add(vals, alpha.repeat(self.counts), out=vals)
+    def _banded(self, x):
+        n = self.f.size
+        vals = x[n:].take(self.cols)
+        np.add(vals, x[:n].repeat(self.counts), out=vals)
         np.subtract(vals, self.cost, out=vals)
         np.maximum(vals, 0.0, out=vals)
         np.divide(vals, self.gamma, out=vals)
@@ -472,9 +528,9 @@ class _SupportBand:
         col = np.bincount(self.cols, weights=vals, minlength=self.plan.shape[1])
         return self._residuals(self.row, col)
 
-    def _keep(self, pot, cells, theta, slack):
+    def _keep(self, x, cells, theta, slack):
         """Make the band the ``cells`` (flat indices, in increasing order) of
-        reach ``theta`` at ``pot``."""
+        reach ``theta`` at ``x``."""
         n, m = self.plan.shape
         row_of, self.cols = np.divmod(cells, m)
         self.counts = np.bincount(row_of, minlength=n)
@@ -483,39 +539,40 @@ class _SupportBand:
         self.starts = (np.cumsum(self.counts) - self.counts)[self.rows]
         self.width = float(max(self.counts.max(), np.bincount(self.cols, minlength=m).max()))
         self.row.fill(0.0)
-        self.base, self.budget, self.slack = pot, theta - slack, slack
-        self.base_flat = np.concatenate(pot)
-
-
-def _move(p, q) -> float:
-    """``max|alpha_p - alpha_q| + max|beta_p - beta_q|``."""
-    return np.abs(p.alpha - q.alpha).max() + np.abs(p.beta - q.beta).max()
+        self.base, self.budget, self.slack = x, theta - slack, slack
 
 
 def _quadratic_run(alg, c, gamma, mu, nu, tau, tol, least, cmax):
-    """``(advance, bounds, plan)`` of a quadratic dual method started from
-    zero potentials; ``least`` is :func:`~qrot.dual._tile_minima` of ``c``
-    and ``cmax`` its greatest entry.
+    """``(advance, bounds, result)`` of a quadratic dual method started
+    from zero potentials; ``least`` is :func:`~qrot.dual._tile_minima` of
+    ``c`` and ``cmax`` its greatest entry.
 
+    The run keeps its potentials end to end, as one array ``x`` of ``N + M``
+    values (alpha first), and calls the step functions in that form, so each
+    operation of a step is one numpy call on ``x`` or on the band's residual
+    buffer.  A step returns a new array and never writes ``x``: the band
+    and Nesterov's state hold references to earlier ones.
     ``advance(plan_due)`` takes one step on the dual, recovers the plan and
     takes its marginal residuals once; the violation it returns (their
     largest magnitude, taken in one pass over the band's residual buffer)
-    and the next step both read them.  It returns ``(potentials,
-    violation)`` and writes no plan.
-    ``bounds(pot)`` is ``(dual_value, primal_objective)`` for a history row,
-    taken over the values of the last recovery and their costs (the band's,
-    or the whole plan and ``c``) by the unchecked forms of those two
-    functions, whose :func:`~qrot.core.vdot` has fixed chunks that keep the
-    sums independent of the BLAS thread count; the two share one
-    ``||pi||^2``.  ``plan()`` writes the last recovery into the run's one
-    plan buffer and returns it; :func:`solve` calls it once, after its
-    loop.  The three plain methods share one ``step``, calling their step
-    function with positional arguments (gradient descent's with its
-    ``tau``, whose default ``1 / (M + N)`` is taken once here), and recover
-    the start for their first step (on a nonnegative cost its plan is zero
-    and costs no dense recovery).  Steps are looked up in this module
-    when the run is built and kernels at call time, so wrappers installed
-    on the module before :func:`solve` see every call.
+    and the next step both read them.  It writes no plan.
+    ``bounds()`` is ``(dual_value, primal_objective)`` for a history row at
+    ``x``, taken over the values of the last recovery and their costs (the
+    band's, or the whole plan and ``c``) in the arithmetic of the
+    unchecked forms of those two functions, on Python floats, with their
+    four dot products by :func:`_dot`, bit for bit
+    :func:`~qrot.core.vdot`, whose fixed chunks keep the sums independent
+    of the BLAS thread count; the two share one ``||pi||^2``.
+    ``result()`` writes the last recovery into the run's one plan buffer
+    and returns it with the potentials, as a pair of views of ``x``;
+    :func:`solve` calls it once, after its loop.  The three plain methods
+    share one ``step``, calling their step function with positional
+    arguments (gradient descent's with its ``tau``, whose default
+    ``1 / (M + N)`` is taken once here), and recover the start for their
+    first step (on a nonnegative cost its plan is zero and costs no dense
+    recovery).  Steps are looked up in this module when the run is built
+    and kernels at call time, so wrappers installed on the module before
+    :func:`solve` see every call, one step call per iteration.
 
     Every recovery goes through one :class:`_SupportBand`, which owns the
     plan buffer.  Nesterov's step recovers at its extrapolated point, the
@@ -529,7 +586,7 @@ def _quadratic_run(alg, c, gamma, mu, nu, tau, tol, least, cmax):
     recovery, so iteration counts, plans and potentials are those of
     recovering every current point.  A history row, the cap and a
     violation near ``tol`` take the recovery, so the values of the last
-    recovery, and the plan ``plan()`` writes, are those of the current
+    recovery, and the plan ``result()`` writes, are those of the current
     point; the extrapolated plan is never written.
     A band that is live after the last recovery proves the potentials
     finite, so they are tested only when it is not; non-finite potentials
@@ -538,15 +595,13 @@ def _quadratic_run(alg, c, gamma, mu, nu, tau, tol, least, cmax):
     n, m = c.shape
     if tau is None:
         tau = 1.0 / (m + n)
-    pot = DualPotentials(np.zeros(n), np.zeros(m))
-    band = _SupportBand(c, gamma, mu, nu, pot, least, cmax)
+    mu, nu = np.ascontiguousarray(mu), np.ascontiguousarray(nu)  # as vdot reads them, for _dot
+    x = np.zeros(n + m)  # the potentials end to end
+    band = _SupportBand(c, gamma, mu, nu, x, least, cmax)
 
-    # Nesterov's steps recover at its extrapolated points, the first of
-    # which is its start, so the recovery at its current point feeds only
-    # the stopping test
-    certifies = alg is Algorithm.NESTEROV
+    certifies = alg is Algorithm.NESTEROV  # recovers at its extrapolated points, its start the first
     if certifies:  # carries its previous iterate and counter
-        state = NesterovState(pot, pot, 0)
+        state = NesterovState(x, x, 0)
 
         def step():
             nonlocal state
@@ -558,42 +613,54 @@ def _quadratic_run(alg, c, gamma, mu, nu, tau, tol, least, cmax):
             Algorithm.DUAL_GRADIENT: (gradient_step, (tau,)),
             Algorithm.FIXED_POINT: (fixed_point_step, ()),
         }[alg]
-        residuals = band.recover(pot)  # the first step reads the start's residuals
+        residuals = band.recover(x)  # the first step reads the start's residuals
 
         def step():
-            return plain(pot, c, gamma, mu, nu, *args, residuals)
+            return plain(x, c, gamma, mu, nu, *args, residuals)
 
     def advance(plan_due):
-        nonlocal pot, residuals
-        pot = step()
+        nonlocal x, residuals
+        x = step()
         if certifies and not plan_due:
-            bound = band.certify(pot, tol)
+            bound = band.certify(x, tol)
             if bound is not None:
-                return pot, bound
-        residuals = band.recover(pot)
-        if band.base is None and not (np.isfinite(pot.alpha).all() and np.isfinite(pot.beta).all()):
-            return pot, math.nan
-        return pot, float(np.maximum.reduce(np.abs(band.res)))  # NaN if any residual is
+                return bound
+        residuals = band.recover(x)
+        if band.base is None and not np.isfinite(x).all():
+            return math.nan
+        return band.violation()  # NaN if any residual is
 
-    def bounds(pot):
+    def bounds():
         # over the values of the last recovery, which hold the plan's nonzeros
-        values = band.values
-        norm2 = vdot(values, values)
-        dual = -_dual_objective(pot, gamma, mu, nu, norm2) / gamma  # dual_value's expression
-        return dual, _primal_objective(values, band.values_cost, gamma, norm2)
+        values, cost = band.values, band.values_cost
+        norm2 = _dot(values, values)
+        alpha_mu, beta_nu = _dot(x[:n], mu), _dot(x[n:], nu)
+        dual = -(0.5 * gamma * gamma * norm2 - gamma * alpha_mu - gamma * beta_nu) / gamma  # dual_value's
+        return dual, _dot(cost, values) + 0.5 * gamma * norm2  # and primal_objective's
 
-    def plan():
+    def result():
         band.write()
-        return band.plan
+        return band.plan, DualPotentials(x[:n], x[n:])
 
-    return advance, bounds, plan
+    return advance, bounds, result
+
+
+def _dot(a, b) -> float:
+    """:func:`~qrot.core.vdot` of two C-contiguous float64 arrays of one
+    shape, as a Python float, bit for bit: one ``ndarray.dot`` (the same
+    BLAS ``ddot`` over the same memory) where they are one-dimensional and
+    at most ``DOT_CHUNK`` long, which skips ``vdot``'s dispatch; ``vdot``
+    otherwise."""
+    if a.ndim == 1 and a.size <= DOT_CHUNK:
+        return float(a.dot(b))
+    return float(vdot(a, b))
 
 
 def _sinkhorn_run(c, gamma, mu, nu, tol):
-    """``(advance, bounds, plan)`` of Sinkhorn started from unit scalings.
+    """``(advance, bounds, result)`` of Sinkhorn started from unit scalings.
 
-    ``advance(plan_due)`` takes one scaling sweep and returns
-    ``(potentials, violation)``.  It tests the scaling vectors rather
+    ``advance(plan_due)`` takes one scaling sweep and returns its
+    violation.  It tests the scaling vectors rather
     than the plan: the row marginal ``u * (K v)`` comes from one
     matrix-vector product, whose ``K v`` the next sweep then reuses, so a
     sweep costs two products.  The column marginal is left out: the sweep
@@ -607,12 +674,13 @@ def _sinkhorn_run(c, gamma, mu, nu, tol):
     violation above ``tol``; otherwise, and whenever ``plan_due`` is set,
     the plan is built and :func:`max_violation` decides.  So iteration
     counts are those of testing the plan every iteration.  Plans are built
-    in place into the run's one plan buffer; ``plan()`` returns the last
-    one built, and a converged or final iteration always builds it.
+    in place into the run's one plan buffer; ``result()`` returns the last
+    one built with the potentials, and a converged or final iteration
+    always builds it.
 
     Potentials that are not finite make the violation NaN.
-    ``bounds(pot)`` is the entropic ``(dual, primal)`` pair of a history
-    row, over the plan built at that row.
+    ``bounds()`` is the entropic ``(dual, primal)`` pair of a history
+    row, over the potentials and the plan built at that row.
     """
     if (mu <= 0).any() or (nu <= 0).any():
         raise ValueError("Sinkhorn requires strictly positive marginals")
@@ -624,27 +692,28 @@ def _sinkhorn_run(c, gamma, mu, nu, tol):
     u, v = np.ones(c.shape[0]), np.ones(c.shape[1])
     Kv = None  # K @ v at the current v, when the stopping test formed it
     built = None  # the run's plan buffer once the first plan is built
+    pot = None
 
     def advance(plan_due):
-        nonlocal u, v, Kv, built
+        nonlocal u, v, Kv, built, pot
         u, v = sinkhorn_step(u, v, K, mu, nu, Kv=Kv)
         Kv = None
         # Shift log u, log v so the plan is exp((alpha (+) beta - c)/gamma - 1),
         # the maximizer form of the entropic conjugate.
         pot = DualPotentials(gamma * (np.log(u) + 0.5), gamma * (np.log(v) + 0.5))
         if not (np.isfinite(pot.alpha).all() and np.isfinite(pot.beta).all()):
-            return pot, math.nan
+            return math.nan
         if not plan_due:
             Kv = K @ v
             row = u * Kv
             estimate = float(np.abs(row - mu).max())
             margin = 4.0 * (max(K.shape) + 2) * _EPS * row.max()
             if not (estimate <= tol + margin):
-                return pot, estimate
+                return estimate
         built = sinkhorn_plan(u, v, K, out=built)
-        return pot, max_violation(built, mu, nu)
+        return max_violation(built, mu, nu)
 
-    def bounds(pot):
+    def bounds():
         # pi = exp((alpha (+) beta - c) / gamma - 1), so the primal value
         # <c, pi> + gamma sum pi log pi equals <alpha, pi 1> + <beta, pi.T 1> - gamma sum pi
         alpha, beta = pot
@@ -652,10 +721,10 @@ def _sinkhorn_run(c, gamma, mu, nu, tol):
         mass = gamma * built.sum()
         return float(vdot(alpha, mu) + vdot(beta, nu) - mass), float(vdot(alpha, row) + vdot(beta, col) - mass)
 
-    def plan():
-        return built
+    def result():
+        return built, pot
 
-    return advance, bounds, plan
+    return advance, bounds, result
 
 
 def solve(mu, nu, c, config: SolverConfig) -> ConvergenceReport:
@@ -686,8 +755,9 @@ def solve(mu, nu, c, config: SolverConfig) -> ConvergenceReport:
     -----
     The algorithm is looked at once, to pick the builder of the run
     (``_quadratic_run`` or ``_sinkhorn_run``); the loop then calls its
-    ``advance(plan_due)`` every iteration, its ``bounds`` for each history
-    row and, once after the loop, its ``plan()`` for the final plan.
+    ``advance(plan_due)`` every iteration, its ``bounds()`` for each
+    history row and, once after the loop, its ``result()`` for the final
+    plan and potentials.
     ``plan_due`` is set at the last iteration and at each history stride.
     The violation ``advance`` returns is not finite whenever the iterate is
     not, so the loop tests that one number for divergence.  A dual
@@ -744,9 +814,9 @@ def solve(mu, nu, c, config: SolverConfig) -> ConvergenceReport:
 
     gamma = config.gamma
     if alg is Algorithm.SINKHORN:
-        advance, bounds, final_plan = _sinkhorn_run(c, gamma, mu, nu, config.tol)
+        advance, bounds, result = _sinkhorn_run(c, gamma, mu, nu, config.tol)
     else:
-        advance, bounds, final_plan = _quadratic_run(alg, c, gamma, mu, nu, config.tau, config.tol, least, cmax)
+        advance, bounds, result = _quadratic_run(alg, c, gamma, mu, nu, config.tau, config.tol, least, cmax)
 
     history: list[HistoryEntry] = []
     tol, max_iters, record, stride = config.tol, config.max_iters, config.record_history, config.history_stride
@@ -759,25 +829,26 @@ def solve(mu, nu, c, config: SolverConfig) -> ConvergenceReport:
         for it in range(1, max_iters + 1):
             # the last iteration and each history row test the plan itself
             plan_due = it == max_iters or (record and it % stride == 0)
-            pot, viol = advance(plan_due)
+            viol = advance(plan_due)
             if not math.isfinite(viol):  # also when the potentials are not finite
                 raise DivergenceError(alg, it)
 
             iterations = it
             converged = viol <= tol
             if record and (converged or plan_due):
-                dual, primal = bounds(pot)
+                dual, primal = bounds()
                 history.append(
                     HistoryEntry(it, viol, dual, primal, primal - dual, time.perf_counter() - t0)
                 )
             if converged:
                 break
 
+    plan, pot = result()
     return ConvergenceReport(
         algorithm=alg,
         iterations=iterations,
         converged=converged,
-        final_plan=final_plan(),
+        final_plan=plan,
         final_potentials=pot,
         history=tuple(history),
     )

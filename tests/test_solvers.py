@@ -31,10 +31,10 @@ from qrot import (
     sinkhorn_step,
     solve,
 )
-from qrot.core import _primal_objective, marginal_residuals, vdot
+from qrot.core import DOT_CHUNK, _primal_objective, marginal_residuals, vdot
 from qrot.dual import _dual_objective, _tile_minima, dual_objective, dual_value
 from qrot.fileio import ProblemFile, default_problem, realize_problem
-from qrot.solvers import _SupportBand
+from qrot.solvers import _dot, _SupportBand
 
 C2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 HALF = np.array([0.5, 0.5])
@@ -143,6 +143,88 @@ def test_nesterov_momentum_schedule():
     expected = gradient_step(bar, C2, 1.0, HALF, HALF, tau=0.25)
     assert np.allclose(st2.current.alpha, expected.alpha)
     assert np.allclose(st2.current.beta, expected.beta)
+
+
+def assert_same_potentials(pair, flat, n):
+    """``pair`` is the pair form of the end-to-end ``flat``, bit for bit."""
+    assert isinstance(pair, DualPotentials) and isinstance(flat, np.ndarray) and flat.ndim == 1
+    assert pair.alpha.tobytes() == flat[:n].tobytes() and pair.beta.tobytes() == flat[n:].tobytes()
+
+
+@pytest.mark.parametrize("n, m", [(5, 8), (13, 4), (41, 70)])
+def test_end_to_end_steps_are_the_pair_steps_bit_for_bit(rng, n, m):
+    # each public step run on the potentials end to end (and its residuals
+    # so) gives the pair form's result, bit for bit, with and without
+    # residuals and tau, and Nesterov at counters 0, 1 and 7 with and
+    # without a recovery of its own; no step writes the array it is given
+    mu, nu, c = random_instance(rng, n, m)
+    gamma = float(rng.uniform(0.1, 2.0))
+    pot = DualPotentials(0.3 * rng.standard_normal(n), 0.3 * rng.standard_normal(m))
+    prev = DualPotentials(pot.alpha + 0.01 * rng.standard_normal(n), pot.beta + 0.01 * rng.standard_normal(m))
+    x, before = np.concatenate(pot), np.concatenate(prev)
+    kept = x.copy()
+    res = (rng.standard_normal(n), rng.standard_normal(m))  # residuals as a step reads them, any values
+    for pair_res, flat_res in ((None, None), (res, np.concatenate(res))):
+        assert_same_potentials(cyclic_projection_step(pot, c, gamma, mu, nu, pair_res),
+                               cyclic_projection_step(x, c, gamma, mu, nu, flat_res), n)
+        assert_same_potentials(fixed_point_step(pot, c, gamma, mu, nu, pair_res),
+                               fixed_point_step(x, c, gamma, mu, nu, flat_res), n)
+        for tau in (None, 0.07):
+            assert_same_potentials(gradient_step(pot, c, gamma, mu, nu, tau, pair_res),
+                                   gradient_step(x, c, gamma, mu, nu, tau, flat_res), n)
+    bars = []
+
+    def pair_recover(bar):
+        bars.append(np.concatenate(bar))
+        return marginal_residuals(recover_plan(bar, c, gamma), mu, nu)
+
+    def flat_recover(bar):
+        bars.append(bar.copy())
+        return np.concatenate(marginal_residuals(recover_plan((bar[:n], bar[n:]), c, gamma), mu, nu))
+
+    for k in (0, 1, 7):
+        for tau in (None, 0.07):
+            for pair_rec, flat_rec in ((None, None), (pair_recover, flat_recover)):
+                bars.clear()
+                got = nesterov_step(NesterovState(pot, prev, k), c, gamma, mu, nu, tau, pair_rec)
+                flat = nesterov_step(NesterovState(x, before, k), c, gamma, mu, nu, tau, flat_rec)
+                assert_same_potentials(got.current, flat.current, n)
+                assert got.previous is pot and flat.previous is x and got.n == flat.n == k + 1
+                assert len(bars) == (2 if pair_rec else 0) and all(b.tobytes() == bars[0].tobytes() for b in bars)
+    assert x.tobytes() == kept.tobytes()
+
+
+STEP_NAMES = {
+    Algorithm.CYCLIC_PROJECTION: "cyclic_projection_step",
+    Algorithm.DUAL_GRADIENT: "gradient_step",
+    Algorithm.FIXED_POINT: "fixed_point_step",
+    Algorithm.NESTEROV: "nesterov_step",
+}
+
+
+@pytest.mark.parametrize("alg", DUAL_ALGORITHMS)
+def test_solve_calls_the_module_step_once_per_iteration(alg, monkeypatch):
+    # the run calls its method's step as the module attribute, once an
+    # iteration and no other step, so a wrapper installed there (as a
+    # tracer's) sees one call per iteration, with history at every
+    # iteration, at a stride and off, to tolerance and at the cap
+    from qrot import solvers
+
+    calls = dict.fromkeys(STEP_NAMES.values(), 0)
+    for name in calls:
+        def counted(*args, _name=name, _step=getattr(solvers, name), **kwargs):
+            calls[_name] += 1
+            return _step(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, name, counted)
+    mu, nu, c = realize_problem(default_problem("squared", 10.0, 100))
+    for tol, max_iters in ((1e-3, 100_000), (1e-300, 40)):
+        for history in (1, 7, None):
+            calls.update(dict.fromkeys(calls, 0))
+            rep = solve(mu, nu, c, SolverConfig(gamma=10.0, algorithm=alg, tol=tol, max_iters=max_iters,
+                                                record_history=history is not None, history_stride=history or 1))
+            assert rep.converged == (tol > 1e-300), (alg, tol)
+            assert calls[STEP_NAMES[alg]] == sum(calls.values()) == rep.iterations, (alg, tol, history, calls)
 
 
 def test_nesterov_fixed_at_optimum_for_all_counters():
@@ -448,8 +530,15 @@ def test_solve_is_bit_identical_to_reference_dual_loop(rng):
 
 def support_band(c, gamma, mu, nu, start):
     """The band :func:`solve` builds for ``c``, which passes it the least
-    cost of each tile of the dense sweep and the greatest entry."""
-    return _SupportBand(c, gamma, mu, nu, start, _tile_minima(c), float(c.max()))
+    cost of each tile of the dense sweep and the greatest entry; ``start``
+    is a pair, which the band takes end to end."""
+    return _SupportBand(c, gamma, mu, nu, np.concatenate(start), _tile_minima(c), float(c.max()))
+
+
+def recovered(band, pot):
+    """``band.recover`` of the pair ``pot``, end to end, with its residuals
+    split into ``(f, g)``."""
+    return np.split(band.recover(np.concatenate(pot)), [len(pot[0])])
 
 
 def row_sum_bound(plan):
@@ -484,7 +573,7 @@ def test_support_band_matches_dense_recovery_on_random_walks(rng, monkeypatch):
             if k == 120:
                 pot = DualPotentials(np.where(np.arange(alpha.size) == 7, np.nan, alpha), beta)
             with np.errstate(invalid="ignore"):
-                f, g = band.recover(pot)
+                f, g = recovered(band, pot)
                 plan = recover_plan(pot, c, 10.0)
                 rf, rg = marginal_residuals(plan, mu, nu)
             calls += 1
@@ -608,11 +697,11 @@ def test_a_zero_plan_call_zeroes_a_stale_plan_buffer(rng, monkeypatch):
     band = support_band(c, 10.0, mu, nu, start)
     dense = count_dense_recoveries(monkeypatch)
     with np.errstate(invalid="ignore"):
-        band.recover(DualPotentials(np.full(20, np.nan), start.beta))
+        recovered(band, DualPotentials(np.full(20, np.nan), start.beta))
     band.write()
     assert dense[0] == 1 and np.isnan(band.plan).all()
     low = DualPotentials(-rng.uniform(0.0, 1.0, 20), -rng.uniform(0.0, 1.0, 20))
-    f, g = band.recover(low)
+    f, g = recovered(band, low)
     assert dense[0] == 1 and band.base is None and band.values.size == 0
     assert np.array_equal(f, 0.0 - mu) and np.array_equal(g, 0.0 - nu)
     band.write()
@@ -635,7 +724,8 @@ def test_a_first_call_rebuilds_by_the_one_rule_from_the_start(rng, monkeypatch):
     # _BAND_REACH times it, as the dense recovery rounds them; one that
     # takes in more than _BAND_MAX_SHARE of the cells keeps no band, and
     # so does a call at the start, a zero move.  Each is one dense
-    # recovery, with the dense plan and residuals bit for bit
+    # recovery, with the dense plan and residuals bit for bit.  The move is
+    # max|d alpha| + max|d beta|
     from qrot import solvers
 
     mu, nu, c = realize_problem(default_problem("squared", 10.0, n=60))
@@ -645,11 +735,13 @@ def test_a_first_call_rebuilds_by_the_one_rule_from_the_start(rng, monkeypatch):
     dense = count_dense_recoveries(monkeypatch)
     for step, kept in ((0.0, False), (1e-6, True), (1.0, False)):
         p = DualPotentials(start.alpha + step * rng.standard_normal(60), start.beta + step * rng.standard_normal(60))
+        x = np.concatenate(p)
         band = support_band(c, 10.0, mu, nu, start)
         dense[0] = 0
-        f, g = band.recover(p)
-        assert dense[0] == 1 and band.last is p and (band.base is p) == kept, step
-        cells = np.flatnonzero(p.beta + p.alpha[:, None] - c > -solvers._BAND_REACH * solvers._move(p, start))
+        f, g = np.split(band.recover(x), [60])
+        assert dense[0] == 1 and band.last is x and (band.base is x) == kept, step
+        move = np.abs(p.alpha - start.alpha).max() + np.abs(p.beta - start.beta).max()
+        cells = np.flatnonzero(p.beta + p.alpha[:, None] - c > -solvers._BAND_REACH * move)
         if kept:
             assert cells.size <= solvers._BAND_MAX_SHARE * c.size
             assert np.array_equal(np.arange(60).repeat(band.counts) * 60 + band.cols, cells)
@@ -675,7 +767,7 @@ def test_band_past_its_share_is_not_kept(rng, monkeypatch):
     c = rng.uniform(0.0, 0.1, (n, m))
     far = DualPotentials(np.where(np.arange(n) < 100, -100.0, 0.0), np.zeros(m))
     band = support_band(c, 1.0, mu, nu, far)
-    band.recover(far)
+    recovered(band, far)
     gathered = []
 
     def recorded(*args, **kwargs):
@@ -685,7 +777,7 @@ def test_band_past_its_share_is_not_kept(rng, monkeypatch):
 
     monkeypatch.setattr(solvers, "recover_plan", recorded)
     p = DualPotentials(far.alpha + 0.01, far.beta)  # a reach of 0.32: all of rows 100 on, none before
-    f, g = band.recover(p)
+    f, g = recovered(band, p)
     assert band.base is None and band.values is band.plan
     assert gathered == [(2 * rows - 100) * m]  # the first two blocks' cells, none of the third
     assert (rows - 100) * m <= solvers._BAND_MAX_SHARE * n * m < gathered[0]
@@ -770,40 +862,42 @@ def test_certified_violation_bounds_the_recovered_one(rng):
         for k in range(60):
             q = DualPotentials(q.alpha + 1e-6 * rng.standard_normal(q.alpha.size),
                                q.beta + 1e-6 * rng.standard_normal(q.beta.size))
-            band.recover(q)
+            xq = np.concatenate(q)
+            band.recover(xq)
             if band.base is None:
                 continue
             step = steps[k % len(steps)]
             p = DualPotentials(q.alpha + step * rng.standard_normal(q.alpha.size),
                                q.beta + step * rng.standard_normal(q.beta.size))
+            xp = np.concatenate(p)
             dense = max_violation(recover_plan(p, c, 10.0), mu, nu)
             base, budget, bounds = band.base, band.budget, []
             for shift in shifts:
                 tol = dense * (1.0 + shift)
-                bound = band.certify(p, tol)
+                bound = band.certify(xp, tol)
                 if bound is not None:
                     assert bound > tol and dense > tol, (walk, k, shift)
-                    assert band.last is p and band.certify(p, 0.0) is None, (walk, k)  # res is q's
+                    assert band.last is xp and band.certify(xp, 0.0) is None, (walk, k)  # res is q's
                     bounds.append(bound)
                     proved[step] += 1
-                    band.recover(q)
+                    band.recover(xq)
                 assert band.base is base and band.budget == budget, (walk, k)
-            band.recover(p)  # banded: certify held p within the budget
+            band.recover(xp)  # banded: certify held p within the budget
             if bounds:
                 assert band.base is base and max(bounds) <= np.abs(band.res).max(), (walk, k)
     assert all(proved.values()), proved
 
     # potentials that are not finite never certify, nor change the band
     band = support_band(c, 10.0, mu, nu, start)
-    band.recover(start)
-    band.recover(DualPotentials(start.alpha + 1e-7, start.beta))
+    recovered(band, start)
+    recovered(band, DualPotentials(start.alpha + 1e-7, start.beta))
     assert band.base is not None
     last = band.last
     for bad in (np.nan, np.inf, -np.inf):
         alpha = start.alpha.copy()
         alpha[3] = bad
         with np.errstate(invalid="ignore"):
-            assert band.certify(DualPotentials(alpha, start.beta), 0.0) is None, bad
+            assert band.certify(np.concatenate((alpha, start.beta)), 0.0) is None, bad
         assert band.last is last, bad
 
 
@@ -819,19 +913,20 @@ def test_certified_violation_is_tight_where_every_cell_moves_by_the_full_drift()
     mu = nu = np.ones(n)
     start = DualPotentials(np.full(n, 0.49), np.full(n, 0.5))
     band = support_band(c, gamma, mu, nu, start)
-    band.recover(start)
-    band.recover(DualPotentials(np.full(n, 0.5), np.full(n, 0.5)))  # selects the band, of reach 0.32
+    recovered(band, start)
+    recovered(band, DualPotentials(np.full(n, 0.5), np.full(n, 0.5)))  # selects the band, of reach 0.32
     assert band.base is not None and band.cols.size == 16 and band.width == 2.0
     assert np.abs(band.res).max() == 1.0  # rows and columns sum to 2
     # past the drift budget a recovery would rebuild the band, so no bound
     # stands in for it, sound as it would be
-    assert band.certify(DualPotentials(np.full(n, 0.1), np.full(n, 0.5)), 0.1) is None
+    assert band.certify(np.r_[np.full(n, 0.1), np.full(n, 0.5)], 0.1) is None
     p = DualPotentials(np.full(n, 0.5 - d), np.full(n, 0.5))
+    x = np.concatenate(p)
     violation = 1.0 - 2.0 * d  # rows and columns sum to 2 (1 - d)
-    assert band.certify(p, violation * (1.0 + 1e-12)) is None
-    bound = band.certify(p, violation * (1.0 - 1e-12))
+    assert band.certify(x, violation * (1.0 + 1e-12)) is None
+    bound = band.certify(x, violation * (1.0 - 1e-12))
     assert bound is not None and violation * (1.0 - 1e-12) < bound <= violation
-    band.recover(p)
+    band.recover(x)
     assert np.abs(band.res).max() == pytest.approx(violation, rel=1e-15)
     assert np.array_equal(recover_plan(p, c, gamma), np.where(c == 0.0, 1.0 - d, 0.0))
 
@@ -931,10 +1026,12 @@ def test_history_rows_scatter_nothing(monkeypatch):
 
 
 def test_unchecked_objectives_are_the_public_ones_bit_for_bit(rng):
-    # history rows call the unchecked helpers of dual_objective (as
-    # dual_value does) and primal_objective; they must give what the public
-    # functions give
-    for n, m in ((3, 4), (40, 25), (120, 100)):  # the last plan has more than DOT_CHUNK cells
+    # history rows take the arithmetic of the unchecked helpers of
+    # dual_objective (as dual_value does) and primal_objective, which must
+    # give what the public functions give; their dot products, by _dot, must
+    # be vdot's: on the halves of the potentials end to end, on a band's
+    # values at and around DOT_CHUNK, and on a dense call's 2-D plan
+    for n, m in ((3, 4), (41, 25), (120, 100)):  # the last plan has more than DOT_CHUNK cells
         mu, nu, c = random_instance(rng, n, m)
         gamma = float(rng.uniform(0.1, 10.0))
         pot = DualPotentials(rng.standard_normal(n), rng.standard_normal(m))
@@ -943,6 +1040,29 @@ def test_unchecked_objectives_are_the_public_ones_bit_for_bit(rng):
         assert _dual_objective(pot, gamma, mu, nu, norm2) == dual_objective(pot, c, gamma, mu, nu)
         assert -_dual_objective(pot, gamma, mu, nu, norm2) / gamma == dual_value(pot, c, gamma, mu, nu)
         assert _primal_objective(plan, c, gamma, norm2) == primal_objective(plan, c, gamma)
+        x = np.concatenate(pot)
+        assert _dot(x[:n], mu) == vdot(pot.alpha, mu) and _dot(x[n:], nu) == vdot(pot.beta, nu)
+        assert _dot(plan, plan) == norm2 and _dot(c, plan) == vdot(c, plan)
+    for size in (DOT_CHUNK - 1, DOT_CHUNK, DOT_CHUNK + 1):
+        values, cost = rng.lognormal(0.0, 2.0, size), rng.uniform(0.0, 1.0, size)
+        for a, b in ((values, values), (cost, values)):
+            assert type(_dot(a, b)) is float and _dot(a, b) == vdot(a, b), size
+
+
+def test_support_band_keeps_fewer_than_30_attributes(rng):
+    # CPython 3.11 shares one key table among a class's instances for at
+    # most 30 keys; an instance with more reads every attribute through a
+    # slower path (a three-attribute method went from 36 to 39 ns at 30
+    # attributes, CHANGES.md), and the band is read many times an iteration
+    mu, nu, c = realize_problem(default_problem("squared", 10.0, n=60))
+    mu, nu = mu.w, nu.w
+    start = solve(mu, nu, c, SolverConfig(gamma=10.0, algorithm=Algorithm.NESTEROV, tol=1e-3,
+                                          record_history=False)).final_potentials
+    band = support_band(c, 10.0, mu, nu, start)
+    recovered(band, DualPotentials(start.alpha + 1e-6 * rng.standard_normal(60), start.beta))
+    recovered(band, DualPotentials(start.alpha, start.beta + 1e-8))
+    assert band.base is not None and band.values is not band.plan  # a live band, and a banded call
+    assert len(vars(band)) < 30, sorted(vars(band))
 
 
 def test_history_rows_over_a_live_band_do_not_depend_on_the_blas_thread_count():
@@ -1056,7 +1176,7 @@ def test_empty_support_band_gives_a_zero_plan(rng, monkeypatch):
     pot = zeros(4, 5)
     band = support_band(c, 1.0, mu, nu, pot)
     for k in range(6):
-        f, g = band.recover(pot)
+        f, g = recovered(band, pot)
         plan = recover_plan(pot, c, 1.0)
         rf, rg = marginal_residuals(plan, mu, nu)
         band.write()
