@@ -15,8 +15,6 @@ recovered plan has the prescribed marginals.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .core import as_weights, primal_objective, vdot
@@ -191,15 +189,9 @@ def _live_spans(alpha, beta, least, rows, reach):
     out less than half the columns, or every block's where the spans leave
     out less than half the sweep's cells."""
     n, m = alpha.size, beta.size
-    blocks = len(least)
     top = np.add.outer(np.maximum.reduceat(alpha, np.arange(0, n, rows)), np.maximum.reduceat(beta, np.arange(0, m, _TILE_COLS)))
     np.subtract(top, least, out=top)
     dead = top <= (0.0 if reach is None else min(-reach, 0.0))  # False at a NaN
-    # the spans leave out dead tiles alone, each of at most rows x _TILE_COLS
-    # cells: where those cover less than half the sweep's cells, the spans
-    # leave out less than half too, and every block is swept whole
-    if 2 * np.count_nonzero(dead) * rows * _TILE_COLS < n * m:
-        return [(0, m)] * blocks
     spans, swept = [], 0
     for r0, flags in zip(range(0, n, rows), dead.tolist()):
         if False not in flags:
@@ -211,7 +203,7 @@ def _live_spans(alpha, beta, least, rows, reach):
             a, z = 0, m
         spans.append((a, z))
         swept += (z - a) * min(rows, n - r0)
-    return spans if 2 * swept <= n * m else [(0, m)] * blocks
+    return spans if 2 * swept <= n * m else [(0, m)] * len(spans)
 
 
 def dual_objective(pot, c, gamma: float, mu, nu) -> float:
@@ -258,43 +250,20 @@ def duality_gap(pot, pi, c, gamma: float, mu, nu) -> float:
     return primal_objective(pi, c, gamma) - dual_value(pot, c, gamma, mu, nu)
 
 
-def preconditioner_apply(f, g, out=None):
+def preconditioner_apply(f, g):
     """Apply the closed-form inverse of the block preconditioner.
 
     Returns ``da = (f - sum(f) / (2 N)) / M`` and
     ``db = (g - sum(g) / (2 M)) / N`` where ``N = len(f)``, ``M = len(g)``.
     This is the exact inverse of ``blockdiag(M (I + J/N), N (I + J/M))``
     with ``J`` the all-ones matrix, since ``J^2 = N J``.
-
-    ``out`` may pass a float array of ``N + M`` values, which then receives
-    ``(da, db)`` end to end and is returned in place of the pair; it may be
-    the buffer of which ``f`` and ``g`` are the two halves.  Both forms are
-    bit for bit the same.
     """
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
     n, m = f.size, g.size
-    # f.sum() and g.sum() (the same reduction), taken before out, which may
-    # hold f and g, is written
-    sf, sg = np.add.reduce(f) / (2.0 * n), np.add.reduce(g) / (2.0 * m)
-    pair = out is None
-    if pair:
-        out = np.empty(n + m)
-    np.subtract(f, sf, out=out[:n])
-    np.subtract(g, sg, out=out[n:])
-    np.divide(out, _scales(n, m), out=out)
-    return (out[:n], out[n:]) if pair else out
-
-
-@lru_cache(maxsize=8)
-def _scales(n, m):
-    """``M`` repeated ``N`` times, then ``N`` repeated ``M`` times, as one
-    read-only float array: a division by it divides the first ``N`` values
-    of an end-to-end pair by ``M`` and the last ``M`` by ``N``, bit for bit
-    those two divisions."""
-    scales = np.repeat([float(m), float(n)], [n, m])
-    scales.flags.writeable = False
-    return scales
+    da = (f - f.sum() / (2.0 * n)) / m
+    db = (g - g.sum() / (2.0 * m)) / n
+    return da, db
 
 
 def support_mask(pot, c) -> np.ndarray:

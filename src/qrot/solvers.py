@@ -34,7 +34,8 @@ them both may instead return a certified lower bound on a violation above
 
 A dual run keeps its potentials end to end, so that each operation of an
 iteration is one numpy call on that array or on the residuals, which its
-:class:`_SupportBand` keeps end to end as well.  Quadratic regularization
+:class:`_SupportBand` keeps end to end as well; only the fixed-point step
+hands the two halves to :func:`~qrot.dual.preconditioner_apply`.  Quadratic regularization
 makes the plan sparse, and the band recovers it touching only a certified
 band of cells that can be positive; it states the rules that keep the run
 bit for bit that of dense recovery.
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import math
 import time
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -62,7 +64,7 @@ from .core import (
     max_violation,
     vdot,
 )
-from .dual import _scales, _tile_minima, dual_gradients, preconditioner_apply, recover_plan
+from .dual import _tile_minima, dual_gradients, preconditioner_apply, recover_plan
 
 __all__ = [
     "DivergenceError",
@@ -106,13 +108,15 @@ class NesterovState(NamedTuple):
     n: int
 
 
-def _end_to_end(pot, other):
-    """``pot`` and ``other`` (a step's residuals or Nesterov's previous
-    point, or None) end to end: arrays pass as they are, and pairs are
-    joined into new arrays."""
+def _end_to_end(pot, other, c):
+    """``(x, y, n, pair)``: ``pot`` and ``other`` (a step's residuals or
+    Nesterov's previous point, or None) end to end as ``x`` and ``y``, the
+    length ``n`` of alpha, and whether ``pot`` is a pair.  Arrays pass as
+    they are, split at the rows of ``c``; pairs are joined into new arrays,
+    split where they were, so a cost that broadcasts to ``(N, M)`` serves."""
     if isinstance(pot, np.ndarray):
-        return pot, other
-    return np.concatenate(pot), (None if other is None else np.concatenate(other))
+        return pot, other, np.shape(c)[0], False
+    return np.concatenate(pot), (None if other is None else np.concatenate(other)), len(pot[0]), True
 
 
 def _gradient(x, n, c, gamma, mu, nu, residuals):
@@ -122,6 +126,17 @@ def _gradient(x, n, c, gamma, mu, nu, residuals):
     if residuals is None:
         return np.concatenate(dual_gradients((x[:n], x[n:]), c, gamma, mu, nu))
     return np.multiply(residuals, gamma)
+
+
+@lru_cache(maxsize=8)
+def _divisors(n, a, m, b):
+    """``a`` repeated ``n`` times, then ``b`` repeated ``m`` times, as one
+    read-only float array: a division by it divides the first ``n`` values
+    of an end-to-end pair by ``a`` and the last ``m`` by ``b``, bit for bit
+    those two divisions."""
+    divisors = np.repeat([float(a), float(b)], [n, m])
+    divisors.flags.writeable = False
+    return divisors
 
 
 def _descended(x, p, n, pair):
@@ -147,13 +162,13 @@ def cyclic_projection_step(
     gauge shift ``(alpha + s, beta - s)``, ``s = sum(f) / (2 N M)``.
     ``pot`` and ``residuals`` are as in :func:`gradient_step`.
     """
-    n, m = np.shape(c)
-    x, residuals = _end_to_end(pot, residuals)
+    rows, cols = np.shape(c)
+    x, residuals, n, pair = _end_to_end(pot, residuals, c)
     p = _gradient(x, n, c, gamma, mu, nu, residuals)
-    shift = p[:n].sum() / (n * m)
-    np.divide(p, _scales(n, m), out=p)
+    shift = p[:n].sum() / (rows * cols)
+    np.divide(p, _divisors(n, cols, p.size - n, rows), out=p)
     np.subtract(p[n:], shift, out=p[n:])
-    return _descended(x, p, n, x is not pot)
+    return _descended(x, p, n, pair)
 
 
 def gradient_step(
@@ -172,13 +187,12 @@ def gradient_step(
     is a new such array.  Both forms take the same floating-point
     operations in the same order, bit for bit, and neither writes ``pot``.
     """
-    n, m = np.shape(c)
     if tau is None:
-        tau = 1.0 / (n + m)
-    x, residuals = _end_to_end(pot, residuals)
+        tau = 1.0 / sum(np.shape(c))
+    x, residuals, n, pair = _end_to_end(pot, residuals, c)
     p = _gradient(x, n, c, gamma, mu, nu, residuals)
     np.multiply(p, tau, out=p)
-    return _descended(x, p, n, x is not pot)
+    return _descended(x, p, n, pair)
 
 
 def fixed_point_step(
@@ -193,11 +207,10 @@ def fixed_point_step(
     and hence optimal.  ``pot`` and ``residuals`` are as in
     :func:`gradient_step`.
     """
-    n = np.shape(c)[0]
-    x, residuals = _end_to_end(pot, residuals)
+    x, residuals, n, pair = _end_to_end(pot, residuals, c)
     p = _gradient(x, n, c, gamma, mu, nu, residuals)
-    preconditioner_apply(p[:n], p[n:], out=p)
-    return _descended(x, p, n, x is not pot)
+    p[:n], p[n:] = preconditioner_apply(p[:n], p[n:])
+    return _descended(x, p, n, pair)
 
 
 def nesterov_step(state: NesterovState, c, gamma, mu, nu, tau=None, recover=None) -> NesterovState:
@@ -216,14 +229,13 @@ def nesterov_step(state: NesterovState, c, gamma, mu, nu, tau=None, recover=None
     ``recover`` returns take the same form; the new state keeps it.
     """
     cur, prev, k = state
-    n, m = np.shape(c)
     if tau is None:
-        tau = 1.0 / (n + m)
-    x, before = _end_to_end(cur, prev)
-    bar = np.subtract(x, before)
-    np.multiply(bar, k / (k + 3.0), out=bar)
+        tau = 1.0 / sum(np.shape(c))
+    x, before, n, pair = _end_to_end(cur, prev, c)
+    # a new array for sigma (x - before), as float as sigma even for
+    # integer potentials
+    bar = np.multiply(np.subtract(x, before), k / (k + 3.0))
     np.add(x, bar, out=bar)
-    pair = x is not cur
     residuals = None
     if recover is not None:
         residuals = recover(DualPotentials(bar[:n], bar[n:]) if pair else bar)

@@ -19,7 +19,7 @@ from qrot import (
     support_mask,
 )
 from qrot.core import DOT_CHUNK, marginal_residuals, marginals, vdot
-from qrot.dual import _BLOCK_CELLS, _TILE_COLS, _block_rows, _live_spans, _tile_minima
+from qrot.dual import _BLOCK_CELLS, _TILE_COLS, _block_rows, _tile_minima
 
 C2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 HALF = np.array([0.5, 0.5])
@@ -211,48 +211,6 @@ def test_tiled_sweep_is_the_untiled_one_bit_for_bit(name):
     assert skipped == 0 if name in ("one row", "wide band") else skipped > blocks // 2, spans
     if name == "dead blocks":
         assert (0, 0) in spans
-
-
-def spans_block_by_block(alpha, beta, least, rows, reach):
-    """The live spans of ``_live_spans``, by its rule written out tile by
-    tile and block by block, with no shortcut."""
-    n, m = alpha.size, beta.size
-    bound = 0.0 if reach is None else min(-reach, 0.0)
-    spans, swept = [], 0
-    for b, r0 in enumerate(range(0, n, rows)):
-        top = alpha[r0 : r0 + rows].max()
-        live = [t for t in range(least.shape[1])
-                if not (top + beta[t * _TILE_COLS : (t + 1) * _TILE_COLS].max()) - least[b, t] <= bound]
-        if not live:
-            spans.append((0, 0))
-            continue
-        a, z = live[0] * _TILE_COLS, min((live[-1] + 1) * _TILE_COLS, m)
-        if 2 * (z - a) > m:
-            a, z = 0, m
-        spans.append((a, z))
-        swept += (z - a) * min(rows, n - r0)
-    return spans if 2 * swept <= n * m else [(0, m)] * len(spans)
-
-
-def test_live_spans_are_those_of_the_rule_block_by_block():
-    # _live_spans returns every block whole at once where the dead tiles
-    # cover less than half the sweep's cells, which the rule would refuse
-    # anyway; on every tiled case, with and without a reach, the spans
-    # must be the rule's, and both that shortcut and the loop must be taken
-    shortcuts = set()
-    for name in TILE_CASES:
-        p, c, full, reach, limit = tile_case(name)
-        least, rows = _tile_minima(full), _block_rows(full.shape[1])
-        for r in (reach, None, 0.3):
-            with np.errstate(invalid="ignore"):
-                want = spans_block_by_block(p.alpha, p.beta, least, rows, r)
-                got = _live_spans(p.alpha, p.beta, least, rows, r)
-                dead = int((np.add.outer(np.maximum.reduceat(p.alpha, np.arange(0, full.shape[0], rows)),
-                                         np.maximum.reduceat(p.beta, np.arange(0, full.shape[1], _TILE_COLS)))
-                            - least <= (0.0 if r is None else min(-r, 0.0))).sum())
-            assert got == want, (name, r)
-            shortcuts.add(2 * dead * rows * _TILE_COLS < full.size)
-    assert shortcuts == {False, True}
 
 
 @pytest.mark.parametrize("shift", [0.3, -0.15])

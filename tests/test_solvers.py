@@ -32,7 +32,7 @@ from qrot import (
     solve,
 )
 from qrot.core import DOT_CHUNK, _primal_objective, marginal_residuals, vdot
-from qrot.dual import _dual_objective, _tile_minima, dual_objective, dual_value
+from qrot.dual import _dual_objective, _tile_minima, dual_gradients, dual_objective, dual_value
 from qrot.fileio import ProblemFile, default_problem, realize_problem
 from qrot.solvers import _dot, _SupportBand
 
@@ -151,12 +151,19 @@ def assert_same_potentials(pair, flat, n):
     assert pair.alpha.tobytes() == flat[:n].tobytes() and pair.beta.tobytes() == flat[n:].tobytes()
 
 
+def assert_same_pairs(p, q):
+    """Two :class:`DualPotentials` pairs are equal bit for bit."""
+    assert p.alpha.tobytes() == q.alpha.tobytes() and p.beta.tobytes() == q.beta.tobytes()
+
+
 @pytest.mark.parametrize("n, m", [(5, 8), (13, 4), (41, 70)])
 def test_end_to_end_steps_are_the_pair_steps_bit_for_bit(rng, n, m):
     # each public step run on the potentials end to end (and its residuals
     # so) gives the pair form's result, bit for bit, with and without
     # residuals and tau, and Nesterov at counters 0, 1 and 7 with and
-    # without a recovery of its own; no step writes the array it is given
+    # without a recovery of its own; no step writes the array it is given.
+    # The pair form also takes a cost that broadcasts, and Nesterov integer
+    # potentials
     mu, nu, c = random_instance(rng, n, m)
     gamma = float(rng.uniform(0.1, 2.0))
     pot = DualPotentials(0.3 * rng.standard_normal(n), 0.3 * rng.standard_normal(m))
@@ -192,6 +199,30 @@ def test_end_to_end_steps_are_the_pair_steps_bit_for_bit(rng, n, m):
                 assert got.previous is pot and flat.previous is x and got.n == flat.n == k + 1
                 assert len(bars) == (2 if pair_rec else 0) and all(b.tobytes() == bars[0].tobytes() for b in bars)
     assert x.tobytes() == kept.tobytes()
+
+    # the pair form splits where the pair does, so a cost that broadcasts
+    # to (N, M) serves as it does in recover_plan; cyclic projection's P
+    # reads its sizes from the cost
+    for cost in (c[:1], c[0], c[0, 0]):
+        full = np.broadcast_to(cost, (n, m))
+        assert_same_pairs(fixed_point_step(pot, cost, gamma, mu, nu), fixed_point_step(pot, full, gamma, mu, nu))
+        assert_same_pairs(gradient_step(pot, cost, gamma, mu, nu, 0.07), gradient_step(pot, full, gamma, mu, nu, 0.07))
+        assert_same_pairs(nesterov_step(NesterovState(pot, prev, 7), cost, gamma, mu, nu, 0.07).current,
+                          nesterov_step(NesterovState(pot, prev, 7), full, gamma, mu, nu, 0.07).current)
+    ga, gb = dual_gradients(pot, c[:1], gamma, mu, nu)
+    assert_same_pairs(cyclic_projection_step(pot, c[:1], gamma, mu, nu),
+                      DualPotentials(pot.alpha - ga / m, pot.beta - (gb / 1 - ga.sum() / m)))
+
+    # integer potentials, as pairs or end to end, extrapolate in floats: the
+    # step is the one from the same values as floats
+    ints = DualPotentials(rng.integers(-2, 3, n), rng.integers(-2, 3, m))
+    prev_ints = DualPotentials(np.zeros(n, int), np.ones(m, int))
+    floats, prev_floats = (DualPotentials(p.alpha.astype(float), p.beta.astype(float)) for p in (ints, prev_ints))
+    for k in (0, 1, 7):
+        want = nesterov_step(NesterovState(floats, prev_floats, k), c, gamma, mu, nu).current
+        assert_same_pairs(nesterov_step(NesterovState(ints, prev_ints, k), c, gamma, mu, nu).current, want)
+        flat = nesterov_step(NesterovState(np.concatenate(ints), np.concatenate(prev_ints), k), c, gamma, mu, nu)
+        assert_same_potentials(want, flat.current, n)
 
 
 STEP_NAMES = {
