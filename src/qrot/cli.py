@@ -6,9 +6,10 @@ algorithms plus a combined convergence plot), ``oracle-check`` (small
 instances, N + M <= 200, against the exact solver).
 
 ``compare`` solves in up to ``min(4, usable CPUs)`` processes: this one, and
-helpers started with ``spawn`` once it has been solving for half a second
-(see :mod:`qrot.pool`).  Its artifacts, output and exit code are those of
-solving the four one after another, apart from the ``elapsed_ms`` column.
+helper interpreters started as it starts solving, each of which is sent the
+problem once it is ready and a method is left (see :mod:`qrot.pool`).  Its
+artifacts, output and exit code are those of solving the four one after
+another, apart from the ``elapsed_ms`` column.
 ``compare`` on one CPU uses this process alone.  ``solve`` solves in this
 process, and writes a plan with at least 2**17 values to ``repr`` (the cells
 of its rows' spans) on every usable CPU: this process and one helper per

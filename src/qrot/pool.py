@@ -1,39 +1,42 @@
 """Several solves of one problem, spread over the CPUs this process may use.
 
 ``solve_in_order`` calls ``done(solve(mu, nu, c, config))`` for each
-configuration, in order.  With one configuration, or one usable CPU, that is
-a plain loop in this process.  Otherwise this process starts solving at
-once, and if it is still solving ``START_AFTER_S`` seconds later it is joined
-by up to ``min(len(configs), cpus) - 1`` helper processes, one per
-configuration nobody has taken yet:
+configuration, in order.  With one configuration, one usable CPU or no
+``sys.executable``, that is a plain loop in this process.  Otherwise this
+process starts ``min(len(configs), cpus) - 1`` helper processes and solves:
 
-- whichever is free first takes the next configuration, in order, and
-  ``done`` sees the reports in that order, each as soon as it and all
-  before it are in;
-- a helper is started with ``spawn``, never by forking this process, which
-  may hold BLAS threads; it receives ``(mu, nu, c)`` once and then one
-  configuration index at a time, and it solves with :func:`qrot.solvers.solve`;
-- each solve runs the same numpy operations on the same values as the plain
-  loop, so each report is bit for bit the plain loop's;
+- a helper is a plain ``python -c`` interpreter, never a fork of this process
+  (which may hold BLAS threads), that imports numpy and qrot from this
+  process's ``sys.path`` and then says it is ready with one byte;
+- whichever worker is free first takes the next configuration, in order; a
+  helper ready while one is left gets ``(mu, nu, c, configs)`` on stdin,
+  then one index at a time, solves with :func:`qrot.solvers.solve` and
+  sends back each outcome, all as pickles;
+- ``done`` sees the reports in order, each as soon as it and all before it
+  are in, and bit for bit the plain loop's;
 - an exception from a solve is raised at its configuration's turn, after
   ``done`` has seen every report before it, and no configuration is started
   once a failure is known;
-- every helper is stopped and joined before ``solve_in_order`` returns or
-  raises, and a helper whose parent dies without stopping it ends by itself.
+- every helper is killed and reaped before ``solve_in_order`` returns or
+  raises, and a helper whose parent dies ends by itself, even mid-solve.
 
-``multiprocessing`` is imported only when helpers are started.
+An unused helper costs its start alone, since it is sent no problem: the
+``sinkhorn-cli-n1000`` compare, all solved before its helper is ready, took
+0.115 s against 0.111 s without one (2 vCPUs, numpy 2.4.6, medians of 11).
 """
 
 from __future__ import annotations
 
 import os
+import sys
 
 from . import solvers
 
-# A helper takes about 0.2 s to start (an interpreter plus numpy), and while it
-# starts the solves here run slower, by up to 2x at n=1000 on a 2-vCPU host.
-# A run whose solves are all done within this many seconds starts none.
-START_AFTER_S = 0.5
+# What a helper runs.  Ctrl-C is left to the CLI process, which stops its
+# helpers; the path is the CLI process's own, filled in at each start.
+_HELPER = ("import signal, sys; signal.signal(signal.SIGINT, signal.SIG_IGN); sys.path[:] = {!r}; "
+           "from qrot.pool import _helper; _helper()")
+_READY = b"R"
 
 
 def usable_cpus() -> int:
@@ -48,7 +51,7 @@ def solve_in_order(solve, mu, nu, c, configs, cpus, done) -> None:
     with up to ``min(len(configs), cpus) - 1`` helper processes (see the
     module docstring).  ``solve`` is called in this process only."""
     helpers = min(len(configs), cpus) - 1
-    if helpers < 1:
+    if helpers < 1 or not sys.executable:
         for config in configs:
             done(solve(mu, nu, c, config))
         return
@@ -63,34 +66,42 @@ def _attempt(solve, mu, nu, c, config):
         return exc
 
 
-def _helper(conn) -> None:
-    """Receive the problem, say it is ready, then solve each configuration
-    index handed over ``conn`` and send back the outcome, until handed None."""
-    mu, nu, c, configs = conn.recv()
-    conn.send(None)
-    while (index := conn.recv()) is not None:
-        conn.send(_attempt(solvers.solve, mu, nu, c, configs[index]))
-
-
-def _helper_process(conn) -> None:
-    """A helper process.  Ctrl-C is left to the CLI process, which stops its
-    helpers; should the CLI process die without stopping them (SIGKILL,
-    SIGTERM), a watcher thread ends the helper at once, even mid-solve."""
-    import signal
+def _helper() -> None:
+    """A helper process: say it is ready, then solve each configuration index
+    that follows the problem on stdin and send back the outcome.  One thread alone
+    reads stdin; at its end (the CLI process closed it or died) it ends the helper."""
+    import pickle
+    import queue
     import threading
-    from multiprocessing import connection, parent_process
 
-    def exit_with_parent():
-        connection.wait([parent_process().sentinel])
+    requests = queue.SimpleQueue()
+
+    def read():
+        try:
+            while True:
+                requests.put(pickle.load(sys.stdin.buffer))
+        finally:
+            os._exit(1)
+
+    threading.Thread(target=read, daemon=True).start()
+    out = sys.stdout.buffer
+    try:
+        out.write(_READY)
+        out.flush()
+        mu, nu, c, configs = requests.get()
+        while True:
+            outcome = _attempt(solvers.solve, mu, nu, c, configs[requests.get()])
+            out.write(pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL))
+            out.flush()
+    except OSError:  # the CLI process died
         os._exit(1)
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    threading.Thread(target=exit_with_parent, daemon=True).start()
-    _helper(conn)
 
 
 def _solve_with_helpers(solve, mu, nu, c, configs, helpers, done) -> None:
+    import contextlib
+    import pickle
     import queue
+    import subprocess
     import threading
 
     untaken = list(range(len(configs)))
@@ -109,42 +120,32 @@ def _solve_with_helpers(solve, mu, nu, c, configs, helpers, done) -> None:
                 untaken.clear()  # no configuration starts once one has failed
         results.put((index, outcome))
 
-    def serve(conn):
-        # One thread per helper: it sends the problem, then hands the helper a
-        # configuration each time the helper is free.
+    def serve(proc):
+        # One thread per helper: once the helper is ready, and only if a configuration
+        # is left, it sends the problem, then a configuration each time the helper is free.
         index = None
         try:
-            conn.send((mu, nu, c, configs))
-            conn.recv()
-            while (index := take()) is not None:
-                conn.send(index)
-                finish(index, conn.recv())
-            conn.send(None)
+            if proc.stdout.read(1) == _READY and (index := take()) is not None:
+                pickle.dump((mu, nu, c, configs), proc.stdin, protocol=pickle.HIGHEST_PROTOCOL)
+            while index is not None:
+                proc.stdin.write(pickle.dumps(index))
+                proc.stdin.flush()
+                finish(index, pickle.load(proc.stdout))
+                index = take()
         except Exception as exc:  # the helper was stopped or died, or sent what cannot be read
             if index is not None:
                 name = configs[index].algorithm.value
                 finish(index, RuntimeError(f"the helper process solving {name} failed: {exc!r}"))
         finally:
-            conn.close()
+            with contextlib.suppress(OSError):  # bytes a dead helper never read
+                proc.stdin.close()  # the end of its stdin ends the helper
 
-    def start_helpers():
-        if not untaken:  # this process has taken the last configuration
-            return
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("spawn")
-        for _ in range(min(helpers, len(untaken))):
-            conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(target=_helper_process, args=(child_conn,), daemon=True)
-            proc.start()
-            child_conn.close()
-            procs.append(proc)
-            threads.append(threading.Thread(target=serve, args=(conn,), daemon=True))
-            threads[-1].start()
-
-    timer = threading.Timer(START_AFTER_S, start_helpers)
-    timer.start()
     try:
+        for _ in range(helpers):
+            procs.append(subprocess.Popen([sys.executable, "-c", _HELPER.format(sys.path)],
+                                          stdin=subprocess.PIPE, stdout=subprocess.PIPE))
+            threads.append(threading.Thread(target=serve, args=(procs[-1],), daemon=True))
+            threads[-1].start()
         outcomes = {}
         for index in range(len(configs)):
             while index not in outcomes:
@@ -157,11 +158,10 @@ def _solve_with_helpers(solve, mu, nu, c, configs, helpers, done) -> None:
                 raise outcome
             done(outcome)
     finally:
-        timer.cancel()
-        timer.join()  # a start already under way completes, so its helpers are stopped below
         for proc in procs:
-            proc.terminate()
-        for proc in procs:
-            proc.join()
+            proc.kill()
+            proc.wait()
         for thread in threads:
             thread.join()
+        for proc in procs:
+            proc.stdout.close()

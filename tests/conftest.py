@@ -1,3 +1,5 @@
+import subprocess
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,25 @@ def count_dense_recoveries(monkeypatch):
 
     monkeypatch.setattr("qrot.solvers.recover_plan", counted)
     return count
+
+
+def record_processes(monkeypatch):
+    """The processes started through subprocess.Popen from now on, as a list.
+    ``qrot.pool`` and ``qrot.fileio`` start their helper processes through it."""
+    started = []
+    real = subprocess.Popen
+
+    def popen(*args, **kwargs):
+        started.append(real(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", popen)
+    return started
+
+
+def running(started):
+    """The processes of ``started`` that have not exited."""
+    return [proc for proc in started if proc.poll() is None]
 
 
 @pytest.fixture

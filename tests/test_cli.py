@@ -2,8 +2,8 @@ import csv
 import dataclasses
 import itertools
 import json
-import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -45,8 +45,10 @@ from qrot.fileio import (
     write_vector,
     _row_bounds,
 )
-from qrot.pool import _helper
+from qrot.pool import _READY
 from qrot.problems import COST_KINDS
+
+from conftest import record_processes, running
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -282,19 +284,6 @@ def test_write_matrix_is_byte_identical_to_plain_repr_rows(tmp_path, rng, monkey
 def plain_matrix(arr):
     return (f"# {arr.shape[0]} {arr.shape[1]}\n"
             + "".join(" ".join(map(repr, row)) + "\n" for row in arr.tolist())).encode()
-
-
-def record_processes(monkeypatch):
-    """The processes started through subprocess.Popen from now on, as a list."""
-    started = []
-    real = subprocess.Popen
-
-    def popen(*args, **kwargs):
-        started.append(real(*args, **kwargs))
-        return started[-1]
-
-    monkeypatch.setattr(subprocess, "Popen", popen)
-    return started
 
 
 def share_writes(monkeypatch, cpus):
@@ -731,24 +720,62 @@ def wait_for(condition, what, timeout=60.0):
         time.sleep(0.005)
 
 
-def wait_out_helpers():
+def wait_out_helpers(started):
     """Wait until helper processes have started and then all exited."""
-    wait_for(multiprocessing.active_children, "a helper process to start")
-    wait_for(lambda: not multiprocessing.active_children(), "the helper processes to exit")
+    wait_for(lambda: started, "a helper process to start")
+    wait_for(lambda: not running(started), "the helper processes to exit")
 
 
-def run_compare(monkeypatch, capsys, argv, cpus, parent_solve=None):
-    """``main(["compare", *argv])`` with ``cpus`` usable CPUs and helpers that
-    start at once; ``parent_solve`` replaces ``solve`` in the CLI process."""
+def run_compare(monkeypatch, capsys, argv, cpus, started, parent_solve=None):
+    """``main(["compare", *argv])`` with ``cpus`` usable CPUs; ``parent_solve``
+    replaces ``solve`` in the CLI process.  ``started``, from record_processes,
+    holds the helper processes of this run alone: all of them start at once,
+    and none is left when it ends."""
     monkeypatch.setattr("qrot.cli.usable_cpus", lambda: cpus)
-    monkeypatch.setattr("qrot.pool.START_AFTER_S", 0.0)
     if parent_solve is not None:
         monkeypatch.setattr("qrot.cli.solve", parent_solve)
+    started.clear()
     capsys.readouterr()
     code = main(["compare", *argv])
     out, err = capsys.readouterr()
-    assert multiprocessing.active_children() == []
+    assert len(started) == min(cpus, 4) - 1 and running(started) == []
     return code, out, err
+
+
+class CountedWrites:
+    """A pipe that counts the bytes written to it and the flushes done."""
+
+    def __init__(self, pipe):
+        self.pipe, self.written, self.flushed = pipe, 0, 0
+
+    def write(self, data):
+        self.written += memoryview(data).nbytes
+        return self.pipe.write(data)
+
+    def flush(self):
+        self.pipe.flush()
+        self.flushed += 1
+
+    def __getattr__(self, name):
+        return getattr(self.pipe, name)
+
+
+def count_sent_bytes(monkeypatch, stop=False):
+    """The stdin of each process started from now on, as a list of
+    CountedWrites; with ``stop``, each process is stopped (SIGSTOP) at once."""
+    pipes = []
+    real = subprocess.Popen
+
+    def popen(*args, **kwargs):
+        proc = real(*args, **kwargs)
+        if stop:
+            os.kill(proc.pid, signal.SIGSTOP)
+        proc.stdin = CountedWrites(proc.stdin)
+        pipes.append(proc.stdin)
+        return proc
+
+    monkeypatch.setattr(subprocess, "Popen", popen)
+    return pipes
 
 
 def compare_artifacts(out):
@@ -773,6 +800,7 @@ def test_compare_in_helper_processes_matches_one_process(tmp_path, monkeypatch, 
         "diverging": ([str(problem_path), "--tau", "1e200"], 1),
         "one-cell": ([str(one_cell)], 0),
     }
+    started = record_processes(monkeypatch)
     for name, (argv, expected_code) in cases.items():
         runs = []
         for cpus in (1, 2, 4):
@@ -781,12 +809,13 @@ def test_compare_in_helper_processes_matches_one_process(tmp_path, monkeypatch, 
             def parent_solve(mu, nu, c, config, cpus=cpus, solved_here=solved_here):
                 # the CLI process waits until the helpers have solved all they could take
                 if cpus > 1 and not solved_here:
-                    wait_out_helpers()
+                    wait_out_helpers(started)
                 solved_here.append(config.algorithm.value)
                 return solve(mu, nu, c, config)
 
             out = tmp_path / f"{name}-{cpus}"
-            code, stdout, stderr = run_compare(monkeypatch, capsys, argv + ["--out", str(out)], cpus, parent_solve)
+            code, stdout, stderr = run_compare(monkeypatch, capsys, argv + ["--out", str(out)], cpus, started,
+                                               parent_solve)
             runs.append((code, stdout.replace(str(out), "OUT"), stderr.replace(str(out), "OUT"), compare_artifacts(out)))
             # in one process everything is solved here, with helpers only the first method
             assert solved_here == (list(COMPARED[:2] if name == "diverging" else COMPARED) if cpus == 1
@@ -804,22 +833,23 @@ def test_compare_in_helper_processes_matches_one_process(tmp_path, monkeypatch, 
 def test_compare_leaves_no_process_behind(tmp_path, monkeypatch, capsys):
     problem_path = tmp_path / "problem.json"
     save_problem(small_problem(), problem_path)
+    started = record_processes(monkeypatch)
 
     # success: the CLI process solves everything while a helper is still starting
     def after_helper_starts(mu, nu, c, config):
-        wait_for(multiprocessing.active_children, "a helper process to start")
+        wait_for(lambda: started, "a helper process to start")
         return solve(mu, nu, c, config)
 
-    code, _, _ = run_compare(monkeypatch, capsys, [str(problem_path), "--out", str(tmp_path / "a")], 2,
+    code, _, _ = run_compare(monkeypatch, capsys, [str(problem_path), "--out", str(tmp_path / "a")], 2, started,
                              after_helper_starts)
     assert code == 0
 
     # a divergence in the CLI process, while a helper is still starting
     def diverge_here(mu, nu, c, config):
-        wait_for(multiprocessing.active_children, "a helper process to start")
+        wait_for(lambda: started, "a helper process to start")
         raise DivergenceError(config.algorithm, 1)
 
-    code, _, err = run_compare(monkeypatch, capsys, [str(problem_path), "--out", str(tmp_path / "b")], 2,
+    code, _, err = run_compare(monkeypatch, capsys, [str(problem_path), "--out", str(tmp_path / "b")], 2, started,
                                diverge_here)
     assert code == 1 and err.startswith("error: cyclic_projection produced a non-finite iterate at iteration 1")
     assert not (tmp_path / "b").exists()
@@ -828,21 +858,64 @@ def test_compare_leaves_no_process_behind(tmp_path, monkeypatch, capsys):
     # fixed point and Nesterov run on in two more helpers towards a tolerance
     # they cannot reach, and are stopped
     def after_divergence(mu, nu, c, config):
-        wait_for(lambda: len(multiprocessing.active_children()) == 3, "three helper processes to start")
-        wait_for(lambda: len(multiprocessing.active_children()) < 3, "a helper process to exit")
+        wait_for(lambda: len(running(started)) == 3, "three helper processes to start")
+        wait_for(lambda: len(running(started)) < 3, "a helper process to exit")
         return solve(mu, nu, c, dataclasses.replace(config, max_iters=5))
 
     argv = [str(problem_path), "--tau", "1e200", "--tol", "1e-300", "--max-iters", "100000000",
             "--out", str(tmp_path / "c")]
-    code, _, err = run_compare(monkeypatch, capsys, argv, 4, after_divergence)
+    code, _, err = run_compare(monkeypatch, capsys, argv, 4, started, after_divergence)
     assert code == 1 and err.startswith("error: dual_gradient produced a non-finite iterate")
     assert [p.name for p in (tmp_path / "c").iterdir()] == ["history_cyclic_projection.csv"]
 
 
+def test_compare_solved_before_its_helper_is_ready_sends_it_nothing(tmp_path, monkeypatch, capsys):
+    # the helper is stopped as soon as it starts, so it never says it is
+    # ready: the CLI process solves all four methods, and the helper is
+    # killed and reaped without a byte on its stdin, the problem least of all
+    problem_path = tmp_path / "problem.json"
+    save_problem(small_problem(), problem_path)
+    started = record_processes(monkeypatch)
+    pipes = count_sent_bytes(monkeypatch, stop=True)
+    runs = []
+    for cpus in (1, 2):
+        out = tmp_path / str(cpus)
+        code, stdout, stderr = run_compare(monkeypatch, capsys, [str(problem_path), "--out", str(out)], cpus, started)
+        runs.append((code, stdout.replace(str(out), "OUT"), stderr, compare_artifacts(out)))
+    assert runs[0] == runs[1] and runs[0][0] == 0
+    assert [pipe.written for pipe in pipes] == [0]
+    assert started[0].returncode == -signal.SIGKILL
+
+
+def test_helper_killed_mid_solve_is_an_error_and_leaves_no_process(tmp_path, monkeypatch, capsys):
+    # the helper solves gradient descent towards a tolerance it cannot reach
+    # and is killed once it has been sent the problem and its first index;
+    # the CLI process then solves cyclic projection, whose history alone is written
+    problem_path = tmp_path / "problem.json"
+    save_problem(small_problem(), problem_path)
+    started = record_processes(monkeypatch)
+    pipes = count_sent_bytes(monkeypatch)
+
+    def kill_the_helper(mu, nu, c, config):
+        wait_for(lambda: pipes and pipes[0].flushed, "the helper to be sent the problem")
+        time.sleep(0.2)  # the helper is solving by now
+        started[0].send_signal(signal.SIGKILL)
+        return solve(mu, nu, c, dataclasses.replace(config, max_iters=5))
+
+    out = tmp_path / "out"
+    argv = [str(problem_path), "--tol", "1e-300", "--max-iters", "100000000", "--out", str(out)]
+    code, stdout, err = run_compare(monkeypatch, capsys, argv, 2, started, kill_the_helper)
+    assert (code, stdout) == (1, "")
+    assert err == "error: the helper process solving dual_gradient failed: EOFError('Ran out of input')\n"
+    assert [p.name for p in out.iterdir()] == ["history_cyclic_projection.csv"]
+    assert started[0].returncode == -signal.SIGKILL
+
+
 def test_helper_returns_solver_errors_as_the_cli_process_raises_them(tmp_path, monkeypatch, capsys):
     # every exception a solve can raise and main reports, after the trip from a
-    # helper process (run here in a thread, over a real pipe), gives the same
-    # error line and exit 1 as when the CLI process raises it itself
+    # helper process (started here, with qrot.solvers.solve raising each in
+    # turn), gives the same error line and exit 1 as when the CLI process
+    # raises it itself
     problem_path = tmp_path / "problem.json"
     save_problem(small_problem(), problem_path)
     raised = [
@@ -851,27 +924,47 @@ def test_helper_returns_solver_errors_as_the_cli_process_raises_them(tmp_path, m
         MemoryError(),
         ValueError("cost matrix must be finite"),
     ]
-    monkeypatch.setattr("qrot.solvers.solve", lambda mu, nu, c, config: raised[config.max_iters - 1])
-    parent, child = multiprocessing.Pipe()
-    helper = threading.Thread(target=_helper, args=(child,))
-    helper.start()
-    configs = [SolverConfig(gamma=1.0, algorithm=Algorithm.NESTEROV, max_iters=k + 1) for k in range(len(raised))]
-    parent.send((None, None, None, configs))
-    assert parent.recv() is None
-    arrived = []
-    for index in range(len(raised)):
-        parent.send(index)
-        arrived.append(parent.recv())
-    parent.send(None)
-    helper.join(timeout=60)
-    assert not helper.is_alive()
+    script = (
+        "import qrot.solvers\n"
+        "from qrot import Algorithm, DivergenceError\n"
+        "from qrot.pool import _helper\n"
+        "raised = [DivergenceError(Algorithm.NESTEROV, 7),\n"
+        "          ZeroDivisionError('Sinkhorn denominator underflowed; increase gamma'),\n"
+        "          MemoryError(), ValueError('cost matrix must be finite')]\n"
+        "def solve(mu, nu, c, config):\n"
+        "    raise raised[config.max_iters - 1]\n"
+        "qrot.solvers.solve = solve\n"
+        "_helper()\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    helper = subprocess.Popen([sys.executable, "-c", script], env=env, stdin=subprocess.PIPE,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert helper.stdout.read(1) == _READY
+        configs = [SolverConfig(gamma=1.0, algorithm=Algorithm.NESTEROV, max_iters=k + 1) for k in range(len(raised))]
+        pickle.dump((None, None, None, configs), helper.stdin)
+        arrived = []
+        for index in range(len(raised)):
+            pickle.dump(index, helper.stdin)
+            helper.stdin.flush()
+            arrived.append(pickle.load(helper.stdout))
+        helper.stdin.close()  # the end of its stdin ends the helper, without a word
+        assert helper.wait(timeout=60) == 1
+        assert (helper.stdout.read(), helper.stderr.read()) == (b"", b"")
+    finally:
+        helper.kill()
+        helper.wait()
+        helper.stdout.close()
+        helper.stderr.close()
 
     lines = []
+    started = record_processes(monkeypatch)
     for exc in raised + arrived:
         def fail(mu, nu, c, config, exc=exc):
             raise exc
 
-        code, _, err = run_compare(monkeypatch, capsys, [str(problem_path), "--out", str(tmp_path / "o")], 1, fail)
+        code, _, err = run_compare(monkeypatch, capsys, [str(problem_path), "--out", str(tmp_path / "o")], 1,
+                                   started, fail)
         lines.append((type(exc), code, err))
     assert lines[:4] == lines[4:]
     assert [code for _, code, _ in lines] == [1] * 8
@@ -890,25 +983,41 @@ def test_out_that_is_a_file_is_refused_before_any_solve(tmp_path, monkeypatch, c
 
     monkeypatch.setattr("qrot.cli.solve", no_solve)
     monkeypatch.setattr("qrot.cli.usable_cpus", lambda: 4)
-    monkeypatch.setattr("qrot.pool.START_AFTER_S", 0.0)
+    started = record_processes(monkeypatch)
     for argv in (["solve", str(problem_path), "--algorithm", "nesterov"], ["compare", str(problem_path)]):
         capsys.readouterr()
         assert main(argv + ["--out", str(blocker)]) == 1
         assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{blocker}'\n"
-        assert multiprocessing.active_children() == []
+        assert started == []
     assert blocker.read_text() == "a file, not a directory"
 
 
-def test_solve_and_short_compare_do_not_import_multiprocessing(tmp_path):
+def test_solve_starts_no_helper_and_a_short_compare_reaps_its_unused_one(tmp_path):
+    # on two CPUs; in a fresh interpreter, which must not import
+    # multiprocessing, and whose compare starts no helper without an
+    # interpreter to run it
     problem_path = tmp_path / "problem.json"
     save_problem(small_problem(), problem_path)
     script = (
-        "import sys\n"
-        "from qrot.cli import main\n"
-        f"assert main(['solve', {str(problem_path)!r}, '--algorithm', 'nesterov', '--out', {str(tmp_path / 's')!r}]) == 0\n"
-        f"assert main(['compare', {str(problem_path)!r}, '--out', {str(tmp_path / 'c')!r}]) == 0\n"
+        "import subprocess, sys\n"
+        "import qrot.cli as cli\n"
+        "started = []\n"
+        "real_popen = subprocess.Popen\n"
+        "def popen(*args, **kwargs):\n"
+        "    started.append(real_popen(*args, **kwargs))\n"
+        "    return started[-1]\n"
+        "subprocess.Popen = popen\n"
+        "cli.usable_cpus = lambda: 2\n"
+        f"assert cli.main(['solve', {str(problem_path)!r}, '--algorithm', 'nesterov', '--out', {str(tmp_path / 's')!r}]) == 0\n"
+        "assert started == []\n"
+        f"assert cli.main(['compare', {str(problem_path)!r}, '--out', {str(tmp_path / 'c')!r}]) == 0\n"
+        "assert len(started) == 1 and started[0].returncode is not None\n"
+        "sys.executable = ''\n"
+        f"assert cli.main(['compare', {str(problem_path)!r}, '--out', {str(tmp_path / 'e')!r}]) == 0\n"
+        "assert len(started) == 1\n"
         "assert 'multiprocessing' not in sys.modules\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
