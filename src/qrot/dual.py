@@ -89,9 +89,12 @@ def recover_plan(pot, c, gamma: float, out=None, *, reach=None, limit=None, sums
     tiles, ``_TILE_COLS`` columns of a block, whose plan is provably zero.
     ``least`` is :func:`_tile_minima` of ``c``, and ``spans`` a list of one
     ``(lo, hi)`` per block: outside columns ``lo:hi`` of its block, ``out``
-    holds ``+0.0``, so ``(0, M)`` where its content is not known.  The sweep
-    keeps ``spans`` so for the next call on ``out``; a sweep of one block
-    leaves them as they are, as no sweep of ``out`` reads them.  A tile is
+    holds ``+0.0``, so ``(0, M)`` where its content is not known, as for a
+    new buffer (``out=None``), where the sweep first sets every span so.
+    The sweep keeps ``spans`` so for the next call on ``out``; a sweep of
+    one block leaves them as they are, as no sweep of ``out`` reads them.
+    A sweep without ``tiles``, or of one block, runs the same loop body
+    over whole spans, ``(0, M)`` for every block.  A tile is
     dead where ``top = (max beta over the tile + max alpha over the block) -
     least`` is at most ``-theta`` and at most 0 (at most 0 without a reach).
     Rounding is monotone, so each rounded ``beta[j] + alpha[i] - c[i, j]``
@@ -123,8 +126,8 @@ def recover_plan(pot, c, gamma: float, out=None, *, reach=None, limit=None, sums
         out = np.empty((n, m))
         if tiles is not None:
             tiles[1][:] = [(0, m)] * len(starts)
-    if tiles is None or n <= rows:  # one block has no tile to skip, and leaves spans as they are
-        live = spans = None
+    if tiles is None or n <= rows:  # whole spans; one block has no tile to skip, and the caller's spans stay
+        live = spans = [(0, m)] * len(starts)
     else:
         spans = tiles[1]
         live = _live_spans(alpha, beta, tiles[0], rows, reach)
@@ -135,16 +138,13 @@ def recover_plan(pot, c, gamma: float, out=None, *, reach=None, limit=None, sums
     for b, r0 in enumerate(starts):
         r1 = r0 + rows
         block = out[r0:r1]
-        if live is None:
-            a, z = 0, m
-        else:  # +0.0 over the old span's columns the live span leaves out
-            a, z = live[b]
-            lo, hi = spans[b]
-            if lo < min(hi, a):
-                block[:, lo : min(hi, a)] = 0.0
-            if max(lo, z) < hi:
-                block[:, max(lo, z) : hi] = 0.0
-            spans[b] = a, z
+        a, z = live[b]
+        lo, hi = spans[b]  # +0.0 over the old span's columns the live span leaves out
+        if lo < min(hi, a):
+            block[:, lo : min(hi, a)] = 0.0
+        if max(lo, z) < hi:
+            block[:, max(lo, z) : hi] = 0.0
+        spans[b] = a, z
         span = block[:, a:z]
         if z > a:
             # beta[j] + alpha[i] is alpha[i] + beta[j] bit for bit, and this

@@ -113,7 +113,9 @@ def _end_to_end(pot, other, c):
     Nesterov's previous point, or None) end to end as ``x`` and ``y``, the
     length ``n`` of alpha, and whether ``pot`` is a pair.  Arrays pass as
     they are, split at the rows of ``c``; pairs are joined into new arrays,
-    split where they were, so a cost that broadcasts to ``(N, M)`` serves."""
+    split where they were, so a cost that broadcasts to ``(N, M)`` serves.
+    The steps take ``N = n`` and ``M = x.size - n`` from here, not from
+    the shape of ``c``."""
     if isinstance(pot, np.ndarray):
         return pot, other, np.shape(c)[0], False
     return np.concatenate(pot), (None if other is None else np.concatenate(other)), len(pot[0]), True
@@ -162,11 +164,11 @@ def cyclic_projection_step(
     gauge shift ``(alpha + s, beta - s)``, ``s = sum(f) / (2 N M)``.
     ``pot`` and ``residuals`` are as in :func:`gradient_step`.
     """
-    rows, cols = np.shape(c)
     x, residuals, n, pair = _end_to_end(pot, residuals, c)
+    m = x.size - n
     p = _gradient(x, n, c, gamma, mu, nu, residuals)
-    shift = p[:n].sum() / (rows * cols)
-    np.divide(p, _divisors(n, cols, p.size - n, rows), out=p)
+    shift = p[:n].sum() / (n * m)
+    np.divide(p, _divisors(n, m, m, n), out=p)
     np.subtract(p[n:], shift, out=p[n:])
     return _descended(x, p, n, pair)
 
@@ -187,9 +189,9 @@ def gradient_step(
     is a new such array.  Both forms take the same floating-point
     operations in the same order, bit for bit, and neither writes ``pot``.
     """
-    if tau is None:
-        tau = 1.0 / sum(np.shape(c))
     x, residuals, n, pair = _end_to_end(pot, residuals, c)
+    if tau is None:
+        tau = 1.0 / x.size  # 1 / (N + M)
     p = _gradient(x, n, c, gamma, mu, nu, residuals)
     np.multiply(p, tau, out=p)
     return _descended(x, p, n, pair)
@@ -229,9 +231,9 @@ def nesterov_step(state: NesterovState, c, gamma, mu, nu, tau=None, recover=None
     ``recover`` returns take the same form; the new state keeps it.
     """
     cur, prev, k = state
-    if tau is None:
-        tau = 1.0 / sum(np.shape(c))
     x, before, n, pair = _end_to_end(cur, prev, c)
+    if tau is None:
+        tau = 1.0 / x.size  # 1 / (N + M)
     # a new array for sigma (x - before), as float as sigma even for
     # integer potentials
     bar = np.multiply(np.subtract(x, before), k / (k + 3.0))
@@ -345,18 +347,20 @@ class _SupportBand:
     and ``f`` from the dense row residual by as much.
 
     Past the budget, or with non-finite potentials (a NaN or infinite drift
-    fails the test), one dense recovery, one call of the module's
-    ``recover_plan``, rebuilds the band by one rule: it selects the band at
-    its potentials with ``theta = _BAND_REACH`` times their move from the
-    last call's, which before the first call are the run's ``start``.  The
-    recovery selects it in the same sweep over the plan, ``reach=theta``,
-    which gathers the band's flat indices block by block as it forms each
-    block's ``beta + alpha - c``; the band is built from those indices
-    alone.  No band is kept when that move is zero or not finite (so none
-    at a first call at ``start``), at non-finite potentials (their slack is
-    not finite), or when the band would hold more than ``_BAND_MAX_SHARE``
-    of the cells: the sweep stops gathering indices in the block where they
-    first number more than that, and only finishes the plan.  So a band
+    fails the test), ``recover`` drops the band and its storage, and one
+    dense recovery, one call of the module's ``recover_plan`` with
+    ``reach=theta``, rebuilds it by one rule: ``theta`` is ``_BAND_REACH``
+    times the move of the potentials from the last call's, which before
+    the first call are the run's ``start``.  The call selects the band in
+    the same sweep over the plan, gathering its flat indices block by block
+    as it forms each block's ``beta + alpha - c``; the band is built from
+    those indices alone.  It is kept only where a band is due, ``theta -
+    slack > 0``, and it holds at most ``_BAND_MAX_SHARE`` of the cells.  So
+    none is kept where that move is zero, below the slack or not finite
+    (none at a first call at ``start``), nor at non-finite potentials
+    (their slack is not finite); the indices such a call gathers go unused.
+    Past the share the sweep stops gathering indices in the block where
+    they first number more than it, and only finishes the plan.  So a band
     that is live after a call proves that call's potentials finite.
 
     A dense recovery skips the tiles of its sweep whose plan is provably
@@ -372,14 +376,14 @@ class _SupportBand:
     cells and sums are bit for bit those of the whole sweep.  Band cells
     lie in live tiles, so ``write()`` keeps ``spans`` true.
 
-    A call that keeps no band recovers nothing where ``max alpha + max
+    A call with no band due recovers nothing where ``max alpha + max
     beta <= min c`` as floats, the same test over all tiles at once: its
     plan is ``+0.0`` in every cell.  The call's residuals are those of zero
     row and column sums, ``0.0 - mu`` and ``0.0 - nu``, and ``values`` and
     ``values_cost`` are empty; ``write()`` zeroes ``plan`` if such a call is
     the last.  That is the call at a run's start on a cost of no negative
     entry, which is a zero move and keeps no band.  The test reads ``alpha``
-    and ``beta`` once more, and only in a call that keeps no band.  A NaN
+    and ``beta`` once more, and only in a call with no band due.  A NaN
     in the potentials fails it.  It stays apart from the sweep: a sweep
     whose tiles are all dead would still count as a dense recovery, would
     write ``+0.0`` over ``plan``'s old spans (all of a new buffer), and on a
@@ -451,7 +455,7 @@ class _SupportBand:
         self.bounded = False
         if self.base is not None and self._move(x, self.base) <= self.budget:
             return self._banded(x)
-        self.base = None
+        self.base = self.cols = self.counts = self.cost = None  # the old band's storage goes first
         return self._dense(x, _BAND_REACH * self._move(x, last))
 
     def certify(self, x, tol):
@@ -494,30 +498,26 @@ class _SupportBand:
             self.plan[np.arange(self.plan.shape[0]).repeat(self.counts), self.cols] = self.values
 
     def _dense(self, x, theta):
-        """Recover ``x`` densely into ``plan``, and keep the band of reach
-        ``theta`` at ``x`` that the same sweep selects, if one is due;
-        where none is and the plan is provably zero, recover nothing."""
+        """Recover ``x`` densely into ``plan``, selecting the cells of reach
+        ``theta`` at ``x`` in the same sweep, and keep them as the band if
+        one is due; where none is and the plan is provably zero, recover
+        nothing."""
         n = self.f.size
         pot = alpha, beta = x[:n], x[n:]
         slack = 8.0 * _EPS * (np.abs(alpha).max() + np.abs(beta).max() + self.cmax + theta)
+        due = theta - slack > 0.0  # also refuses a zero or non-finite reach
         sums = self.f, self.g  # the plan's row and column sums, made residuals below
-        tiles = self.tiles
-        if theta - slack > 0.0:  # also refuses a zero or non-finite reach
-            self.cols = self.counts = self.cost = None  # the old band's storage goes first
-            n, m = self.plan.shape
-            limit = int(_BAND_MAX_SHARE * n * m)
-            cells = recover_plan(pot, self.c, self.gamma, out=self.plan, reach=theta, limit=limit, sums=sums, tiles=tiles)[1]
-            if cells.size <= limit:
-                self._keep(x, cells, theta, slack)
-        elif alpha.max() + beta.max() <= self.cmin:  # False at a NaN
+        if not due and alpha.max() + beta.max() <= self.cmin:  # False at a NaN
             # every value before the clip rounds to at most 0, so the plan is
             # +0.0 throughout, with no value to keep, and its sums are 0.0;
             # plan is left as it is
             self.res.fill(0.0)
             self.values = self.values_cost = self.res[:0]
             return self._residuals(*sums)
-        else:
-            recover_plan(pot, self.c, self.gamma, out=self.plan, sums=sums, tiles=tiles)
+        limit = int(_BAND_MAX_SHARE * self.plan.size)
+        cells = recover_plan(pot, self.c, self.gamma, out=self.plan, reach=theta, limit=limit, sums=sums, tiles=self.tiles)[1]
+        if due and cells.size <= limit:
+            self._keep(x, cells, theta, slack)
         self.values, self.values_cost = self.plan, self.c
         return self._residuals(*sums)
 
@@ -788,14 +788,16 @@ def solve(mu, nu, c, config: SolverConfig) -> ConvergenceReport:
     ``plan_due`` is set and to confirm convergence.  So for both, iteration
     counts are those of testing the plan every iteration.
 
-    A dense recovery takes the marginal residuals in the same sweep over
-    the plan, and skips each tile of the sweep (a block of rows by 64
-    columns) where the potentials' maxima and the tile's least cost prove
-    its plan zero.  A recovery whose plan is provably zero as a whole, such
-    as the start's on a nonnegative cost, reads no ``N x M`` array.  A dual
-    run checks the cost by the least cost of each tile and by its greatest
-    entry, which propagate a NaN, and its support band reuses both;
-    Sinkhorn checks it by its least and greatest entries.
+    A dense recovery is one sweep over the plan, one loop body per block
+    of rows, that takes the marginal residuals and selects the cells of a
+    new band, kept where one is due, as it goes.  It skips each tile of the
+    sweep (a block of rows by 64 columns) where the potentials' maxima and
+    the tile's least cost prove its plan zero.  A recovery whose plan is
+    provably zero as a whole, such as the start's on a nonnegative cost,
+    reads no ``N x M`` array.  A dual run checks the cost by the least cost
+    of each tile and by its greatest entry, which propagate a NaN, and its
+    support band reuses both; Sinkhorn checks it by its least and greatest
+    entries.
 
     Raises
     ------

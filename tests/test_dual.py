@@ -233,6 +233,50 @@ def test_tiled_sweep_zeroes_the_cells_a_moved_span_leaves(shift):
     assert_same_bits(got, sweep(p, moved, 0.7, np.full((n, m), np.nan), 0.01, None))
 
 
+@pytest.mark.parametrize("name", ["short last block", "one row", "dead blocks", "no reach", "limit trips"])
+def test_a_sweep_into_a_new_buffer_rewrites_stale_spans(name, monkeypatch):
+    # out=None: the sweep knows nothing of the new buffer, so it takes the
+    # stale spans it is given (here, every block dead) as whole and
+    # rewrites them to the spans of a sweep into a fresh buffer.  The
+    # buffer starts as NaN, so a cell left unwritten would show, yet plan,
+    # cells and sums are the untiled sweep's bit for bit
+    p, c, full, reach, limit = tile_case(name)
+    n, m = full.shape
+    blocks = -(-n // _block_rows(m))
+    with np.errstate(invalid="ignore"):
+        want = sweep(p, c, 0.7, np.full((n, m), np.nan), reach, limit)
+        fresh = [(0, m)] * blocks
+        sweep(p, c, 0.7, np.full((n, m), np.nan), reach, limit, tiles=(_tile_minima(full), fresh))
+        empty = np.empty
+
+        def nans(shape, dtype=float, **kwargs):
+            out = empty(shape, dtype, **kwargs)
+            if out.dtype.kind == "f":
+                out.fill(np.nan)
+            return out
+
+        monkeypatch.setattr(np, "empty", nans)
+        spans = [(0, 0)] * blocks
+        row, col = np.full(n, np.nan), np.full(m, np.nan)
+        got = recover_plan(p, c, 0.7, reach=reach, limit=limit, sums=(row, col), tiles=(_tile_minima(full), spans))
+    monkeypatch.undo()
+    assert_same_bits((got if reach is not None else (got, None)) + (row, col), want)
+    assert spans == fresh and (blocks == 1 or fresh != [(0, m)] * blocks), (spans, fresh)
+
+
+def test_a_sweep_of_one_block_leaves_the_spans_as_given():
+    # a sweep of one block has no tile to skip: it recovers every cell of
+    # out, and the spans, which no sweep of out reads, stay as they are
+    p, c, full, reach, limit = tile_case("one row")
+    m = full.shape[1]
+    assert _block_rows(m) >= full.shape[0]
+    for spans in ([(0, m)], [(0, 0)], [(64, 128)]):
+        given = list(spans)
+        got = sweep(p, c, 0.7, np.full(full.shape, np.nan), reach, limit, tiles=(_tile_minima(full), spans))
+        assert_same_bits(got, sweep(p, c, 0.7, np.full(full.shape, np.nan), reach, limit))
+        assert spans == given
+
+
 def test_tile_minima_are_the_least_cost_of_each_tile(rng):
     n, m = 2 * (_BLOCK_CELLS // 700) + 5, 700
     c = rng.normal(size=(n, m))

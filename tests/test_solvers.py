@@ -32,7 +32,7 @@ from qrot import (
     solve,
 )
 from qrot.core import DOT_CHUNK, _primal_objective, marginal_residuals, vdot
-from qrot.dual import _dual_objective, _tile_minima, dual_gradients, dual_objective, dual_value
+from qrot.dual import _dual_objective, _tile_minima, dual_objective, dual_value
 from qrot.fileio import ProblemFile, default_problem, realize_problem
 from qrot.solvers import _dot, _SupportBand
 
@@ -201,17 +201,18 @@ def test_end_to_end_steps_are_the_pair_steps_bit_for_bit(rng, n, m):
     assert x.tobytes() == kept.tobytes()
 
     # the pair form splits where the pair does, so a cost that broadcasts
-    # to (N, M) serves as it does in recover_plan; cyclic projection's P
-    # reads its sizes from the cost
+    # to (N, M) serves as it does in recover_plan, and every step reads N
+    # and M from the potentials: each gives the full cost's step, bit for
+    # bit, at the default tau too
     for cost in (c[:1], c[0], c[0, 0]):
         full = np.broadcast_to(cost, (n, m))
+        assert_same_pairs(cyclic_projection_step(pot, cost, gamma, mu, nu),
+                          cyclic_projection_step(pot, full, gamma, mu, nu))
         assert_same_pairs(fixed_point_step(pot, cost, gamma, mu, nu), fixed_point_step(pot, full, gamma, mu, nu))
-        assert_same_pairs(gradient_step(pot, cost, gamma, mu, nu, 0.07), gradient_step(pot, full, gamma, mu, nu, 0.07))
-        assert_same_pairs(nesterov_step(NesterovState(pot, prev, 7), cost, gamma, mu, nu, 0.07).current,
-                          nesterov_step(NesterovState(pot, prev, 7), full, gamma, mu, nu, 0.07).current)
-    ga, gb = dual_gradients(pot, c[:1], gamma, mu, nu)
-    assert_same_pairs(cyclic_projection_step(pot, c[:1], gamma, mu, nu),
-                      DualPotentials(pot.alpha - ga / m, pot.beta - (gb / 1 - ga.sum() / m)))
+        for tau in (None, 0.07):
+            assert_same_pairs(gradient_step(pot, cost, gamma, mu, nu, tau), gradient_step(pot, full, gamma, mu, nu, tau))
+            assert_same_pairs(nesterov_step(NesterovState(pot, prev, 7), cost, gamma, mu, nu, tau).current,
+                              nesterov_step(NesterovState(pot, prev, 7), full, gamma, mu, nu, tau).current)
 
     # integer potentials, as pairs or end to end, extrapolate in floats: the
     # step is the one from the same values as floats
@@ -751,37 +752,71 @@ def test_solve_rejects_a_cost_that_is_not_finite(alg, bad):
 
 def test_a_first_call_rebuilds_by_the_one_rule_from_the_start(rng, monkeypatch):
     # a band's first call rebuilds as every later one does, from the move
-    # away from the band's start: a small one selects the cells within
-    # _BAND_REACH times it, as the dense recovery rounds them; one that
-    # takes in more than _BAND_MAX_SHARE of the cells keeps no band, and
-    # so does a call at the start, a zero move.  Each is one dense
-    # recovery, with the dense plan and residuals bit for bit.  The move is
-    # max|d alpha| + max|d beta|
+    # away from the band's start, in one dense recovery: one recover_plan
+    # call that selects the cells within theta = _BAND_REACH times the
+    # move, as the dense recovery rounds them.  It keeps them as the band
+    # exactly when theta passes the slack and they fit _BAND_MAX_SHARE of
+    # the cells: not past the share, at a zero move (also on a cost with
+    # negative entries, whose plan at zero potentials is not zero), at a
+    # move below the slack, nor at NaN potentials.  Either way the plan and
+    # residuals are those of recover_plan without a reach, bit for bit.
+    # The move is max|d alpha| + max|d beta|
     from qrot import solvers
 
     mu, nu, c = realize_problem(default_problem("squared", 10.0, n=60))
     mu, nu = mu.w, nu.w
-    start = solve(mu, nu, c, SolverConfig(gamma=10.0, algorithm=Algorithm.NESTEROV, tol=1e-3,
-                                          record_history=False)).final_potentials
-    dense = count_dense_recoveries(monkeypatch)
-    for step, kept in ((0.0, False), (1e-6, True), (1.0, False)):
-        p = DualPotentials(start.alpha + step * rng.standard_normal(60), start.beta + step * rng.standard_normal(60))
+    solved = solve(mu, nu, c, SolverConfig(gamma=10.0, algorithm=Algorithm.NESTEROV, tol=1e-3,
+                                           record_history=False)).final_potentials
+    calls = []
+
+    def recorded(*args, reach=None, **kwargs):
+        result = recover_plan(*args, reach=reach, **kwargs)
+        calls.append((reach, None if reach is None else result[1]))
+        return result
+
+    monkeypatch.setattr(solvers, "recover_plan", recorded)
+
+    def moved(p, step):
+        return DualPotentials(p.alpha + step * rng.standard_normal(60), p.beta + step * rng.standard_normal(60))
+
+    low = DualPotentials(np.where(np.arange(60) == 0, 0.0, solved.alpha), solved.beta)  # alpha[0] = 0
+    tiny = DualPotentials(np.where(np.arange(60) == 0, 1e-20, solved.alpha), solved.beta)  # a move of 1e-20 from low
+    nan = DualPotentials(np.where(np.arange(60) == 7, np.nan, solved.alpha), solved.beta)
+    cases = [  # (cost, start, potentials, theta past the slack, band kept)
+        (c, solved, solved, False, False),  # a zero move
+        (c, solved, moved(solved, 1e-6), True, True),
+        (c, solved, moved(solved, 1.0), True, False),  # past the share
+        (c - 0.5, zeros(60, 60), zeros(60, 60), False, False),  # a zero move, negative costs
+        (c, low, tiny, False, False),  # a move below the slack
+        (c, solved, nan, False, False),
+    ]
+    for k, (cost, start, p, due, kept) in enumerate(cases):
         x = np.concatenate(p)
-        band = support_band(c, 10.0, mu, nu, start)
-        dense[0] = 0
-        f, g = np.split(band.recover(x), [60])
-        assert dense[0] == 1 and band.last is x and (band.base is x) == kept, step
-        move = np.abs(p.alpha - start.alpha).max() + np.abs(p.beta - start.beta).max()
-        cells = np.flatnonzero(p.beta + p.alpha[:, None] - c > -solvers._BAND_REACH * move)
+        band = support_band(cost, 10.0, mu, nu, start)
+        calls.clear()
+        with np.errstate(invalid="ignore"):
+            f, g = np.split(band.recover(x), [60])
+            move = np.abs(p.alpha - start.alpha).max() + np.abs(p.beta - start.beta).max()
+            theta = solvers._BAND_REACH * move
+            cells = np.flatnonzero(p.beta + p.alpha[:, None] - cost > -theta)
+        [(reach, got)] = calls  # one dense recovery, at reach theta
+        assert np.array_equal(reach, theta, equal_nan=True), k
+        slack = 8.0 * np.finfo(float).eps * (np.abs(p.alpha).max() + np.abs(p.beta).max()
+                                             + max(cost.max(), -cost.min()) + theta)
+        fits = got.size <= solvers._BAND_MAX_SHARE * cost.size
+        assert (theta - slack > 0.0) == due and (band.base is x) == (due and fits) == kept, k
+        assert band.last is x and fits == (cells.size <= solvers._BAND_MAX_SHARE * cost.size), k
+        if fits:
+            assert np.array_equal(got, cells), k
         if kept:
-            assert cells.size <= solvers._BAND_MAX_SHARE * c.size
             assert np.array_equal(np.arange(60).repeat(band.counts) * 60 + band.cols, cells)
-        elif step:
-            assert cells.size > solvers._BAND_MAX_SHARE * c.size
         band.write()
-        plan = recover_plan(p, c, 10.0)
-        rf, rg = marginal_residuals(plan, mu, nu)
-        assert np.array_equal(band.plan, plan) and np.array_equal(f, rf) and np.array_equal(g, rg), step
+        with np.errstate(invalid="ignore"):
+            plan = recover_plan(p, cost, 10.0)
+            rf, rg = marginal_residuals(plan, mu, nu)
+        for a, b in ((band.plan, plan), (f, rf), (g, rg)):
+            assert a.tobytes() == b.tobytes(), k
+    assert np.count_nonzero(np.isnan(plan)) == 60  # the NaN row's
 
 
 def test_band_past_its_share_is_not_kept(rng, monkeypatch):
