@@ -309,10 +309,4 @@ def primal_objective(pi, c, gamma: float) -> float:
         raise ValueError(f"plan shape {pi.shape} does not match cost shape {c.shape}")
     if not (gamma > 0):
         raise ValueError("gamma must be positive")
-    return _primal_objective(pi, c, gamma, vdot(pi, pi))
-
-
-def _primal_objective(pi, c, gamma: float, norm2) -> float:
-    """:func:`primal_objective` without its checks: ``pi`` and ``c`` are
-    float arrays of one size, ``gamma > 0`` and ``norm2 = vdot(pi, pi)``."""
-    return float(vdot(c, pi) + 0.5 * gamma * norm2)
+    return float(vdot(c, pi) + 0.5 * gamma * vdot(pi, pi))

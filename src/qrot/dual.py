@@ -214,15 +214,8 @@ def dual_objective(pot, c, gamma: float, mu, nu) -> float:
     """
     mu, nu = as_weights(mu), as_weights(nu)
     plan = recover_plan(pot, c, gamma)
-    return _dual_objective(pot, gamma, mu, nu, vdot(plan, plan))
-
-
-def _dual_objective(pot, gamma: float, mu, nu, norm2) -> float:
-    """:func:`dual_objective` without its checks: ``mu`` and ``nu`` are
-    float arrays and ``norm2`` is ``||pi||^2`` as :func:`qrot.core.vdot`
-    gives it."""
     alpha, beta = pot
-    return float(0.5 * gamma * gamma * norm2 - gamma * vdot(alpha, mu) - gamma * vdot(beta, nu))
+    return float(0.5 * gamma * gamma * vdot(plan, plan) - gamma * vdot(alpha, mu) - gamma * vdot(beta, nu))
 
 
 def dual_gradients(pot, c, gamma: float, mu, nu):

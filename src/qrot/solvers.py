@@ -35,16 +35,18 @@ them both may instead return a certified lower bound on a violation above
 A dual run keeps its potentials end to end, so that each operation of an
 iteration is one numpy call on that array or on the residuals, which its
 :class:`_SupportBand` keeps end to end as well; only the fixed-point step
-hands the two halves to :func:`~qrot.dual.preconditioner_apply`.  Quadratic regularization
-makes the plan sparse, and the band recovers it touching only a certified
-band of cells that can be positive; it states the rules that keep the run
-bit for bit that of dense recovery.
+hands the two halves to :func:`~qrot.dual.preconditioner_apply`.
+Quadratic regularization makes the plan sparse, and the band recovers it
+touching only a certified band of cells that can be positive; its
+docstring states the band's contract, the one record that holds a live
+band and the rules that keep the run bit for bit that of dense recovery.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections import namedtuple
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -108,16 +110,16 @@ class NesterovState(NamedTuple):
     n: int
 
 
-def _end_to_end(pot, other, c):
+def _end_to_end(pot, other, mu):
     """``(x, y, n, pair)``: ``pot`` and ``other`` (a step's residuals or
     Nesterov's previous point, or None) end to end as ``x`` and ``y``, the
     length ``n`` of alpha, and whether ``pot`` is a pair.  Arrays pass as
-    they are, split at the rows of ``c``; pairs are joined into new arrays,
-    split where they were, so a cost that broadcasts to ``(N, M)`` serves.
-    The steps take ``N = n`` and ``M = x.size - n`` from here, not from
-    the shape of ``c``."""
+    they are, split at the length of ``mu``; pairs are joined into new
+    arrays, split where they were.  The steps take ``N = n`` and ``M =
+    x.size - n`` from here, never from the shape of ``c``, so in either
+    form a cost that broadcasts to ``(N, M)`` serves."""
     if isinstance(pot, np.ndarray):
-        return pot, other, np.shape(c)[0], False
+        return pot, other, len(as_weights(mu)), False
     return np.concatenate(pot), (None if other is None else np.concatenate(other)), len(pot[0]), True
 
 
@@ -164,7 +166,7 @@ def cyclic_projection_step(
     gauge shift ``(alpha + s, beta - s)``, ``s = sum(f) / (2 N M)``.
     ``pot`` and ``residuals`` are as in :func:`gradient_step`.
     """
-    x, residuals, n, pair = _end_to_end(pot, residuals, c)
+    x, residuals, n, pair = _end_to_end(pot, residuals, mu)
     m = x.size - n
     p = _gradient(x, n, c, gamma, mu, nu, residuals)
     shift = p[:n].sum() / (n * m)
@@ -189,7 +191,7 @@ def gradient_step(
     is a new such array.  Both forms take the same floating-point
     operations in the same order, bit for bit, and neither writes ``pot``.
     """
-    x, residuals, n, pair = _end_to_end(pot, residuals, c)
+    x, residuals, n, pair = _end_to_end(pot, residuals, mu)
     if tau is None:
         tau = 1.0 / x.size  # 1 / (N + M)
     p = _gradient(x, n, c, gamma, mu, nu, residuals)
@@ -209,7 +211,7 @@ def fixed_point_step(
     and hence optimal.  ``pot`` and ``residuals`` are as in
     :func:`gradient_step`.
     """
-    x, residuals, n, pair = _end_to_end(pot, residuals, c)
+    x, residuals, n, pair = _end_to_end(pot, residuals, mu)
     p = _gradient(x, n, c, gamma, mu, nu, residuals)
     p[:n], p[n:] = preconditioner_apply(p[:n], p[n:])
     return _descended(x, p, n, pair)
@@ -231,7 +233,7 @@ def nesterov_step(state: NesterovState, c, gamma, mu, nu, tau=None, recover=None
     ``recover`` returns take the same form; the new state keeps it.
     """
     cur, prev, k = state
-    x, before, n, pair = _end_to_end(cur, prev, c)
+    x, before, n, pair = _end_to_end(cur, prev, mu)
     if tau is None:
         tau = 1.0 / x.size  # 1 / (N + M)
     # a new array for sigma (x - before), as float as sigma even for
@@ -286,6 +288,9 @@ _BAND_REACH = 32.0
 _BAND_MAX_SHARE = 0.25
 _EPS = float(np.finfo(float).eps)
 
+# a live band of _SupportBand, as one read-only record (its docstring gives the fields)
+_Cells = namedtuple("_Cells", "base budget slack width cols counts cost rows starts")
+
 
 class _SupportBand:
     """Plan recovery for the run's one plan buffer, touching only the cells
@@ -293,8 +298,8 @@ class _SupportBand:
 
     The band takes potentials end to end, as one array ``x`` of ``N + M``
     values with ``alpha = x[:N]`` and ``beta = x[N:]``, and keeps references
-    to the arrays it is given (``last``, ``base``), which the run never
-    writes.  ``recover(x)`` recovers ``pi = recover_plan((alpha, beta), c,
+    to the arrays it is given (``last``, the band's ``base``), which the run
+    never writes.  ``recover(x)`` recovers ``pi = recover_plan((alpha, beta), c,
     gamma)`` and returns the residuals of ``marginal_residuals(pi, mu, nu)``
     end to end, as the buffer ``res``, with the two halves ``f`` and ``g``.
     A dense recovery writes ``pi`` into ``plan``, the band's C-contiguous
@@ -317,21 +322,29 @@ class _SupportBand:
     scratch buffer ``drift``, its magnitudes, and the largest of each half
     (``np.maximum.reduceat`` at ``ends``).
 
-    The band is the cells with ``alpha (+) beta - c > -theta`` at its base
-    potentials, as the dense recovery rounds them, in row-major order: the
-    column of each cell (native ``np.intp`` integers, which ``take`` and
-    ``bincount`` use without converting them), the number of cells in each
-    row, and each cell's cost.  ``write()`` rebuilds the cells' rows from
-    the counts.  While a band is live, the off-band cells of ``plan`` are
-    zero: the band is selected from the dense recovery at its base, which
-    ``plan`` holds, and until the next dense recovery only ``write()``
-    touches the buffer, at band cells.  A cell off the band stays at zero
-    while the potentials' drift from the base, ``max|d alpha| + max|d
-    beta|``, is at most ``theta - slack`` with ``slack = 8 eps (max|alpha0|
-    + max|beta0| + max|c| + theta)``: the drift lifts the exact value by at
-    most the drift, and the slack covers the rounding of the selection, of
-    the drift and of the recovery, so the rounded value stays negative and
-    its clip is ``+0.0``.
+    The live band is one read-only :class:`_Cells` record, ``cells``, which
+    is None while no band is live.  ``_keep`` builds it in one expression
+    and ``recover`` drops it in one assignment, so its fields always belong
+    to one band, and once a call has dropped it the band holds none of its
+    arrays.  The band is the cells with ``alpha (+) beta - c > -theta`` at
+    its ``base`` potentials, as the dense recovery rounds them, in row-major
+    order.  The record holds ``base``; the drift ``budget = theta - slack``
+    it stays valid for, and its ``slack`` (below); ``width``, the most band
+    cells in any row or column; the column of each cell, ``cols`` (native
+    ``np.intp`` integers, which ``take`` and ``bincount`` use without
+    converting them); the number of cells in each row, ``counts``; each
+    cell's ``cost``; and the ``rows`` with a band cell, with where each
+    ``starts`` in the band.  ``write()`` rebuilds the cells' rows from the
+    counts.  While a band is live, the off-band cells of ``plan`` are zero:
+    the band is selected from the dense recovery at its base, which ``plan``
+    holds, and until the next dense recovery only ``write()`` touches the
+    buffer, at band cells.  A cell off the band stays at zero while the
+    potentials' drift from the base, ``max|d alpha| + max|d beta|``, is at
+    most ``theta - slack`` with ``slack = 8 eps (max|alpha0| + max|beta0| +
+    max|c| + theta)``: the drift lifts the exact value by at most the drift,
+    and the slack covers the rounding of the selection, of the drift and of
+    the recovery, so the rounded value stays negative and its clip is
+    ``+0.0``.
 
     Within that budget two rules keep ``plan`` and ``g`` bit for bit those
     of dense recovery.  Band cells follow the dense op order, ``beta[cols] +
@@ -347,14 +360,14 @@ class _SupportBand:
     and ``f`` from the dense row residual by as much.
 
     Past the budget, or with non-finite potentials (a NaN or infinite drift
-    fails the test), ``recover`` drops the band and its storage, and one
-    dense recovery, one call of the module's ``recover_plan`` with
-    ``reach=theta``, rebuilds it by one rule: ``theta`` is ``_BAND_REACH``
-    times the move of the potentials from the last call's, which before
-    the first call are the run's ``start``.  The call selects the band in
-    the same sweep over the plan, gathering its flat indices block by block
-    as it forms each block's ``beta + alpha - c``; the band is built from
-    those indices alone.  It is kept only where a band is due, ``theta -
+    fails the test), ``recover`` drops the band, and one dense recovery,
+    one call of the module's ``recover_plan`` with ``reach=theta``, rebuilds
+    it by one rule: ``theta`` is ``_BAND_REACH`` times the move of the
+    potentials from the last call's, which before the first call are the
+    run's ``start``.  The call selects the band in the same sweep over the
+    plan, gathering its flat indices block by block as it forms each
+    block's ``beta + alpha - c``; the band is built from those indices
+    alone.  It is kept only where a band is due, ``theta -
     slack > 0``, and it holds at most ``_BAND_MAX_SHARE`` of the cells.  So
     none is kept where that move is zero, below the slack or not finite
     (none at a first call at ``start``), nor at non-finite potentials
@@ -424,9 +437,9 @@ class _SupportBand:
         self.cmax = max(cmax, -self.cmin)
         n, m = c.shape
         # the least cost of each tile of the dense sweep, and the columns of
-        # each of its blocks outside which plan is +0.0: one attribute, since
-        # CPython 3.11 reads every attribute of an instance with 30 or more
-        # about 10% more slowly
+        # each of its blocks outside which plan is +0.0: one attribute, as the
+        # live band is one (cells), since CPython 3.11 reads every attribute
+        # of an instance with 30 or more about 10% more slowly; a band holds 20
         self.tiles = least, [(0, m)] * len(least)
         self.wmax = float(max(mu.max(), nu.max()))  # the largest marginal weight
         # the small buffers go before the plan buffer: allocated after it, they
@@ -443,31 +456,29 @@ class _SupportBand:
         self.values, self.values_cost = self.plan, c
         self.last = start  # potentials of the last call, the run's start before the first
         self.bounded = False  # the last call was a certify, so res is the call's before
-        self.base = None  # potentials of the live band, None when dense
         self.ends = np.array([0, n])  # where alpha and beta start in the potentials
-        self.budget = self.slack = 0.0
-        self.width = 0.0  # the most band cells in any row or column
-        self.cols = self.counts = self.cost = None
-        self.rows = self.starts = None  # the rows with a band cell, and where each starts in the band
+        self.cells = None  # the live band, a _Cells record, or None
 
     def recover(self, x):
         last, self.last = self.last, x
         self.bounded = False
-        if self.base is not None and self._move(x, self.base) <= self.budget:
-            return self._banded(x)
-        self.base = self.cols = self.counts = self.cost = None  # the old band's storage goes first
+        cells = self.cells
+        if cells is not None and self._move(x, cells.base) <= cells.budget:
+            return self._banded(x, cells)
+        self.cells = None  # no band is live unless the dense recovery keeps one
         return self._dense(x, _BAND_REACH * self._move(x, last))
 
     def certify(self, x, tol):
         """A lower bound above ``tol`` on the violation ``recover(x)`` would
         return, proved from the last call's residuals, or None."""
-        if self.bounded or self.base is None or not self._move(x, self.base) <= self.budget:
+        cells = self.cells
+        if self.bounded or cells is None or not self._move(x, cells.base) <= cells.budget:
             return None
-        shift = self.width * self._move(x, self.last) / self.gamma
+        shift = cells.width * self._move(x, self.last) / self.gamma
         worst = self.violation()
         sums = worst + self.wmax + shift  # bounds every row and column sum at both points
         terms = max(self.plan.shape)  # the most terms in a row or column sum
-        margin = self.width * self.slack / self.gamma + 2.0 * (terms + 4) * _EPS * sums
+        margin = cells.width * cells.slack / self.gamma + 2.0 * (terms + 4) * _EPS * sums
         bound = worst - shift - margin
         if not (bound > tol and math.isfinite(2.0 * sums)):  # NaN fails both
             return None
@@ -492,10 +503,10 @@ class _SupportBand:
         zero."""
         if self.values is self.plan:
             return
-        if self.base is None:
+        if self.cells is None:
             self.plan.fill(0.0)
         else:
-            self.plan[np.arange(self.plan.shape[0]).repeat(self.counts), self.cols] = self.values
+            self.plan[np.arange(self.plan.shape[0]).repeat(self.cells.counts), self.cells.cols] = self.values
 
     def _dense(self, x, theta):
         """Recover ``x`` densely into ``plan``, selecting the cells of reach
@@ -515,9 +526,9 @@ class _SupportBand:
             self.values = self.values_cost = self.res[:0]
             return self._residuals(*sums)
         limit = int(_BAND_MAX_SHARE * self.plan.size)
-        cells = recover_plan(pot, self.c, self.gamma, out=self.plan, reach=theta, limit=limit, sums=sums, tiles=self.tiles)[1]
-        if due and cells.size <= limit:
-            self._keep(x, cells, theta, slack)
+        picked = recover_plan(pot, self.c, self.gamma, out=self.plan, reach=theta, limit=limit, sums=sums, tiles=self.tiles)[1]
+        if due and picked.size <= limit:
+            self._keep(x, picked, theta, slack)
         self.values, self.values_cost = self.plan, self.c
         return self._residuals(*sums)
 
@@ -527,31 +538,30 @@ class _SupportBand:
         np.subtract(col, self.nu, out=self.g)
         return self.res
 
-    def _banded(self, x):
+    def _banded(self, x, cells):
         n = self.f.size
-        vals = x[n:].take(self.cols)
-        np.add(vals, x[:n].repeat(self.counts), out=vals)
-        np.subtract(vals, self.cost, out=vals)
+        vals = x[n:].take(cells.cols)
+        np.add(vals, x[:n].repeat(cells.counts), out=vals)
+        np.subtract(vals, cells.cost, out=vals)
         np.maximum(vals, 0.0, out=vals)
         np.divide(vals, self.gamma, out=vals)
-        self.values, self.values_cost = vals, self.cost
-        if self.rows.size:  # with no band cell there is no run to sum, and every row sum stays 0.0
-            self.row[self.rows] = np.add.reduceat(vals, self.starts)
-        col = np.bincount(self.cols, weights=vals, minlength=self.plan.shape[1])
+        self.values, self.values_cost = vals, cells.cost
+        if cells.rows.size:  # with no band cell there is no run to sum, and every row sum stays 0.0
+            self.row[cells.rows] = np.add.reduceat(vals, cells.starts)
+        col = np.bincount(cells.cols, weights=vals, minlength=self.plan.shape[1])
         return self._residuals(self.row, col)
 
-    def _keep(self, x, cells, theta, slack):
-        """Make the band the ``cells`` (flat indices, in increasing order) of
-        reach ``theta`` at ``x``."""
+    def _keep(self, x, picked, theta, slack):
+        """Make the band the cells ``picked`` (flat indices, in increasing
+        order) of reach ``theta`` at ``x``."""
         n, m = self.plan.shape
-        row_of, self.cols = np.divmod(cells, m)
-        self.counts = np.bincount(row_of, minlength=n)
-        self.cost = self.c.take(cells)
-        self.rows = np.flatnonzero(self.counts)
-        self.starts = (np.cumsum(self.counts) - self.counts)[self.rows]
-        self.width = float(max(self.counts.max(), np.bincount(self.cols, minlength=m).max()))
+        row_of, cols = np.divmod(picked, m)
+        counts = np.bincount(row_of, minlength=n)
+        rows = np.flatnonzero(counts)
+        width = max(counts.max(), np.bincount(cols, minlength=m).max())
         self.row.fill(0.0)
-        self.base, self.budget, self.slack = x, theta - slack, slack
+        self.cells = _Cells(x, theta - slack, slack, float(width), cols, counts, self.c.take(picked),
+                            rows, (np.cumsum(counts) - counts)[rows])
 
 
 def _quadratic_run(alg, c, gamma, mu, nu, tau, tol, least, cmax):
@@ -570,9 +580,9 @@ def _quadratic_run(alg, c, gamma, mu, nu, tau, tol, least, cmax):
     and the next step both read them.  It writes no plan.
     ``bounds()`` is ``(dual_value, primal_objective)`` for a history row at
     ``x``, taken over the values of the last recovery and their costs (the
-    band's, or the whole plan and ``c``) in the arithmetic of the
-    unchecked forms of those two functions, on Python floats, with their
-    four dot products by :func:`_dot`, bit for bit
+    band's, or the whole plan and ``c``) in the arithmetic of those two
+    functions, on Python floats, with their four dot products by
+    :func:`_dot`, bit for bit
     :func:`~qrot.core.vdot`, whose fixed chunks keep the sums independent
     of the BLAS thread count; the two share one ``||pi||^2``.
     ``result()`` writes the last recovery into the run's one plan buffer
@@ -587,22 +597,22 @@ def _quadratic_run(alg, c, gamma, mu, nu, tau, tol, least, cmax):
     :func:`solve` see every call, one step call per iteration.
 
     Every recovery goes through one :class:`_SupportBand`, which owns the
-    plan buffer.  Nesterov's step recovers at its extrapolated point, the
-    first one being its start, so its recovery at the current point feeds
-    only the stopping test.  Without ``plan_due`` it first asks
-    :meth:`_SupportBand.certify` whether the residuals just taken at the
-    extrapolated point prove the current violation above ``tol``, and
-    returns that lower bound in place of the recovery, as Sinkhorn returns
-    its estimate.  Such an iteration neither converges nor records a
-    history row, and the band rebuilds from the same moves as with the
-    recovery, so iteration counts, plans and potentials are those of
-    recovering every current point.  A history row, the cap and a
-    violation near ``tol`` take the recovery, so the values of the last
-    recovery, and the plan ``result()`` writes, are those of the current
-    point; the extrapolated plan is never written.
-    A band that is live after the last recovery proves the potentials
-    finite, so they are tested only when it is not; non-finite potentials
-    make the violation NaN, which :func:`solve` reports as divergence.
+    plan buffer and whose docstring states the band's contract; each step
+    reads the residuals of the last recovery from its buffer ``res``.
+    Nesterov's step recovers at its extrapolated point, the first one being
+    its start, so its recovery at the current point feeds only the stopping
+    test.  Without ``plan_due`` it first asks :meth:`_SupportBand.certify`
+    for a lower bound above ``tol`` on the current violation, and returns
+    it in place of the recovery, as Sinkhorn returns its estimate.  Such an
+    iteration neither converges nor records a history row, and ``certify``
+    leaves the band as the recovery would, so iteration counts, plans and
+    potentials are those of recovering every current point.  A history row,
+    the cap and a violation near ``tol`` take the recovery, so the values
+    of the last recovery, and the plan ``result()`` writes, are those of the
+    current point; the extrapolated plan is never written.  The potentials
+    are tested for finiteness only where no band is live after the last
+    recovery, as a live one proves them finite; non-finite potentials make
+    the violation NaN, which :func:`solve` reports as divergence.
     """
     n, m = c.shape
     if tau is None:
@@ -625,20 +635,20 @@ def _quadratic_run(alg, c, gamma, mu, nu, tau, tol, least, cmax):
             Algorithm.DUAL_GRADIENT: (gradient_step, (tau,)),
             Algorithm.FIXED_POINT: (fixed_point_step, ()),
         }[alg]
-        residuals = band.recover(x)  # the first step reads the start's residuals
+        band.recover(x)  # the first step reads the start's residuals, as every step reads band.res
 
         def step():
-            return plain(x, c, gamma, mu, nu, *args, residuals)
+            return plain(x, c, gamma, mu, nu, *args, band.res)
 
     def advance(plan_due):
-        nonlocal x, residuals
+        nonlocal x
         x = step()
         if certifies and not plan_due:
             bound = band.certify(x, tol)
             if bound is not None:
                 return bound
-        residuals = band.recover(x)
-        if band.base is None and not np.isfinite(x).all():
+        band.recover(x)
+        if band.cells is None and not np.isfinite(x).all():
             return math.nan
         return band.violation()  # NaN if any residual is
 
@@ -775,29 +785,22 @@ def solve(mu, nu, c, config: SolverConfig) -> ConvergenceReport:
     not, so the loop tests that one number for divergence.  A dual
     iteration recovers the plan in place and takes its marginal residuals
     once; the stopping test and the next step both read them.  Once the
-    plan is sparse the recovery touches only a certified band of cells (see
-    :class:`_SupportBand`): the plan and its column sums are bit for bit
-    those of a dense recovery, each row sum is within ``(M - 1) eps`` times
-    itself of the dense one, and a history row's objectives may differ
-    from the dense sums in the last digits.  Without ``plan_due`` Nesterov
-    skips the recovery at its current point where the residuals at its
-    extrapolated point prove that point's violation above ``tol``.
-    Sinkhorn tests its scaling vectors instead of the plan, and the ``K v``
-    of that test feeds the next sweep, so a sweep costs two matrix-vector
-    products.  It builds the plan, in place into one buffer, only when
-    ``plan_due`` is set and to confirm convergence.  So for both, iteration
-    counts are those of testing the plan every iteration.
+    plan is sparse the recovery touches only a certified band of cells,
+    and without ``plan_due`` Nesterov may skip the recovery at its current
+    point where a bound proves its violation above ``tol``;
+    :class:`_SupportBand` states the band's contract, which keeps the run
+    bit for bit that of dense recovery but for the order of a row sum, and
+    so the last digits of a history row's objectives.  Sinkhorn tests its
+    scaling vectors instead of the plan, and the ``K v`` of that test feeds
+    the next sweep, so a sweep costs two matrix-vector products.  It builds
+    the plan, in place into one buffer, only when ``plan_due`` is set and
+    to confirm convergence.  So for both, iteration counts are those of
+    testing the plan every iteration.
 
-    A dense recovery is one sweep over the plan, one loop body per block
-    of rows, that takes the marginal residuals and selects the cells of a
-    new band, kept where one is due, as it goes.  It skips each tile of the
-    sweep (a block of rows by 64 columns) where the potentials' maxima and
-    the tile's least cost prove its plan zero.  A recovery whose plan is
-    provably zero as a whole, such as the start's on a nonnegative cost,
-    reads no ``N x M`` array.  A dual run checks the cost by the least cost
-    of each tile and by its greatest entry, which propagate a NaN, and its
-    support band reuses both; Sinkhorn checks it by its least and greatest
-    entries.
+    A dual run checks the cost by the least cost of each tile of the dense
+    recovery's sweep and by its greatest entry, which propagate a NaN, and
+    its support band reuses both; Sinkhorn checks it by its least and
+    greatest entries.
 
     Raises
     ------

@@ -3,6 +3,7 @@ import pickle
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,8 +32,8 @@ from qrot import (
     sinkhorn_step,
     solve,
 )
-from qrot.core import DOT_CHUNK, _primal_objective, marginal_residuals, vdot
-from qrot.dual import _dual_objective, _tile_minima, dual_objective, dual_value
+from qrot.core import DOT_CHUNK, marginal_residuals, vdot
+from qrot.dual import _tile_minima, dual_value
 from qrot.fileio import ProblemFile, default_problem, realize_problem
 from qrot.solvers import _dot, _SupportBand
 
@@ -200,19 +201,38 @@ def test_end_to_end_steps_are_the_pair_steps_bit_for_bit(rng, n, m):
                 assert len(bars) == (2 if pair_rec else 0) and all(b.tobytes() == bars[0].tobytes() for b in bars)
     assert x.tobytes() == kept.tobytes()
 
-    # the pair form splits where the pair does, so a cost that broadcasts
-    # to (N, M) serves as it does in recover_plan, and every step reads N
-    # and M from the potentials: each gives the full cost's step, bit for
-    # bit, at the default tau too
+    # a cost that broadcasts to (N, M) serves as it does in recover_plan:
+    # every step, as pairs or end to end, reads N from the pair or from mu
+    # and M from the potentials, never from the cost, and gives the full
+    # cost's step, bit for bit, with and without residuals (for Nesterov, a
+    # recovery of its own) and at the default tau too
     for cost in (c[:1], c[0], c[0, 0]):
         full = np.broadcast_to(cost, (n, m))
-        assert_same_pairs(cyclic_projection_step(pot, cost, gamma, mu, nu),
-                          cyclic_projection_step(pot, full, gamma, mu, nu))
-        assert_same_pairs(fixed_point_step(pot, cost, gamma, mu, nu), fixed_point_step(pot, full, gamma, mu, nu))
+        for pair_res, flat_res in ((None, None), (res, np.concatenate(res))):
+            want = cyclic_projection_step(pot, full, gamma, mu, nu, pair_res)
+            assert_same_pairs(cyclic_projection_step(pot, cost, gamma, mu, nu, pair_res), want)
+            assert_same_potentials(want, cyclic_projection_step(x, cost, gamma, mu, nu, flat_res), n)
+            want = fixed_point_step(pot, full, gamma, mu, nu, pair_res)
+            assert_same_pairs(fixed_point_step(pot, cost, gamma, mu, nu, pair_res), want)
+            assert_same_potentials(want, fixed_point_step(x, cost, gamma, mu, nu, flat_res), n)
+            for tau in (None, 0.07):
+                want = gradient_step(pot, full, gamma, mu, nu, tau, pair_res)
+                assert_same_pairs(gradient_step(pot, cost, gamma, mu, nu, tau, pair_res), want)
+                assert_same_potentials(want, gradient_step(x, cost, gamma, mu, nu, tau, flat_res), n)
+
+        def pair_full(bar):
+            return marginal_residuals(recover_plan(bar, full, gamma), mu, nu)
+
+        def flat_full(bar):
+            return np.concatenate(pair_full((bar[:n], bar[n:])))
+
         for tau in (None, 0.07):
-            assert_same_pairs(gradient_step(pot, cost, gamma, mu, nu, tau), gradient_step(pot, full, gamma, mu, nu, tau))
-            assert_same_pairs(nesterov_step(NesterovState(pot, prev, 7), cost, gamma, mu, nu, tau).current,
-                              nesterov_step(NesterovState(pot, prev, 7), full, gamma, mu, nu, tau).current)
+            for pair_rec, flat_rec in ((None, None), (pair_full, flat_full)):
+                want = nesterov_step(NesterovState(pot, prev, 7), full, gamma, mu, nu, tau, pair_rec).current
+                got = nesterov_step(NesterovState(pot, prev, 7), cost, gamma, mu, nu, tau, pair_rec).current
+                assert_same_pairs(got, want)
+                flat = nesterov_step(NesterovState(x, before, 7), cost, gamma, mu, nu, tau, flat_rec).current
+                assert_same_potentials(want, flat, n)
 
     # integer potentials, as pairs or end to end, extrapolate in floats: the
     # step is the one from the same values as floats
@@ -734,7 +754,7 @@ def test_a_zero_plan_call_zeroes_a_stale_plan_buffer(rng, monkeypatch):
     assert dense[0] == 1 and np.isnan(band.plan).all()
     low = DualPotentials(-rng.uniform(0.0, 1.0, 20), -rng.uniform(0.0, 1.0, 20))
     f, g = recovered(band, low)
-    assert dense[0] == 1 and band.base is None and band.values.size == 0
+    assert dense[0] == 1 and band.cells is None and band.values.size == 0
     assert np.array_equal(f, 0.0 - mu) and np.array_equal(g, 0.0 - nu)
     band.write()
     assert not band.plan.any() and not np.signbit(band.plan).any()
@@ -804,12 +824,12 @@ def test_a_first_call_rebuilds_by_the_one_rule_from_the_start(rng, monkeypatch):
         slack = 8.0 * np.finfo(float).eps * (np.abs(p.alpha).max() + np.abs(p.beta).max()
                                              + max(cost.max(), -cost.min()) + theta)
         fits = got.size <= solvers._BAND_MAX_SHARE * cost.size
-        assert (theta - slack > 0.0) == due and (band.base is x) == (due and fits) == kept, k
+        assert (theta - slack > 0.0) == due and (band.cells is not None and band.cells.base is x) == (due and fits) == kept, k
         assert band.last is x and fits == (cells.size <= solvers._BAND_MAX_SHARE * cost.size), k
         if fits:
             assert np.array_equal(got, cells), k
         if kept:
-            assert np.array_equal(np.arange(60).repeat(band.counts) * 60 + band.cols, cells)
+            assert np.array_equal(np.arange(60).repeat(band.cells.counts) * 60 + band.cells.cols, cells)
         band.write()
         with np.errstate(invalid="ignore"):
             plan = recover_plan(p, cost, 10.0)
@@ -844,7 +864,7 @@ def test_band_past_its_share_is_not_kept(rng, monkeypatch):
     monkeypatch.setattr(solvers, "recover_plan", recorded)
     p = DualPotentials(far.alpha + 0.01, far.beta)  # a reach of 0.32: all of rows 100 on, none before
     f, g = recovered(band, p)
-    assert band.base is None and band.values is band.plan
+    assert band.cells is None and band.values is band.plan
     assert gathered == [(2 * rows - 100) * m]  # the first two blocks' cells, none of the third
     assert (rows - 100) * m <= solvers._BAND_MAX_SHARE * n * m < gathered[0]
     plan = recover_plan(p, c, 1.0)
@@ -930,14 +950,14 @@ def test_certified_violation_bounds_the_recovered_one(rng):
                                q.beta + 1e-6 * rng.standard_normal(q.beta.size))
             xq = np.concatenate(q)
             band.recover(xq)
-            if band.base is None:
+            if band.cells is None:
                 continue
             step = steps[k % len(steps)]
             p = DualPotentials(q.alpha + step * rng.standard_normal(q.alpha.size),
                                q.beta + step * rng.standard_normal(q.beta.size))
             xp = np.concatenate(p)
             dense = max_violation(recover_plan(p, c, 10.0), mu, nu)
-            base, budget, bounds = band.base, band.budget, []
+            cells, bounds = band.cells, []
             for shift in shifts:
                 tol = dense * (1.0 + shift)
                 bound = band.certify(xp, tol)
@@ -947,17 +967,17 @@ def test_certified_violation_bounds_the_recovered_one(rng):
                     bounds.append(bound)
                     proved[step] += 1
                     band.recover(xq)
-                assert band.base is base and band.budget == budget, (walk, k)
+                assert band.cells is cells, (walk, k)
             band.recover(xp)  # banded: certify held p within the budget
             if bounds:
-                assert band.base is base and max(bounds) <= np.abs(band.res).max(), (walk, k)
+                assert band.cells is cells and max(bounds) <= np.abs(band.res).max(), (walk, k)
     assert all(proved.values()), proved
 
     # potentials that are not finite never certify, nor change the band
     band = support_band(c, 10.0, mu, nu, start)
     recovered(band, start)
     recovered(band, DualPotentials(start.alpha + 1e-7, start.beta))
-    assert band.base is not None
+    assert band.cells is not None
     last = band.last
     for bad in (np.nan, np.inf, -np.inf):
         alpha = start.alpha.copy()
@@ -981,7 +1001,7 @@ def test_certified_violation_is_tight_where_every_cell_moves_by_the_full_drift()
     band = support_band(c, gamma, mu, nu, start)
     recovered(band, start)
     recovered(band, DualPotentials(np.full(n, 0.5), np.full(n, 0.5)))  # selects the band, of reach 0.32
-    assert band.base is not None and band.cols.size == 16 and band.width == 2.0
+    assert band.cells is not None and band.cells.cols.size == 16 and band.cells.width == 2.0
     assert np.abs(band.res).max() == 1.0  # rows and columns sum to 2
     # past the drift budget a recovery would rebuild the band, so no bound
     # stands in for it, sound as it would be
@@ -1092,23 +1112,31 @@ def test_history_rows_scatter_nothing(monkeypatch):
 
 
 def test_unchecked_objectives_are_the_public_ones_bit_for_bit(rng):
-    # history rows take the arithmetic of the unchecked helpers of
-    # dual_objective (as dual_value does) and primal_objective, which must
-    # give what the public functions give; their dot products, by _dot, must
-    # be vdot's: on the halves of the potentials end to end, on a band's
-    # values at and around DOT_CHUNK, and on a dense call's 2-D plan
+    # a history row takes dual_value and primal_objective in unchecked
+    # arithmetic of its own, over the values of the last recovery.  The row
+    # of a first iteration comes from a dense recovery (a first call keeps
+    # no band, so that iteration's is dense), and on a cost with negative
+    # entries its plan is not zero; its objectives must be the public
+    # functions' of the run's plan and potentials, bit for bit.  The row's
+    # dot products, by _dot, must be vdot's: on the halves of the potentials
+    # end to end, on a band's values at and around DOT_CHUNK, and on a dense
+    # call's 2-D plan
     for n, m in ((3, 4), (41, 25), (120, 100)):  # the last plan has more than DOT_CHUNK cells
         mu, nu, c = random_instance(rng, n, m)
+        c -= 0.5
         gamma = float(rng.uniform(0.1, 10.0))
+        for alg in DUAL_ALGORITHMS:
+            config = SolverConfig(gamma=gamma, algorithm=alg, tol=1e-300, max_iters=1, history_stride=1)
+            rep = solve(mu, nu, c, config)
+            [row], plan, pot = rep.history, rep.final_plan, rep.final_potentials
+            assert plan.any(), (n, alg)
+            assert row.dual_objective == dual_value(pot, c, gamma, mu, nu), (n, alg)
+            assert row.primal_objective == primal_objective(plan, c, gamma), (n, alg)
         pot = DualPotentials(rng.standard_normal(n), rng.standard_normal(m))
         plan = recover_plan(pot, c, gamma)
-        norm2 = vdot(plan, plan)
-        assert _dual_objective(pot, gamma, mu, nu, norm2) == dual_objective(pot, c, gamma, mu, nu)
-        assert -_dual_objective(pot, gamma, mu, nu, norm2) / gamma == dual_value(pot, c, gamma, mu, nu)
-        assert _primal_objective(plan, c, gamma, norm2) == primal_objective(plan, c, gamma)
         x = np.concatenate(pot)
         assert _dot(x[:n], mu) == vdot(pot.alpha, mu) and _dot(x[n:], nu) == vdot(pot.beta, nu)
-        assert _dot(plan, plan) == norm2 and _dot(c, plan) == vdot(c, plan)
+        assert _dot(plan, plan) == vdot(plan, plan) and _dot(c, plan) == vdot(c, plan)
     for size in (DOT_CHUNK - 1, DOT_CHUNK, DOT_CHUNK + 1):
         values, cost = rng.lognormal(0.0, 2.0, size), rng.uniform(0.0, 1.0, size)
         for a, b in ((values, values), (cost, values)):
@@ -1127,8 +1155,32 @@ def test_support_band_keeps_fewer_than_30_attributes(rng):
     band = support_band(c, 10.0, mu, nu, start)
     recovered(band, DualPotentials(start.alpha + 1e-6 * rng.standard_normal(60), start.beta))
     recovered(band, DualPotentials(start.alpha, start.beta + 1e-8))
-    assert band.base is not None and band.values is not band.plan  # a live band, and a banded call
+    assert band.cells is not None and band.values is not band.plan  # a live band, and a banded call
     assert len(vars(band)) < 30, sorted(vars(band))
+
+
+def test_a_dropped_band_leaves_none_of_its_arrays_referenced():
+    # the live band is one record, which recover drops in one assignment: a
+    # move that makes every cell positive selects them all, too many to
+    # keep, and once that call returns the band holds no array of the old
+    # band, nor the values of its last banded call
+    mu, nu, c = realize_problem(default_problem("squared", 10.0, n=60))
+    mu, nu = mu.w, nu.w
+    start = solve(mu, nu, c, SolverConfig(gamma=10.0, algorithm=Algorithm.NESTEROV, tol=1e-3,
+                                          record_history=False)).final_potentials
+    band = support_band(c, 10.0, mu, nu, start)
+    recovered(band, start)
+    recovered(band, DualPotentials(start.alpha + 1e-7, start.beta))  # selects a band
+    recovered(band, DualPotentials(start.alpha + 2e-7, start.beta))  # a banded call
+    assert band.cells is not None and band.values is not band.plan and band.values_cost is band.cells.cost
+    refs = [weakref.ref(a) for a in (*band.cells, band.values) if isinstance(a, np.ndarray)]
+    assert len(refs) == 7  # base, cols, counts, cost, rows, starts and the values
+    lift = 1.0 - (start.alpha[:, None] + start.beta - c).min()
+    wide = DualPotentials(start.alpha + lift, start.beta)
+    assert (recover_plan(wide, c, 10.0) > 0.0).all()
+    recovered(band, wide)
+    assert band.cells is None and band.values is band.plan and band.values_cost is c
+    assert [ref() for ref in refs] == [None] * 7
 
 
 def test_history_rows_over_a_live_band_do_not_depend_on_the_blas_thread_count():
@@ -1249,7 +1301,7 @@ def test_empty_support_band_gives_a_zero_plan(rng, monkeypatch):
         assert np.array_equal(band.plan, plan) and not plan.any(), k
         assert np.array_equal(f, rf) and np.array_equal(g, rg), k
         assert np.array_equal(f, -mu) and np.array_equal(g, -nu), k
-        assert (band.base is not None) == (k > 0) and (k == 0 or band.cols.size == 0), k
+        assert (band.cells is not None) == (k > 0) and (k == 0 or band.cells.cols.size == 0), k
         pot = DualPotentials(pot.alpha + 1e-3 * rng.standard_normal(4), pot.beta + 1e-3 * rng.standard_normal(5))
     assert dense[0] == 1  # the second call, which selected the band
 
