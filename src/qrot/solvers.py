@@ -439,7 +439,7 @@ class _SupportBand:
         # the least cost of each tile of the dense sweep, and the columns of
         # each of its blocks outside which plan is +0.0: one attribute, as the
         # live band is one (cells), since CPython 3.11 reads every attribute
-        # of an instance with 30 or more about 10% more slowly; a band holds 20
+        # of an instance with 30 or more about 10% more slowly (a band has 20)
         self.tiles = least, [(0, m)] * len(least)
         self.wmax = float(max(mu.max(), nu.max()))  # the largest marginal weight
         # the small buffers go before the plan buffer: allocated after it, they

@@ -824,7 +824,8 @@ def test_a_first_call_rebuilds_by_the_one_rule_from_the_start(rng, monkeypatch):
         slack = 8.0 * np.finfo(float).eps * (np.abs(p.alpha).max() + np.abs(p.beta).max()
                                              + max(cost.max(), -cost.min()) + theta)
         fits = got.size <= solvers._BAND_MAX_SHARE * cost.size
-        assert (theta - slack > 0.0) == due and (band.cells is not None and band.cells.base is x) == (due and fits) == kept, k
+        live = band.cells is not None and band.cells.base is x
+        assert (theta - slack > 0.0) == due and live == (due and fits) == kept, k
         assert band.last is x and fits == (cells.size <= solvers._BAND_MAX_SHARE * cost.size), k
         if fits:
             assert np.array_equal(got, cells), k
