@@ -81,15 +81,8 @@ def _fail(message: str) -> int:
     return 1
 
 
-def _make_config(args, gamma, algorithm, **overrides) -> SolverConfig:
-    options = {
-        "tol": args.tol,
-        "max_iters": args.max_iters,
-        "tau": getattr(args, "tau", None),
-        "history_stride": getattr(args, "history_stride", 1),
-    }
-    options.update(overrides)
-    return SolverConfig(gamma=gamma, algorithm=algorithm, **options)
+def _make_config(args, gamma, algorithm, **options) -> SolverConfig:
+    return SolverConfig(gamma, algorithm, tol=args.tol, max_iters=args.max_iters, tau=args.tau, **options)
 
 
 def cmd_generate(args) -> int:
@@ -108,7 +101,7 @@ def _run(args, algorithms):
     """
     problem = load_problem(args.problem)
     mu, nu, c = realize_problem(problem)
-    configs = [_make_config(args, problem.gamma, algorithm) for algorithm in algorithms]
+    configs = [_make_config(args, problem.gamma, a, history_stride=args.history_stride) for a in algorithms]
     out = Path(args.out)
     if out.exists() and not out.is_dir():  # refused before any solve starts
         raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(out))

@@ -1,7 +1,11 @@
 """Problem-file serialization, run-record CSVs, plain-text matrices, and
 the self-contained SVG convergence plot.
 
-Problem files are a single JSON document; matrices go to diff-able text
+A problem file is one JSON document, written with indent 2 and a final
+newline: the fields of :class:`ProblemFile` (``grid1``, ``grid2``,
+``marginal1``, ``marginal2``, ``cost``, ``gamma``), each grid as its
+``n``, ``a`` and ``b`` and each mixture as its list of components, each
+with its ``weight``, ``mean`` and ``std``.  Matrices go to diff-able text
 with a leading dimension header; run records are RFC-4180-style CSV with a
 key/value footer.  All formatting is deterministic so repeated runs produce
 byte-identical artifacts (apart from wall-clock columns).
@@ -12,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from xml.etree import ElementTree as ET
 
 import numpy as np
@@ -88,23 +92,13 @@ def default_problem(cost: str = "squared", gamma: float = 10.0, n: int = 100) ->
     return ProblemFile(grid, grid, DEFAULT_MARGINAL1, DEFAULT_MARGINAL2, cost, float(gamma))
 
 
-def _grid_to_json(g: Grid1D) -> dict:
-    return {"n": g.n, "a": g.a, "b": g.b}
-
-
-def _mixture_to_json(spec: MixtureSpec) -> list:
-    return [{"weight": c.weight, "mean": c.mean, "std": c.std} for c in spec.components]
-
-
 def save_problem(problem: ProblemFile, path) -> None:
-    doc = {
-        "grid1": _grid_to_json(problem.grid1),
-        "grid2": _grid_to_json(problem.grid2),
-        "marginal1": _mixture_to_json(problem.marginal1),
-        "marginal2": _mixture_to_json(problem.marginal2),
-        "cost": problem.cost,
-        "gamma": problem.gamma,
-    }
+    """Write ``problem`` as JSON with indent 2 and a final newline: the
+    fields of :class:`ProblemFile` by ``dataclasses.asdict``, each mixture
+    as its list of components."""
+    doc = asdict(problem)
+    for field in ("marginal1", "marginal2"):
+        doc[field] = doc[field]["components"]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
@@ -127,30 +121,27 @@ def _integer(value, field) -> int:
     return value
 
 
-def _parse_grid(doc, field) -> Grid1D:
+def _grid(node, field) -> Grid1D:
+    return Grid1D(
+        _integer(node["n"], f"{field}.n"), _number(node["a"], f"{field}.a"), _number(node["b"], f"{field}.b")
+    )
+
+
+def _mixture(node, field) -> MixtureSpec:
+    keys = ("weight", "mean", "std")
+    return MixtureSpec(tuple(MixtureComponent(*(_number(c[k], f"{field}.{k}") for k in keys)) for c in node))
+
+
+def _parse(doc, field, build, kind):
+    """``build(doc[field], field)``.  A KeyError, TypeError or ValueError it
+    raises becomes ``field '<field>' is not a valid <kind>: ...``; a
+    ProblemFileError passes as it is."""
     try:
-        node = doc[field]
-        return Grid1D(
-            _integer(node["n"], f"{field}.n"), _number(node["a"], f"{field}.a"), _number(node["b"], f"{field}.b")
-        )
+        return build(doc[field], field)
     except ProblemFileError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
-        raise ProblemFileError(f"field '{field}' is not a valid grid: {exc}") from exc
-
-
-def _parse_mixture(doc, field) -> MixtureSpec:
-    try:
-        node = doc[field]
-        comps = tuple(
-            MixtureComponent(*(_number(c[key], f"{field}.{key}") for key in ("weight", "mean", "std")))
-            for c in node
-        )
-        return MixtureSpec(comps)
-    except ProblemFileError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ProblemFileError(f"field '{field}' is not a valid mixture: {exc}") from exc
+        raise ProblemFileError(f"field '{field}' is not a valid {kind}: {exc}") from exc
 
 
 def load_problem(path) -> ProblemFile:
@@ -168,10 +159,10 @@ def load_problem(path) -> ProblemFile:
         if field not in doc:
             raise ProblemFileError(f"missing field '{field}'")
     return ProblemFile(
-        grid1=_parse_grid(doc, "grid1"),
-        grid2=_parse_grid(doc, "grid2"),
-        marginal1=_parse_mixture(doc, "marginal1"),
-        marginal2=_parse_mixture(doc, "marginal2"),
+        grid1=_parse(doc, "grid1", _grid, "grid"),
+        grid2=_parse(doc, "grid2", _grid, "grid"),
+        marginal1=_parse(doc, "marginal1", _mixture, "mixture"),
+        marginal2=_parse(doc, "marginal2", _mixture, "mixture"),
         cost=doc["cost"],
         gamma=_number(doc["gamma"], "gamma"),
     )

@@ -797,10 +797,17 @@ def solve(mu, nu, c, config: SolverConfig) -> ConvergenceReport:
     to confirm convergence.  So for both, iteration counts are those of
     testing the plan every iteration.
 
-    A dual run checks the cost by the least cost of each tile of the dense
-    recovery's sweep and by its greatest entry, which propagate a NaN, and
-    its support band reuses both; Sinkhorn checks it by its least and
-    greatest entries.
+    Every run checks the cost by the least cost of each tile of the dense
+    recovery's sweep and by its greatest entry, which propagate a NaN; a
+    dual run's support band reuses both.
+
+    Every dual method starts from zero potentials, whose plan is zero
+    wherever the cost is positive.  Where all costs lie far from 0 the
+    three plain methods (cyclic projection, gradient descent and fixed
+    point) can stall there.  On the stock two-bump problem on 4 x 5 cells
+    (squared cost, ``gamma = 1``) with the second grid and its mixture
+    moved by 30, to [30, 31], all three stop at a 2,000-iteration cap with
+    a maximal violation of 0.498, while Nesterov is at 0.0036 by then.
 
     Raises
     ------
@@ -820,16 +827,15 @@ def solve(mu, nu, c, config: SolverConfig) -> ConvergenceReport:
     c = np.asarray(c, dtype=float)
     if c.ndim != 2 or c.shape != (mu.size, nu.size):
         raise ValueError(f"cost shape {c.shape} does not match marginals ({mu.size}, {nu.size})")
-    alg = config.algorithm
-    # a dual run's band reads the least cost of each tile of the dense sweep,
-    # whose least is c.min()
-    least = c if alg is Algorithm.SINKHORN else _tile_minima(c)
+    # the least cost of each tile of the dense sweep, whose least is c.min();
+    # a dual run's band reads them, Sinkhorn only this check
+    least = _tile_minima(c)
     cmin, cmax = float(least.min()), float(c.max())  # NaN if any entry is
     if not (math.isfinite(cmin) and math.isfinite(cmax)):
         raise ValueError("cost matrix must be finite")
     check_mass_balance(mu, nu)
 
-    gamma = config.gamma
+    alg, gamma = config.algorithm, config.gamma
     if alg is Algorithm.SINKHORN:
         advance, bounds, result = _sinkhorn_run(c, gamma, mu, nu, config.tol)
     else:

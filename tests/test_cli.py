@@ -86,6 +86,38 @@ def test_problem_roundtrip(tmp_path):
     assert load_problem(path) == problem
 
 
+def test_problem_file_bytes(tmp_path):
+    # the file holds each field as the dataclasses store it, spelled out
+    # here so that a new or renamed field shows as a changed file
+    stock = {
+        "grid1": {"n": 100, "a": 0.0, "b": 1.0},
+        "grid2": {"n": 100, "a": 0.0, "b": 1.0},
+        "marginal1": [{"weight": 0.5, "mean": 0.25, "std": 0.05}, {"weight": 0.5, "mean": 0.75, "std": 0.05}],
+        "marginal2": [{"weight": 0.4, "mean": 0.35, "std": 0.08}, {"weight": 0.6, "mean": 0.65, "std": 0.06}],
+        "cost": "squared",
+        "gamma": 10.0,
+    }
+    thirds = MixtureSpec(tuple(MixtureComponent(Fraction(1, 3), k, 0.1) for k in range(3)))
+    awkward = ProblemFile(Grid1D(3, np.float32(0.1), Fraction(1, 3)), Grid1D(np.int64(2), -1, 2),
+                          thirds, MixtureSpec(((1, 0.5, 0.2),)), "absolute", 5e-324)
+    odd = {
+        "grid1": {"n": 3, "a": 0.10000000149011612, "b": 0.3333333333333333},
+        "grid2": {"n": 2, "a": -1.0, "b": 2.0},
+        "marginal1": [
+            {"weight": 0.3333333333333333, "mean": 0.0, "std": 0.1},
+            {"weight": 0.3333333333333333, "mean": 1.0, "std": 0.1},
+            {"weight": 0.3333333333333333, "mean": 2.0, "std": 0.1},
+        ],
+        "marginal2": [{"weight": 1.0, "mean": 0.5, "std": 0.2}],
+        "cost": "absolute",
+        "gamma": 5e-324,
+    }
+    path = tmp_path / "p.json"
+    for problem, doc in ((default_problem(), stock), (awkward, odd)):
+        save_problem(problem, path)
+        assert path.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode()
+
+
 def test_problem_constructors_refuse_booleans():
     for build in (
         lambda: Grid1D(True),
@@ -706,6 +738,25 @@ def test_oracle_check_bound_guard(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "N + M = 201" in captured.err, captured.err
+
+
+def test_cli_flags_are_the_solver_configs(tmp_path, monkeypatch, capsys):
+    # solve and compare take every run flag; oracle-check its own defaults, no history
+    path = tmp_path / "p.json"
+    problem = small_problem()
+    save_problem(problem, path)
+    configs = []
+    monkeypatch.setattr("qrot.cli.solve", lambda mu, nu, c, config: configs.append(config) or solve(mu, nu, c, config))
+    monkeypatch.setattr("qrot.cli.usable_cpus", lambda: 1)
+    flags = ["--tol", "1e-7", "--max-iters", "123", "--tau", "0.01", "--history-stride", "3"]
+    main(["solve", str(path), "--algorithm", "gradient", *flags, "--out", str(tmp_path / "s")])
+    main(["compare", str(path), *flags, "--out", str(tmp_path / "c")])
+    main(["oracle-check", str(path)])
+    capsys.readouterr()
+    ran = [Algorithm.DUAL_GRADIENT, Algorithm.CYCLIC_PROJECTION, Algorithm.DUAL_GRADIENT, Algorithm.FIXED_POINT,
+           Algorithm.NESTEROV]
+    assert configs[:5] == [SolverConfig(problem.gamma, a, 1e-7, 123, 0.01, True, 3) for a in ran]
+    assert configs[5:] == [SolverConfig(problem.gamma, a, 1e-9, 200_000, None, False) for a in ran[1:]]
 
 
 # -- compare across processes ---------------------------------------------
