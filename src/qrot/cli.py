@@ -10,12 +10,10 @@ helper interpreters started as it starts solving, each of which is sent the
 problem once it is ready and a method is left (see :mod:`qrot.pool`).  Its
 artifacts, output and exit code are those of solving the four one after
 another, apart from the ``elapsed_ms`` column.
-``compare`` on one CPU uses this process alone.  ``solve`` solves in this
-process, and writes a plan with at least 2**17 values to ``repr`` (the cells
-of its rows' spans) on every usable CPU: this process and one helper per
-further CPU, each running the standard library alone and reading its rows
-from an unnamed temporary file (see :func:`qrot.fileio.write_matrix`).  The
-plan file is byte for byte the one this process would write alone.
+``compare`` on one CPU uses this process alone.  ``solve`` solves and writes
+its artifacts in this process alone; each value of a plan or potential file
+is written as its ``repr``, by a formatter that takes whole runs of values at
+once (see :mod:`qrot.rowtext`).
 
 Exit codes: 0 success / converged, 2 iteration cap or failed check,
 1 input or I/O error.
@@ -180,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     slv = sub.add_parser(
         "solve",
-        help="run one algorithm on a problem file; a large plan is written on up to all usable CPUs",
+        help="run one algorithm on a problem file and write its plan, potentials and history",
     )
     run_flags(slv, with_algorithm=True)
     slv.set_defaults(func=cmd_solve)

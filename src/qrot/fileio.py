@@ -5,25 +5,24 @@ A problem file is one JSON document, written with indent 2 and a final
 newline: the fields of :class:`ProblemFile` (``grid1``, ``grid2``,
 ``marginal1``, ``marginal2``, ``cost``, ``gamma``), each grid as its
 ``n``, ``a`` and ``b`` and each mixture as its list of components, each
-with its ``weight``, ``mean`` and ``std``.  Matrices go to diff-able text
-with a leading dimension header; run records are RFC-4180-style CSV with a
-key/value footer.  All formatting is deterministic so repeated runs produce
-byte-identical artifacts (apart from wall-clock columns).
+with its ``weight``, ``mean`` and ``std``.  Matrices and vectors go to
+diff-able text with a leading dimension header, each value as its ``repr``,
+formatted in this process by :mod:`qrot.rowtext`; run records are
+RFC-4180-style CSV with a key/value footer.  All formatting is deterministic
+so repeated runs produce byte-identical artifacts (apart from wall-clock
+columns).
 """
 
 from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import asdict, dataclass
 from xml.etree import ElementTree as ET
 
 import numpy as np
 
-from . import rowtext
 from .core import ConvergenceReport, DiscreteMeasure, Grid1D, _finite_real
-from .pool import usable_cpus
 from .problems import (
     BENCHMARK_GAMMAS,
     COST_KINDS,
@@ -177,93 +176,24 @@ def realize_problem(problem: ProblemFile):
 
 
 def write_matrix(path, arr) -> None:
-    """Plain-text matrix: '# N M' header, one whitespace-joined row per line.
+    """Plain-text matrix: '# N M' header, one whitespace-joined row per line,
+    each value as its ``repr``, by :func:`qrot.rowtext.lines`."""
+    from . import rowtext  # its tables are built on first use, not at import
 
-    Every value is written as its ``repr``, by :func:`qrot.rowtext.lines`.
-
-    A matrix with at least ``PARALLEL_MIN_REPRS`` values to ``repr``, the
-    cells of its rows' spans (see :func:`qrot.rowtext.spans`), is written
-    on every CPU this process may use, when there is more than one: its
-    rows are cut into that many contiguous parts with about equal numbers
-    of such values.  This process formats the first part from the array
-    itself while helper processes running :mod:`qrot.rowtext` format the
-    others from their bytes, which each reads from an unnamed temporary
-    file; the parts are then written in order, so the file is byte for byte
-    the one-process one.  Each row's span is found once in this process.
-    Every helper is stopped and reaped before this returns or raises, and a
-    helper that fails raises RuntimeError.
-    """
     arr = np.ascontiguousarray(arr, dtype=float)
-    n, m = arr.shape
-    spans = list(rowtext.spans(arr, n, m))
-    reprs = np.fromiter((stop - start for start, stop in spans), dtype=np.intp, count=n)
-    cpus = usable_cpus() if reprs.sum() >= PARALLEL_MIN_REPRS and sys.executable else 1
-    bounds = _row_bounds(reprs, cpus)
-    own, parts = bounds[1], list(zip(bounds[1:-1], bounds[2:]))  # this process's rows, then the helpers'
-    helpers = []
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# {n} {m}\n")
-        try:
-            for start, stop in parts:
-                helpers.append(_start_helper(arr[start:stop]))
-            fh.writelines(rowtext.lines(arr[:own], m, spans[:own]))
-            fh.flush()
-            for helper, (start, stop) in zip(helpers, parts):
-                while text := helper.stdout.read(1 << 20):
-                    fh.buffer.write(text)
-                code = helper.wait()
-                if code:
-                    how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-                    raise RuntimeError(f"the helper process writing rows {start}-{stop - 1} of {path} {how}")
-        finally:
-            for helper in helpers:
-                helper.kill()  # a no-op once it has been reaped
-                helper.stdout.close()
-                helper.wait()
-
-
-# A helper costs 10-15 ms (its start and exit, and its rows through a
-# temporary file) against about 0.43 us per value to repr.  On a 2-vCPU
-# host (numpy 2.4.6, medians of 27 writes in 9 alternating runs on dense
-# rows) one process and two took 7.5 vs 18.6 ms at 2**14 values, 29 vs
-# 40 ms at 2**16, 57 vs 43 ms at 2**17 and 113 vs 73 ms at 2**18: the
-# break-even lies between 2**16 and 2**17.
-PARALLEL_MIN_REPRS = 1 << 17
-
-
-def _row_bounds(reprs, parts) -> list:
-    """``[0, ..., n]``: at most ``parts`` contiguous row ranges, none empty,
-    with about equal costs; a row costs its values to ``repr`` plus one."""
-    cost = np.cumsum(reprs + 1)
-    n = len(reprs)
-    if parts < 2 or n == 0:
-        return [0, n]
-    total = int(cost[-1])
-    cuts = np.searchsorted(cost, [total * k // parts for k in range(1, parts)], side="right")
-    return sorted({0, n, *cuts.tolist()})
-
-
-def _start_helper(rows):
-    """A helper process formatting the C-contiguous ``rows``, which it reads
-    from an unnamed temporary file: once this returns, the helper holds the
-    file's only descriptor, and the file goes when the helper exits."""
-    import subprocess
-    import tempfile
-
-    with tempfile.TemporaryFile() as feed:
-        feed.write(rows)
-        feed.seek(0)
-        return subprocess.Popen([sys.executable, "-I", "-S", rowtext.__file__, *map(str, rows.shape)],
-                                stdin=feed, stdout=subprocess.PIPE)
+    with open(path, "wb") as fh:
+        fh.write(f"# {arr.shape[0]} {arr.shape[1]}\n".encode("ascii"))
+        fh.writelines(rowtext.lines(arr))
 
 
 def write_vector(path, vec) -> None:
-    """Plain-text vector: '# N' header, one value per line."""
+    """Plain-text vector: '# N' header, one value per line, each as its ``repr``."""
+    from . import rowtext
+
     vec = np.asarray(vec, dtype=float)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# {vec.size}\n")
-        for x in vec.tolist():
-            fh.write(repr(x) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(f"# {vec.size}\n".encode("ascii"))
+        fh.write(rowtext.reprs(vec, ord("\n")))
 
 
 def read_matrix(path) -> np.ndarray:

@@ -20,9 +20,15 @@ process starts ``min(len(configs), cpus) - 1`` helper processes and solves:
 - every helper is killed and reaped before ``solve_in_order`` returns or
   raises, and a helper whose parent dies ends by itself, even mid-solve.
 
-An unused helper costs its start alone, since it is sent no problem: the
-``sinkhorn-cli-n1000`` compare, all solved before its helper is ready, took
-0.115 s against 0.111 s without one (2 vCPUs, numpy 2.4.6, medians of 11).
+An unused helper is sent no problem, but its start is not free: while it
+imports numpy and qrot it holds a CPU the solves in this process could use.
+On the ``kernel-n1000`` compare (2 vCPUs, numpy 2.4.6), all solved before its
+helper is ready, ``solve_in_order`` took 0.148 s with no process beside it,
+0.293 s beside its unused helper, 0.302 s beside a plain
+``python -c 'from qrot.pool import _helper'`` and 0.198 s beside
+``python -c pass``; the whole command took 0.353 s without a helper against
+0.479 s with it (shorter without in 16 of 16 pairs), though in one later measuring
+window the two read 0.325 and 0.308 s.
 """
 
 from __future__ import annotations

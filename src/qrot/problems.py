@@ -93,4 +93,4 @@ def cost_matrix(g1: Grid1D, g2: Grid1D, kind: str = "squared") -> np.ndarray:
     if kind not in COST_KINDS:
         raise ValueError(f"cost kind must be one of {COST_KINDS}, got {kind!r}")
     diff = g1.points[:, None] - g2.points[None, :]
-    return diff**2 if kind == "squared" else np.abs(diff)
+    return np.square(diff, out=diff) if kind == "squared" else np.abs(diff, out=diff)  # one N x M array

@@ -32,7 +32,6 @@ from qrot import (
 from qrot import rowtext
 from qrot.cli import main
 from qrot.fileio import (
-    PARALLEL_MIN_REPRS,
     ProblemFile,
     ProblemFileError,
     default_problem,
@@ -43,7 +42,6 @@ from qrot.fileio import (
     write_history_csv,
     write_matrix,
     write_vector,
-    _row_bounds,
 )
 from qrot.pool import _READY
 from qrot.problems import COST_KINDS
@@ -249,33 +247,16 @@ def test_matrix_roundtrip(tmp_path):
     assert (tmp_path / "v.txt").read_text() == "# 3\n-0.0\n5e-324\n0.6666666666666666\n"
 
 
-def reprs_per_row(rows, monkeypatch):
-    """How many values ``rowtext.lines`` passes to ``repr`` in each row of
-    the C-contiguous ``rows``."""
-    calls = []
-    with monkeypatch.context() as patch:
-        patch.setattr(rowtext, "repr", lambda x: calls.append(x) or repr(x), raising=False)
-        counts = []
-        for _ in rowtext.lines(rows, rows.shape[1], rowtext.spans(rows, *rows.shape)):
-            counts.append(len(calls))
-            calls.clear()
-    return counts
+def plain_matrix(arr):
+    return (f"# {arr.shape[0]} {arr.shape[1]}\n"
+            + "".join(" ".join(map(repr, row)) + "\n" for row in arr.tolist())).encode()
 
 
-def span_lengths(rows):
-    """The number of cells in each span ``rowtext.spans`` gives for ``rows``."""
-    return [stop - start for start, stop in rowtext.spans(rows, *rows.shape)]
-
-
-def test_write_matrix_is_byte_identical_to_plain_repr_rows(tmp_path, rng, monkeypatch):
+def test_write_matrix_is_byte_identical_to_plain_repr_rows(tmp_path, rng):
     # the writer formats only each row's span, from the first to the last cell
-    # that is not +0.0, found from the row's bytes; its bytes must be those of
-    # a repr on every cell, and the same from the array as from raw bytes.
-    # rowtext.spans, by which write_matrix shares the rows out among
-    # helpers, must hold the values lines() reprs in each row
-    def plain(arr):
-        return f"# {arr.shape[0]} {arr.shape[1]}\n" + "".join(" ".join(map(repr, row)) + "\n" for row in arr.tolist())
-
+    # that is not +0.0, found from the row's bits; its bytes must be those of a
+    # repr on every cell, whatever the order of the array in memory and however
+    # its rows fall into runs of rowtext.CHUNK span values
     sparse = np.where(rng.random((40, 37)) < 0.05, rng.lognormal(0.0, 3.0, (40, 37)), 0.0)
     sparse[3, 5], sparse[7, 0], sparse[7, 36], sparse[11, 9] = -0.0, 5e-324, -5e-324, 2.2250738585072014e-308
     odd = sparse.copy()
@@ -290,244 +271,90 @@ def test_write_matrix_is_byte_identical_to_plain_repr_rows(tmp_path, rng, monkey
     spans = np.zeros((len(ends) * len(values), 9))
     for row, ((j, k), (x, y)) in zip(spans, itertools.product(ends, values)):
         row[j], row[k] = x, y
+    dense = rng.lognormal(0.0, 3.0, (23, 31))
+    runs = np.where(rng.random((40, 1000)) < 0.5, rng.lognormal(-20.0, 10.0, (40, 1000)), 0.0)
+    runs[::3, 0] = 0.0
     cases = {
         "sparse": sparse,
-        "dense": rng.lognormal(0.0, 3.0, (23, 31)),
+        "dense": dense,
         "zeros": np.zeros((5, 6)),
         "odd": odd,
         "columns": sparse.T,  # not C-contiguous
+        "fortran": np.asfortranarray(dense),
         "one": np.array([[0.1]]),
         "one zero": np.zeros((1, 1)),
         "one negative zero": np.array([[-0.0]]),
+        "one row": dense[:1],
+        "one column": sparse[:, 5:6],
         "no columns": np.zeros((3, 0)),
         "no rows": np.zeros((0, 4)),
         "spans": spans,
+        "runs": runs,  # three runs of rows
+        "long row": np.concatenate([[0.0, 2.5], runs[0], runs[1], runs[2], runs[3]] * 5)[None, 1:],
     }
+    assert cases["long row"].shape[1] > rowtext.CHUNK
     for name, arr in cases.items():
         write_matrix(tmp_path / "m.txt", arr)
-        assert (tmp_path / "m.txt").read_bytes() == plain(arr).encode(), name
-        rows = np.ascontiguousarray(arr)
-        raw = rows.tobytes()
-        assert (list(rowtext.lines(raw, arr.shape[1], rowtext.spans(raw, *arr.shape)))
-                == list(rowtext.lines(rows, arr.shape[1], rowtext.spans(rows, *arr.shape)))), name
-        assert span_lengths(rows) == reprs_per_row(rows, monkeypatch), name
+        assert (tmp_path / "m.txt").read_bytes() == plain_matrix(arr), name
 
 
-def plain_matrix(arr):
-    return (f"# {arr.shape[0]} {arr.shape[1]}\n"
-            + "".join(" ".join(map(repr, row)) + "\n" for row in arr.tolist())).encode()
+def test_write_matrix_counts_the_spans_it_reprs(tmp_path, monkeypatch):
+    # each row's span, from its first to its last cell that is not +0.0,
+    # zeros between them included, goes to the formatter: 1000 rows with only
+    # their end cells set are 300,000 values, in runs of at most
+    # rowtext.CHUNK, though only 2,000 cells are nonzero
+    arr = np.zeros((1000, 300))
+    arr[:, 0], arr[:, -1] = 0.25, -3.5
+    received = []
+    real = rowtext.reprs
+
+    def reprs(values, ends):
+        received.append(len(values))
+        return real(values, ends)
+
+    monkeypatch.setattr(rowtext, "reprs", reprs)
+    write_matrix(tmp_path / "m.txt", arr)
+    assert (tmp_path / "m.txt").read_bytes() == plain_matrix(arr)
+    assert sum(received) == 300_000 and max(received) <= rowtext.CHUNK
+    # a row of +0.0 alone is one value, its last; -0.0 is not +0.0
+    edges = np.array([[0.0, 0.0, 0.0], [0.0, -0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 3.0]])
+    assert [list(ends) for ends in rowtext.spans(edges)] == [[2, 1, 0, 1], [3, 2, 1, 3]]
+    received.clear()
+    write_matrix(tmp_path / "m.txt", edges)
+    assert (tmp_path / "m.txt").read_bytes() == plain_matrix(edges)
+    assert received == [5]
+    assert [list(ends) for ends in rowtext.spans(np.zeros((2, 0)))] == [[0, 0], [0, 0]]
 
 
-def share_writes(monkeypatch, cpus):
-    """Make write_matrix share every matrix out over ``cpus`` CPUs."""
-    monkeypatch.setattr("qrot.fileio.PARALLEL_MIN_REPRS", 0)
-    monkeypatch.setattr("qrot.fileio.usable_cpus", lambda: cpus)
-
-
-def private_tempdir(tmp_path, monkeypatch):
-    """A new empty directory, where tempfile makes its files from now on."""
-    path = tmp_path / "tempdir"
-    path.mkdir()
-    monkeypatch.setattr(tempfile, "tempdir", str(path))
-    return path
-
-
-@pytest.mark.parametrize("cpus", [2, 3])
-def test_write_matrix_through_helper_processes_is_byte_identical(tmp_path, rng, monkeypatch, cpus):
-    # every case of the one-process test again, with rows cut into parts, so
-    # that part boundaries fall on a 1-row matrix, 3x0, a transposed plan and
-    # inf/nan/-0.0/5e-324 cells; then 1000 rows of sparse and dense blocks.
-    # No thread starts: each helper reads its rows from an unnamed temporary
-    # file, which it holds alone, so nothing is left in tempfile's directory.
-    # This process finds every row's span once, for the cut and its own rows
-    share_writes(monkeypatch, cpus)
-    started = record_processes(monkeypatch)
-    threads = threading.active_count()
-    test_write_matrix_is_byte_identical_to_plain_repr_rows(tmp_path, rng, monkeypatch)
-    assert started
-
-    dense = rng.lognormal(0.0, 3.0, (1000, 300))
-    mixed = np.where((np.arange(1000) // 7 % 3 == 0)[:, None] | (rng.random((1000, 300)) < 0.1), dense, 0.0)
-    mixed[::11, ::13] = -0.0
-    started.clear()
-    threads_started, feeds, walked = [], [], []
-    real_start, real_feed, real_spans = threading.Thread.start, tempfile.TemporaryFile, rowtext.spans
-    monkeypatch.setattr(threading.Thread, "start", lambda self: threads_started.append(self) or real_start(self))
-    monkeypatch.setattr(tempfile, "TemporaryFile", lambda *args: feeds.append(args) or real_feed(*args))
-
-    def spans(data, n, m):
-        for span in real_spans(data, n, m):
-            walked.append(span)
-            yield span
-
-    monkeypatch.setattr(rowtext, "spans", spans)
-    tempdir = private_tempdir(tmp_path, monkeypatch)
-    write_matrix(tmp_path / "m.txt", mixed)
-    assert (tmp_path / "m.txt").read_bytes() == plain_matrix(mixed)
-    assert len(started) == len(feeds) == cpus - 1
-    assert all(p.returncode == 0 for p in started)
-    assert threading.active_count() == threads
-    assert threads_started == [] and len(walked) == 1000
-    assert list(tempdir.iterdir()) == []
-
-
-def test_row_parts_carry_about_equal_numbers_of_values():
-    # a row costs its values plus one, and each cut falls after the last row
-    # whose running cost is within its share: costs 15 and 15, then 7, 8 and 15
-    reprs = np.array([0, 5, 5, 0, 0, 10, 0, 0, 0, 0])
-    assert _row_bounds(reprs, 1) == [0, 10]
-    assert _row_bounds(reprs, 2) == [0, 5, 10]
-    assert _row_bounds(reprs, 3) == [0, 2, 5, 10]
-    assert _row_bounds(np.zeros(3, int), 4) == [0, 1, 2, 3]  # no empty part
-    assert _row_bounds(np.array([1000]), 2) == [0, 1]
-    assert _row_bounds(np.zeros(0, int), 2) == [0, 0]
-
-
-def test_write_matrix_starts_no_process_on_one_cpu_or_under_the_threshold(tmp_path, monkeypatch):
+def test_write_matrix_starts_no_process_and_leaves_no_file(tmp_path, monkeypatch, rng):
+    # a dense plan with more values than any run: one process, no thread, and
+    # nothing in tempfile's directory
     def no_process(*args, **kwargs):
         raise AssertionError("a process was started")
 
     monkeypatch.setattr(subprocess, "Popen", no_process)
-    at_threshold = np.full((PARALLEL_MIN_REPRS // 512, 512), 0.1)
-    under = at_threshold.copy()
-    under[7, -1] = 0.0  # the end of a row's span; a +0.0 inside it is repr'd all the same
-    for cpus, arr in ((1, at_threshold), (4, under)):
-        monkeypatch.setattr("qrot.fileio.usable_cpus", lambda: cpus)
-        write_matrix(tmp_path / "m.txt", arr)
-        assert (tmp_path / "m.txt").read_bytes() == plain_matrix(arr)
-    monkeypatch.setattr("qrot.fileio.usable_cpus", lambda: 2)
-    with pytest.raises(AssertionError, match="a process was started"):
-        write_matrix(tmp_path / "m.txt", at_threshold)
-
-
-@pytest.mark.parametrize("cpus", [2, 3])
-def test_write_matrix_counts_the_spans_it_reprs(tmp_path, monkeypatch, cpus):
-    # lines() reprs each row from its first to its last cell that is not
-    # +0.0, zeros between them included, so 1000 rows with only their end
-    # cells set cost 300 values each: 300,000 in all, over the threshold,
-    # though only 2,000 cells are nonzero
-    arr = np.zeros((1000, 300))
-    arr[:, 0], arr[:, -1] = 0.25, -3.5
-    assert list(rowtext.spans(arr, *arr.shape)) == [(0, 300)] * 1000
-    assert arr.size > PARALLEL_MIN_REPRS > np.count_nonzero(arr)
-    monkeypatch.setattr("qrot.fileio.usable_cpus", lambda: cpus)
-    started = record_processes(monkeypatch)
+    tempdir = tmp_path / "tempdir"
+    tempdir.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tempdir))
+    threads = threading.active_count()
+    arr = rng.lognormal(0.0, 3.0, (400, 400))
     write_matrix(tmp_path / "m.txt", arr)
     assert (tmp_path / "m.txt").read_bytes() == plain_matrix(arr)
-    assert len(started) == cpus - 1 and all(p.returncode == 0 for p in started)
-    # a row of +0.0 alone is one value, its last; -0.0 is not +0.0
-    edges = np.array([[0.0, 0.0, 0.0], [0.0, -0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 3.0]])
-    assert list(rowtext.spans(edges, *edges.shape)) == [(2, 3), (1, 2), (0, 1), (1, 3)]
-    assert span_lengths(edges) == [1, 1, 1, 2]
-    assert list(rowtext.spans(np.zeros((2, 0)), 2, 0)) == [(0, 0), (0, 0)]
-
-
-@pytest.mark.parametrize("helper, how", [
-    ("import sys\nsys.stdin.buffer.read()\nsys.exit(3)", "exited with status 3"),
-    ("import sys\nsys.exit(3)", "exited with status 3"),  # without reading its rows
-    ("import os, signal, sys\nsys.stdin.buffer.read()\nsys.stdout.write('0.5 ')\nsys.stdout.flush()\n"
-     "os.kill(os.getpid(), signal.SIGKILL)", "was killed by signal 9"),
-])
-def test_failed_helper_is_an_error_and_leaves_no_process(tmp_path, monkeypatch, capsys, helper, how):
-    problem_path = tmp_path / "problem.json"
-    save_problem(small_problem(), problem_path)
-    script = tmp_path / "helper.py"
-    script.write_text(helper)
-    monkeypatch.setattr("qrot.rowtext.__file__", str(script))
-    share_writes(monkeypatch, 2)
-    started = record_processes(monkeypatch)
-    tempdir = private_tempdir(tmp_path, monkeypatch)
-    threads = threading.active_count()
-    out = tmp_path / "out"
-    capsys.readouterr()
-    assert main(["solve", str(problem_path), "--algorithm", "nesterov", "--out", str(out)]) == 1
-    plan = out / "plan_nesterov.txt"
-    assert capsys.readouterr().err == f"error: the helper process writing rows 3-5 of {plan} {how}\n"
-    assert len(started) == 1 and started[0].returncode is not None
     assert threading.active_count() == threads
     assert list(tempdir.iterdir()) == []
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-def test_failed_write_in_this_process_reaps_the_helpers(tmp_path, monkeypatch, capsys):
-    # the plan file is /dev/full, so writing this process's own rows fails
+def test_failed_plan_write_is_an_error(tmp_path, capsys):
+    # the plan file is /dev/full, so writing it fails
     problem_path = tmp_path / "problem.json"
     save_problem(small_problem(), problem_path)
     out = tmp_path / "out"
     out.mkdir()
     (out / "plan_nesterov.txt").symlink_to("/dev/full")
-    share_writes(monkeypatch, 3)
-    started = record_processes(monkeypatch)
-    tempdir = private_tempdir(tmp_path, monkeypatch)
-    threads = threading.active_count()
     capsys.readouterr()
     assert main(["solve", str(problem_path), "--algorithm", "nesterov", "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
-    assert len(started) == 2 and all(p.returncode is not None for p in started)
-    assert threading.active_count() == threads
-    assert list(tempdir.iterdir()) == []
-
-
-def test_row_helper_fed_short_exits_without_a_word():
-    # write_matrix gives a helper all its rows in a file before it starts, but
-    # the helper still refuses input that is not the rows it was started for
-    for size in (47, 49):
-        helper = subprocess.run([sys.executable, "-I", "-S", rowtext.__file__, "2", "3"], input=b"\0" * size,
-                                capture_output=True)
-        assert (helper.returncode, helper.stdout, helper.stderr) == (1, b"", b""), size
-    helper = subprocess.run([sys.executable, "-I", "-S", rowtext.__file__, "2", "3"], input=b"\0" * 48,
-                            capture_output=True)
-    assert (helper.returncode, helper.stdout, helper.stderr) == (0, b"0.0 0.0 0.0\n0.0 0.0 0.0\n", b"")
-
-
-@pytest.mark.parametrize("killed", ["while starting its helpers", "while writing its own rows"])
-def test_solve_killed_mid_write_leaves_no_helper_running(tmp_path, killed):
-    # the helpers inherit the killed process's stderr, so it reads to its end
-    # only once they have exited too, and a helper's traceback would show there.
-    # A dense 300x300 plan gives each helper more text than a pipe holds.  The
-    # files the helpers read their rows from have no name, so none is left.
-    problem_path = tmp_path / "problem.json"
-    save_problem(small_problem(300, 300), problem_path)
-    pids = tmp_path / "pids"
-    tempdir = tmp_path / "tempdir"
-    tempdir.mkdir()
-    script = (
-        "import os, signal, subprocess, time\n"
-        "import qrot.fileio as fileio\n"
-        "from qrot.cli import main\n"
-        "fileio.PARALLEL_MIN_REPRS = 0\n"
-        "fileio.usable_cpus = lambda: 3\n"
-        "real_popen = subprocess.Popen\n"
-        "def die():\n"
-        "    os.kill(os.getpid(), signal.SIGKILL)\n"
-        "def popen(*args, **kwargs):\n"
-        "    helper = real_popen(*args, **kwargs)\n"
-        f"    with open({str(pids)!r}, 'a') as fh:\n"
-        "        fh.write(f'{helper.pid}\\n')\n"
-        f"    if {killed == 'while starting its helpers'}:\n"
-        "        die()\n"
-        "    return helper\n"
-        "def slow_rows(*args):\n"
-        "    time.sleep(0.5)  # the helpers have their rows by now\n"
-        "    die()\n"
-        "subprocess.Popen, fileio.rowtext.lines = popen, slow_rows  # this process's rows only\n"
-        f"main(['solve', {str(problem_path)!r}, '--algorithm', 'sinkhorn', '--max-iters', '3',\n"
-        f"      '--out', {str(tmp_path / 'o')!r}])\n"
-    )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]),
-               TMPDIR=str(tempdir))
-    parent = subprocess.Popen([sys.executable, "-c", script], env=env, stdout=subprocess.PIPE,
-                              stderr=subprocess.PIPE, text=True)
-    try:
-        out, err = parent.communicate(timeout=60)
-    except subprocess.TimeoutExpired:
-        for pid in map(int, pids.read_text().split()):
-            os.kill(pid, signal.SIGKILL)
-        raise
-    assert parent.returncode == -signal.SIGKILL
-    assert (out, err) == ("", "")
-    assert len(pids.read_text().split()) == (1 if killed == "while starting its helpers" else 2)
-    assert list(tempdir.iterdir()) == []
 
 
 def test_generate_then_solve_converges(tmp_path):
