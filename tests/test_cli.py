@@ -298,11 +298,13 @@ def test_write_matrix_is_byte_identical_to_plain_repr_rows(tmp_path, rng):
         assert (tmp_path / "m.txt").read_bytes() == plain_matrix(arr), name
 
 
-def test_write_matrix_counts_the_spans_it_reprs(tmp_path, monkeypatch):
+@pytest.mark.parametrize("runs", [2, 3])
+def test_write_matrix_counts_the_spans_it_reprs(tmp_path, monkeypatch, runs):
     # each row's span, from its first to its last cell that is not +0.0,
     # zeros between them included, goes to the formatter: 1000 rows with only
     # their end cells set are 300,000 values, in runs of at most
-    # rowtext.CHUNK, though only 2,000 cells are nonzero
+    # rowtext.CHUNK, though only 2,000 cells are nonzero; with a CHUNK of
+    # 1000 / runs rows, rounded up, they fall into exactly that many runs
     arr = np.zeros((1000, 300))
     arr[:, 0], arr[:, -1] = 0.25, -3.5
     received = []
@@ -324,6 +326,31 @@ def test_write_matrix_counts_the_spans_it_reprs(tmp_path, monkeypatch):
     assert (tmp_path / "m.txt").read_bytes() == plain_matrix(edges)
     assert received == [5]
     assert [list(ends) for ends in rowtext.spans(np.zeros((2, 0)))] == [[0, 0], [0, 0]]
+    received.clear()
+    monkeypatch.setattr(rowtext, "CHUNK", 300 * -(-1000 // runs))
+    write_matrix(tmp_path / "m.txt", arr)
+    assert (tmp_path / "m.txt").read_bytes() == plain_matrix(arr)
+    assert len(received) == runs and sum(received) == 300_000
+    assert received[:-1] == [rowtext.CHUNK] * (runs - 1)
+
+
+def test_row_parts_carry_about_equal_numbers_of_values(monkeypatch):
+    # rowtext.lines cuts the rows into runs, each the most rows whose spans
+    # hold at most CHUNK values together, a row with more values alone, and
+    # none empty: spans of 1, 5, 5, 1, 1, 10, 1, 12 and 3 values under a
+    # CHUNK of 10 are runs of 6, 7, 10, 1, 12 and 3 values
+    monkeypatch.setattr(rowtext, "CHUNK", 10)
+    lengths = [1, 5, 5, 1, 1, 10, 1, 12, 3]
+    rows = np.zeros((len(lengths), 12))
+    for row, length in zip(rows, lengths):
+        row[12 - length] = row[-1] = 0.5
+    rows[0, -1] = 0.0
+    assert list(np.subtract(*rowtext.spans(rows)[::-1])) == lengths
+    runs = list(rowtext.lines(rows))
+    assert [run.count(b"\n") for run in runs] == [2, 3, 1, 1, 1, 1]
+    assert (b"# 9 12\n" + b"".join(runs)) == plain_matrix(rows)
+    assert [run.count(b"\n") for run in rowtext.lines(np.zeros((3, 0)))] == [3]
+    assert list(rowtext.lines(np.zeros((0, 4)))) == []
 
 
 def test_write_matrix_starts_no_process_and_leaves_no_file(tmp_path, monkeypatch, rng):
