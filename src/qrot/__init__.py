@@ -14,6 +14,7 @@ from .core import (
     DiscreteMeasure,
     DualPotentials,
     Grid1D,
+    History,
     HistoryEntry,
     SolverConfig,
     marginals,
@@ -70,6 +71,7 @@ __all__ = [
     "Entropy",
     "Grid1D",
     "GridFunction",
+    "History",
     "HistoryEntry",
     "MixtureComponent",
     "MixtureSpec",

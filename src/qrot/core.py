@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -23,6 +25,7 @@ __all__ = [
     "DiscreteMeasure",
     "DualPotentials",
     "Grid1D",
+    "History",
     "HistoryEntry",
     "SolverConfig",
     "as_weights",
@@ -202,13 +205,66 @@ class HistoryEntry(NamedTuple):
     elapsed_s: float
 
 
+class History(Sequence):
+    """The recorded iterations of a solver run: a read-only sequence of
+    :class:`HistoryEntry` rows over one C-contiguous ``(rows, 6)`` float64
+    ``table``, whose columns are the fields of :class:`HistoryEntry` in order
+    (the ``HISTORY_COLUMNS`` of :mod:`qrot.fileio`, elapsed time in seconds).
+    A row takes 48 bytes.
+
+    ``h[i]`` is a :class:`HistoryEntry` of an ``int`` iteration and Python
+    floats, exact for iterations below 2**53; a slice is a ``History``, and
+    iterating yields the rows.  ``==`` compares the rows with those of any
+    sequence, so a run without history equals ``()``.  ``np.asarray(h)`` is
+    the table, which is not writeable, and a ``History`` pickles as its table.
+    """
+
+    __slots__ = ("table",)
+
+    def __init__(self, table=()):
+        table = np.ascontiguousarray(table, dtype=np.float64).reshape(-1, len(HistoryEntry._fields)).view()
+        table.flags.writeable = False  # the view only: the caller's array is left as it is
+        self.table = table
+
+    def __len__(self):
+        return len(self.table)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return History(self.table[index])
+        iteration, *values = self.table[operator.index(index)].tolist()
+        return HistoryEntry(int(iteration), *values)
+
+    def __iter__(self):
+        for iteration, *values in self.table.tolist():
+            yield HistoryEntry(int(iteration), *values)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __array__(self, dtype=None, copy=None):
+        # numpy casts to a dtype asked for
+        return self.table.copy() if copy else self.table
+
+    def __reduce__(self):
+        return History, (self.table,)
+
+    def __repr__(self):
+        return f"History({len(self)} rows)"
+
+
 @dataclass(frozen=True)
 class ConvergenceReport:
     """Outcome of a solver run.
 
-    ``history`` rows carry (iteration, max_violation, dual_objective,
-    primal_objective, duality_gap, elapsed_s), where ``dual_objective`` is
-    the dual lower bound matching ``duality_gap = primal - dual`` row-wise.
+    ``history`` is a :class:`History`: one row per recorded iteration,
+    (iteration, max_violation, dual_objective, primal_objective,
+    duality_gap, elapsed_s), where ``dual_objective`` is the dual lower
+    bound matching ``duality_gap = primal - dual`` row-wise, all in one
+    float64 table of 48 bytes a row.  It equals the tuple of its
+    :class:`HistoryEntry` rows, and ``()`` when history is off.
     """
 
     algorithm: Algorithm
@@ -216,7 +272,7 @@ class ConvergenceReport:
     converged: bool
     final_plan: np.ndarray
     final_potentials: DualPotentials
-    history: tuple[HistoryEntry, ...]
+    history: History
 
 
 def as_weights(m) -> np.ndarray:
@@ -243,24 +299,31 @@ def check_mass_balance(mu, nu) -> None:
         raise ValueError(f"marginals must carry equal total mass (got {sm!r} vs {sn!r})")
 
 
-def marginals(pi) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column sums of a plan: ``(pi @ 1, pi.T @ 1)``."""
+def marginals(pi, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column sums of a plan: ``(pi @ 1, pi.T @ 1)``, written into
+    the pair of float arrays ``out`` when it is given, bit for bit the same
+    sums."""
     pi = np.asarray(pi, dtype=float)
-    return pi.sum(axis=1), pi.sum(axis=0)
+    if out is None:
+        return pi.sum(axis=1), pi.sum(axis=0)
+    return pi.sum(axis=1, out=out[0]), pi.sum(axis=0, out=out[1])
 
 
-def max_violation(pi, mu, nu) -> float:
+def max_violation(pi, mu, nu, out=None) -> float:
     """Maximal marginal constraint violation of a plan.
 
     Returns ``max(||pi 1 - mu||_inf, ||pi.T 1 - nu||_inf)``, the quantity
-    all stopping rules and convergence curves are based on.
+    all stopping rules and convergence curves are based on.  ``out``, a
+    pair of float arrays of lengths N and M, receives the row and column
+    sums of :func:`marginals`, for a caller that reads them too.
     """
     pi = np.asarray(pi, dtype=float)
     mu = as_weights(mu)
     nu = as_weights(nu)
     if pi.shape != (mu.size, nu.size):
         raise ValueError(f"plan shape {pi.shape} does not match marginals ({mu.size}, {nu.size})")
-    return residual_violation(*marginal_residuals(pi, mu, nu))
+    row, col = marginals(pi, out)
+    return residual_violation(row - mu, col - nu)
 
 
 def marginal_residuals(pi, mu, nu) -> tuple[np.ndarray, np.ndarray]:

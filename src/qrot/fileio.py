@@ -8,9 +8,10 @@ newline: the fields of :class:`ProblemFile` (``grid1``, ``grid2``,
 with its ``weight``, ``mean`` and ``std``.  Matrices and vectors go to
 diff-able text with a leading dimension header, each value as its ``repr``,
 formatted in this process by :mod:`qrot.rowtext`; run records are
-RFC-4180-style CSV with a key/value footer.  All formatting is deterministic
-so repeated runs produce byte-identical artifacts (apart from wall-clock
-columns).
+RFC-4180-style CSV with a key/value footer, their rows formatted from the
+run's float64 history table (:class:`qrot.core.History`, 48 bytes a row) by
+the same formatter.  All formatting is deterministic so repeated runs
+produce byte-identical artifacts (apart from wall-clock columns).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from xml.etree import ElementTree as ET
 
 import numpy as np
 
-from .core import ConvergenceReport, DiscreteMeasure, Grid1D, _finite_real
+from .core import ConvergenceReport, DiscreteMeasure, Grid1D, History, _finite_real
 from .problems import (
     BENCHMARK_GAMMAS,
     COST_KINDS,
@@ -202,7 +203,22 @@ def read_matrix(path) -> np.ndarray:
 
 def write_history_csv(path, report: ConvergenceReport, gamma: float, tol: float) -> None:
     """Run record: header, one row per recorded iteration, key/value footer
-    rows (prefixed '#', padded to the full column count)."""
+    rows (prefixed '#', padded to the full column count).
+
+    ``report.history`` is read as the float64 table of a
+    :class:`~qrot.core.History`: its own, or that of a sequence of
+    :class:`~qrot.core.HistoryEntry` rows, the same values.  A row is its
+    iteration as a decimal int, then the ``repr`` of each float column, by
+    :func:`qrot.rowtext.reprs`, with ``elapsed_s * 1000.0`` as ``elapsed_ms``;
+    so the bytes are those of ``f"{it},{v!r},...\n"`` per row, for
+    iterations below 2**53."""
+    from . import rowtext
+
+    table = History(report.history).table
+    values = table[:, 1:].copy()
+    values[:, -1] *= 1000.0  # elapsed_ms, the product elapsed_s * 1000.0
+    ends = np.tile(np.frombuffer(b",,,,\n", np.uint8), len(table))
+    rows = rowtext.reprs(values, ends).split(b"\n")[:-1]
     footer = (
         ("algorithm", report.algorithm.value),
         ("converged", str(report.converged).lower()),
@@ -210,29 +226,29 @@ def write_history_csv(path, report: ConvergenceReport, gamma: float, tol: float)
         ("gamma", repr(float(gamma))),
         ("tol", repr(float(tol))),
     )
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(HISTORY_COLUMNS) + "\n")
-        # one f-string per row: float reprs never need CSV quoting, and
-        # float() keeps a numpy scalar's repr plain
-        fh.writelines(
-            f"{row.iteration},{float(row.max_violation)!r},{float(row.dual_objective)!r},"
-            f"{float(row.primal_objective)!r},{float(row.duality_gap)!r},{float(row.elapsed_s * 1000.0)!r}\n"
-            for row in report.history
-        )
-        fh.writelines(f"# {key},{value},,,,\n" for key, value in footer)
+    with open(path, "wb") as fh:
+        fh.write(",".join(HISTORY_COLUMNS).encode("ascii") + b"\n")
+        # float reprs never need CSV quoting
+        fh.writelines(map(b"%d,%s\n".__mod__, zip(table[:, 0].astype(np.int64).tolist(), rows)))
+        fh.write("".join(f"# {key},{value},,,,\n" for key, value in footer).encode("utf-8"))
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 _MAX_POINTS = 2000
 
 
-def _thin(pairs):
-    if len(pairs) <= _MAX_POINTS:
-        return pairs
-    stride = -(-len(pairs) // _MAX_POINTS)
-    kept = pairs[::stride]
-    if kept[-1] != pairs[-1]:
-        kept.append(pairs[-1])
+def _thin(points):
+    """The columns of the ``(2, n)`` array ``points`` that a curve plots: all
+    of them up to ``_MAX_POINTS``, else every ``ceil(n / _MAX_POINTS)``-th
+    from the first, and the last if its values differ from those of the last
+    one kept."""
+    n = points.shape[1]
+    if n <= _MAX_POINTS:
+        return points
+    stride = -(-n // _MAX_POINTS)
+    kept = points[:, ::stride]
+    if (n - 1) % stride and not (kept[:, -1] == points[:, -1]).all():
+        kept = np.concatenate((kept, points[:, -1:]), axis=1)
     return kept
 
 
@@ -240,8 +256,12 @@ def render_convergence_svg(series, path) -> None:
     """Write a log-y line plot of violation curves as a standalone SVG.
 
     ``series`` is a list of (label, history) pairs where each history is a
-    sequence with ``iteration`` and ``max_violation`` fields.  Violations
-    are clamped below at 1e-16 for display.
+    :class:`~qrot.core.History` or a sequence of
+    :class:`~qrot.core.HistoryEntry` rows, read as a History's float64
+    table.  Only its iteration and violation columns are read, and they are
+    thinned to at most about ``_MAX_POINTS`` points as arrays before any
+    point becomes a Python pair.  Violations are clamped below at 1e-16 for
+    display.
     """
     width, height = 880, 540
     ml, mr, mt, mb = 80, 170, 50, 60
@@ -249,9 +269,10 @@ def render_convergence_svg(series, path) -> None:
 
     curves = []
     for label, history in series:
-        pairs = [(row.iteration, max(row.max_violation, 1e-16)) for row in history]
-        if pairs:
-            curves.append((label, _thin(pairs)))
+        table = History(history).table
+        if len(table):
+            points = np.stack((table[:, 0], np.maximum(table[:, 1], 1e-16)))
+            curves.append((label, list(zip(*_thin(points).tolist()))))
     if not curves:
         raise ValueError("nothing to plot: all histories are empty")
 

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
 from collections import namedtuple
 from functools import lru_cache
 from typing import NamedTuple
@@ -57,12 +58,11 @@ from .core import (
     ConvergenceReport,
     DOT_CHUNK,
     DualPotentials,
-    HistoryEntry,
+    History,
     SolverConfig,
     _check_weights,
     as_weights,
     check_mass_balance,
-    marginals,
     max_violation,
     vdot,
 )
@@ -694,7 +694,8 @@ def _sinkhorn_run(c, gamma, mu, nu, tol):
     than ``margin = 4 (k + 2) eps`` times the largest row, with room to
     spare.  An estimate above ``tol + margin`` thus proves the plan's
     violation above ``tol``; otherwise, and whenever ``plan_due`` is set,
-    the plan is built and :func:`max_violation` decides.  So iteration
+    the plan is built and :func:`max_violation` decides, keeping the
+    plan's row and column sums.  So iteration
     counts are those of testing the plan every iteration.  Plans are built
     in place into the run's one plan buffer; ``result()`` returns the last
     one built with the potentials, and a converged or final iteration
@@ -702,7 +703,9 @@ def _sinkhorn_run(c, gamma, mu, nu, tol):
 
     Potentials that are not finite make the violation NaN.
     ``bounds()`` is the entropic ``(dual, primal)`` pair of a history
-    row, over the potentials and the plan built at that row.
+    row, over the potentials and the plan built at that row; it reuses
+    that plan's row and column sums from the stopping test (a history row
+    always follows a built plan, since ``plan_due`` or convergence built it).
     """
     if (mu <= 0).any() or (nu <= 0).any():
         raise ValueError("Sinkhorn requires strictly positive marginals")
@@ -714,6 +717,7 @@ def _sinkhorn_run(c, gamma, mu, nu, tol):
     u, v = np.ones(c.shape[0]), np.ones(c.shape[1])
     Kv = None  # K @ v at the current v, when the stopping test formed it
     built = None  # the run's plan buffer once the first plan is built
+    sums = (np.empty(c.shape[0]), np.empty(c.shape[1]))  # the last built plan's row and column sums
     pot = None
 
     def advance(plan_due):
@@ -733,13 +737,13 @@ def _sinkhorn_run(c, gamma, mu, nu, tol):
             if not (estimate <= tol + margin):
                 return estimate
         built = sinkhorn_plan(u, v, K, out=built)
-        return max_violation(built, mu, nu)
+        return max_violation(built, mu, nu, out=sums)
 
     def bounds():
         # pi = exp((alpha (+) beta - c) / gamma - 1), so the primal value
         # <c, pi> + gamma sum pi log pi equals <alpha, pi 1> + <beta, pi.T 1> - gamma sum pi
         alpha, beta = pot
-        row, col = marginals(built)
+        row, col = sums
         mass = gamma * built.sum()
         return float(vdot(alpha, mu) + vdot(beta, nu) - mass), float(vdot(alpha, row) + vdot(beta, col) - mass)
 
@@ -771,7 +775,11 @@ def solve(mu, nu, c, config: SolverConfig) -> ConvergenceReport:
         for the dual methods, the scaled kernel for Sinkhorn), final
         potentials, iteration count, convergence flag and recorded history.
         The final plan is the array the run recovered its plans into; no
-        other ``N x M`` array of the run outlives the call.
+        other ``N x M`` array of the run outlives the call.  The history is
+        a :class:`~qrot.core.History` over the float64 array the loop
+        appended its rows to, six values each (48 bytes a row), taken
+        without a copy; it equals the tuple of its
+        :class:`~qrot.core.HistoryEntry` rows.
 
     Notes
     -----
@@ -841,7 +849,7 @@ def solve(mu, nu, c, config: SolverConfig) -> ConvergenceReport:
     else:
         advance, bounds, result = _quadratic_run(alg, c, gamma, mu, nu, config.tau, config.tol, least, cmax)
 
-    history: list[HistoryEntry] = []
+    history = array("d")  # the rows of the History, end to end
     tol, max_iters, record, stride = config.tol, config.max_iters, config.record_history, config.history_stride
     t0 = time.perf_counter()
     converged = False
@@ -860,9 +868,7 @@ def solve(mu, nu, c, config: SolverConfig) -> ConvergenceReport:
             converged = viol <= tol
             if record and (converged or plan_due):
                 dual, primal = bounds()
-                history.append(
-                    HistoryEntry(it, viol, dual, primal, primal - dual, time.perf_counter() - t0)
-                )
+                history.extend((it, viol, dual, primal, primal - dual, time.perf_counter() - t0))
             if converged:
                 break
 
@@ -873,5 +879,5 @@ def solve(mu, nu, c, config: SolverConfig) -> ConvergenceReport:
         converged=converged,
         final_plan=plan,
         final_potentials=pot,
-        history=tuple(history),
+        history=History(np.frombuffer(history, dtype=np.float64)),
     )

@@ -72,6 +72,19 @@ def test_max_violation_examples():
     assert max_violation(pi, mu2, nu) < 1e-15
 
 
+def test_max_violation_out_receives_the_marginals(rng):
+    # Sinkhorn's history rows read the sums its stopping test took
+    for shape in ((1, 1), (7, 9), (100, 100), (333, 1200)):
+        pi = rng.lognormal(0.0, 3.0, shape)
+        mu, nu = rng.random(shape[0]), rng.random(shape[1])
+        out = (np.empty(shape[0]), np.empty(shape[1]))
+        viol = max_violation(pi, mu, nu, out=out)
+        assert viol == max_violation(pi, mu, nu)
+        for got, want in zip(out, marginals(pi)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert all(a is b for a, b in zip(marginals(pi, out), out))
+
+
 def test_max_violation_zero_iff_exact(rng):
     for _ in range(20):
         n, m = rng.integers(2, 5, size=2)
